@@ -26,7 +26,7 @@ from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, read_binary
 from .propagators import FlowKind
 from .propagators import invariant_report as propagator_checks
-from .randomize import khintchine_moment
+from .randomize import khintchine_moments
 from .wiener import invariant_report as wiener_checks
 from .wiener import unit_lattice
 from . import tailprob
@@ -52,16 +52,20 @@ def _require(obj: dict, keys, where: str) -> None:
 
 
 def parse_seed(value) -> int:
+    """Seed as an integer in [0, 2^64), the key space of the Philox streams;
+    a seed outside it would alias another seed's stream."""
     if isinstance(value, bool):
         raise ConfigurationError("seed must be an integer")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
         try:
-            return int(value, 0)  # accepts decimal and 0x-prefixed hex
+            value = int(value, 0)  # accepts decimal and 0x-prefixed hex
         except ValueError:
             raise ConfigurationError(f"seed {value!r} is not a valid integer") from None
-    raise ConfigurationError(f"seed must be an integer, got {type(value).__name__}")
+    if not isinstance(value, int):
+        raise ConfigurationError(f"seed must be an integer, got {type(value).__name__}")
+    if not 0 <= value < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {value}")
+    return value
 
 
 def parse_grid(obj) -> GridSpec:
@@ -216,8 +220,8 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
     worst = 0.0
     for vid, c in enumerate(vectors):
         norm_c = float(np.linalg.norm(c))
-        for p in p_values:
-            moment = khintchine_moment(c, p, samples, seed + vid)
+        moments = khintchine_moments(c, p_values, samples, seed + vid)
+        for p, moment in zip(p_values, moments):
             ratio = moment / (math.sqrt(p) * norm_c)
             worst = max(worst, ratio)
             rows.append((vid, p, moment, ratio))

@@ -25,6 +25,7 @@ from .grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
+    monomial_weight,
     sobolev_norm,
 )
 from .wiener import smooth_step
@@ -53,10 +54,7 @@ def spectral_derivative(f: Field, beta_idx) -> Field:
     if index_order(beta_idx) == 0:
         return f
     F = forward_transform(f)
-    weight = np.ones(spec.shape, dtype=np.complex128)
-    for j, b in enumerate(beta_idx):
-        if b:
-            weight = weight * (1j * spec.frequency_grids()[j]) ** b
+    weight = monomial_weight(spec.frequency_grids(), beta_idx, imaginary=True)
     return inverse_transform(Spectrum(spec, weight * F.coeffs))
 
 
@@ -67,10 +65,7 @@ def decay_seminorm(g: Field, alpha_idx, beta_idx) -> float:
     if len(alpha_idx) != spec.dim:
         raise ValueError("multi-index length must match grid dim")
     der = spectral_derivative(g, beta_idx)
-    weight = np.ones(spec.shape)
-    for j, a in enumerate(alpha_idx):
-        if a:
-            weight = weight * spec.coordinate_grids()[j] ** a
+    weight = monomial_weight(spec.coordinate_grids(), alpha_idx)
     return float(np.max(np.abs(weight * der.values)))
 
 
@@ -166,14 +161,12 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
 def _finalize(f, g, h, eps, sigma, radius) -> SchwartzSplit:
     spec = f.spec
     indices = _indices_up_to(spec.dim, 2)
+    coords = spec.coordinate_grids()
     report = {}
     for b in indices:
         der = spectral_derivative(g, b)
         for a in indices:
-            weight = np.ones(spec.shape)
-            for j, aj in enumerate(a):
-                if aj:
-                    weight = weight * spec.coordinate_grids()[j] ** aj
+            weight = monomial_weight(coords, a)
             report[(a, b)] = float(np.max(np.abs(weight * der.values)))
     return SchwartzSplit(
         g=g,

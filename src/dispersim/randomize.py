@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, GridSpec, Spectrum, forward_transform, inverse_transform
-from .wiener import UnitLattice, projection_blocks, unit_lattice
+from .wiener import UnitLattice, projection_blocks
 
 _MASK64 = (1 << 64) - 1
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -118,11 +118,13 @@ def constant_draw(lattice: UnitLattice, value: complex = 1.0) -> RandomDraw:
 def randomized_weights(
     spec: GridSpec, lattice: UnitLattice, coefficients: np.ndarray
 ) -> np.ndarray:
-    """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw."""
-    weights = np.zeros(spec.shape, dtype=np.complex128)
-    for _, idx, windows, block in projection_blocks(spec):
-        weights[windows] += coefficients[idx] * block
-    return weights
+    """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
+    from the neighbour table corner by corner in lattice order."""
+    table = projection_blocks(spec)
+    weights = np.zeros(spec.size, dtype=np.complex128)
+    for index, weight in zip(table.index.T, table.weight.T):
+        weights += coefficients[index] * weight
+    return weights.reshape(spec.shape)
 
 
 def randomize_field(f: Field, d: RandomDraw) -> Field:
@@ -140,39 +142,45 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
     return inverse_transform(Spectrum(spec, weights * F.coeffs))
 
 
-def khintchine_moment(
-    c, p: float, samples: int, seed: int, chunk: int = 4096
-) -> float:
-    """Monte Carlo estimate of the L^p norm over draws of sum_k g_k c_k.
+def moment_norms(c, p_values, samples: int, seed: int, chunk: int) -> list[float]:
+    """( mean_m |sum_k g_k^(m) c_k|^p )^(1/p) for every p in ``p_values``.
 
-    p must be at least 2 and ``samples`` at least 1000; the estimate is
-    ( mean_m |sum_k g_k^(m) c_k|^p )^(1/p), computed in fixed chunks so
-    the reduction order never depends on scheduling.
+    All orders reduce the same |g @ c| of samples [0, samples), drawn in
+    fixed chunks so the reduction order never depends on scheduling.
     """
-    if p < 2:
-        raise ValueError(f"moment order must be >= 2, got {p}")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
     c = np.asarray(c, dtype=np.complex128).reshape(-1)
     if c.size == 0 or not np.any(c != 0):
-        return 0.0
-    total = 0.0
+        return [0.0] * len(p_values)
+    totals = [0.0] * len(p_values)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        g = gaussian_matrix(seed, count, c.size, sample_offset=start)
-        total += float(np.sum(np.abs(g @ c) ** p))
-    return float((total / samples) ** (1.0 / p))
+        vals = np.abs(gaussian_matrix(seed, count, c.size, sample_offset=start) @ c)
+        for i, p in enumerate(p_values):
+            totals[i] += float(np.sum(vals**p))
+    return [float((t / samples) ** (1.0 / p)) for t, p in zip(totals, p_values)]
+
+
+def khintchine_moments(c, p_values, samples: int, seed: int, chunk: int = 4096):
+    """Monte Carlo L^p norms over draws of sum_k g_k c_k, one per p, all
+    from one set of draws; every p must be >= 2 and samples >= 1000."""
+    for p in p_values:
+        if p < 2:
+            raise ValueError(f"moment order must be >= 2, got {p}")
+    if samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {samples}")
+    return moment_norms(c, p_values, samples, seed, chunk)
+
+
+def khintchine_moment(c, p: float, samples: int, seed: int, chunk: int = 4096) -> float:
+    """Monte Carlo estimate of the L^p norm over draws of sum_k g_k c_k."""
+    return khintchine_moments(c, (p,), samples, seed, chunk)[0]
 
 
 def expected_randomized_norm_squared(f: Field) -> float:
     """Closed-form E ||f^omega||_L2^2 = sum_k ||psi(D-k) f||_L2^2."""
     spec = f.spec
-    F = forward_transform(f)
-    acc = np.zeros(spec.shape)
-    for _, _, windows, block in projection_blocks(spec):
-        acc[windows] += block**2
-    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(F.coeffs) ** 2))
-
-
-def lattice_for(f: Field) -> UnitLattice:
-    return unit_lattice(f.spec)
+    F = forward_transform(f).coeffs.reshape(-1)
+    acc = np.zeros(spec.size)
+    for weight in projection_blocks(spec).weight.T:
+        acc += weight**2
+    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(F) ** 2))

@@ -16,7 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -29,11 +29,11 @@ from .decompose import (
     spectral_derivative,
 )
 from .errors import ConfigurationError, FitError
-from .grid import Field, GridSpec, forward_transform
+from .grid import Field, GridSpec, forward_transform, monomial_weight
 from .propagators import FlowKind, evolve, symbol
 from .randomize import (
-    coefficient_block,
     gaussian_matrix,
+    moment_norms,
     randomize_field,
     randomized_weights,
     RandomDraw,
@@ -43,6 +43,7 @@ from .wiener import projection_blocks, unit_lattice
 _TWO_PI = 2.0 * np.pi
 _E = math.e
 _CHUNK = 2048
+_DRAW_CHUNK = 256  # draws per gaussian_matrix call in the density statistics
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -159,11 +160,15 @@ def _point_phase(spec: GridSpec, x_index) -> list[np.ndarray]:
 
 
 def _windowed_series(spec: GridSpec, weighted: np.ndarray) -> np.ndarray:
-    """Per-lattice-point sums a[idx] = scale * sum(block * weighted[window])."""
-    lattice = unit_lattice(spec)
-    out = np.zeros(len(lattice), dtype=np.complex128)
-    for _, idx, windows, block in projection_blocks(spec):
-        out[idx] = np.sum(block * weighted[windows])
+    """Per-lattice-point sums a_k = scale * sum_xi psi(xi - k) weighted(xi),
+    accumulated from the neighbour table by a bincount per corner."""
+    table = projection_blocks(spec)
+    weighted = weighted.reshape(-1)
+    n = len(unit_lattice(spec))
+    out = np.zeros(n, dtype=np.complex128)
+    for index, weight in zip(table.index.T, table.weight.T):
+        terms = weight * weighted
+        out += np.bincount(index, terms.real, n) + 1j * np.bincount(index, terms.imag, n)
     scale = spec.frequency_cell_volume * _TWO_PI ** (-spec.dim / 2.0)
     return scale * out
 
@@ -193,10 +198,9 @@ def point_coefficients(f: Field, x_index, beta_idx=None) -> np.ndarray:
     F = forward_transform(f).coeffs
     weighted = _mesh_from_axes(_point_phase(spec, x_index)) * F
     if beta_idx is not None:
-        beta_idx = multi_index(beta_idx)
-        for j, b in enumerate(beta_idx):
-            if b:
-                weighted = weighted * (1j * spec.frequency_grids()[j]) ** b
+        weighted = monomial_weight(
+            spec.frequency_grids(), multi_index(beta_idx), base=weighted, imaginary=True
+        )
     return _windowed_series(spec, weighted)
 
 
@@ -212,8 +216,13 @@ def pointwise_deviation(
     return float(np.abs(evolved.values[idx] - fo.values[idx]))
 
 
-def _chunk_starts(total: int, chunk: int = _CHUNK):
-    return list(range(0, total, chunk))
+def _map_chunks(work, total: int, threads: int) -> list:
+    """work(start) for every chunk start in order, on a pool when threads > 1."""
+    starts = range(0, total, _CHUNK)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, starts))
+    return [work(s) for s in starts]
 
 
 def deviation_samples(
@@ -227,22 +236,13 @@ def deviation_samples(
 ) -> np.ndarray:
     """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws."""
     a = deviation_coefficients(flow, f, t, x_index)
-    out = np.empty(n_samples)
 
     def work(start: int) -> np.ndarray:
         count = min(_CHUNK, n_samples - start)
         g = gaussian_matrix(seed, count, a.size, sample_offset=start)
         return np.abs(g @ a)
 
-    starts = _chunk_starts(n_samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(work, starts))
-    else:
-        blocks = [work(s) for s in starts]
-    for start, block in zip(starts, blocks):
-        out[start : start + block.size] = block
-    return out
+    return np.concatenate([np.empty(0), *_map_chunks(work, n_samples, threads)])
 
 
 def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEstimate]:
@@ -271,15 +271,7 @@ def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEs
             local[ci] = np.sum(dev[:, None] > alphas[None, :], axis=0)
         return local
 
-    starts = _chunk_starts(m_total)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, starts))
-    else:
-        partials = [work(s) for s in starts]
-    counts = np.zeros((len(cells), alphas.size), dtype=np.int64)
-    for p in partials:
-        counts += p
+    counts = sum(_map_chunks(work, m_total, threads))
 
     label = config.flow.label()
     estimates = []
@@ -477,47 +469,38 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
     Fg = forward_transform(split.g).coeffs
     Fh = forward_transform(split.h).coeffs
     betas = sorted({b for _, b in pairs})
-    beta_weights = {}
-    for b in betas:
-        w = np.ones(spec.shape, dtype=np.complex128)
-        for j, bj in enumerate(b):
-            if bj:
-                w = w * (1j * spec.frequency_grids()[j]) ** bj
-        beta_weights[b] = w * Fg
-    alpha_weights = {}
-    for a, _ in pairs:
-        if a not in alpha_weights:
-            w = np.ones(spec.shape)
-            for j, aj in enumerate(a):
-                if aj:
-                    w = w * spec.coordinate_grids()[j] ** aj
-            alpha_weights[a] = w
+    freqs = spec.frequency_grids()
+    beta_weights = {b: monomial_weight(freqs, b, imaginary=True) * Fg for b in betas}
+    coords = spec.coordinate_grids()
+    alpha_weights = {a: monomial_weight(coords, a) for a, _ in pairs}
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
-    if not np.any(split.g.values != 0):
-        # Degenerate split (g = 0): every randomized piece vanishes too, so
-        # the decay event holds trivially and only the h-norm event remains.
-        hnorms = np.empty(n_samples)
-        for m in range(n_samples):
-            coeffs = coefficient_block(seed, len(lattice), sample_offset + m)
-            W = randomized_weights(spec, lattice, coeffs)
-            hnorms[m] = math.sqrt(
-                spec.frequency_cell_volume * float(np.sum(np.abs(W * Fh) ** 2))
-            )
-        return hnorms, np.zeros(n_samples)
+    # One gaussian_matrix call per chunk: the same stream as per-draw
+    # coefficient_block calls, without building a generator per draw.
+    draws = (
+        coeffs
+        for start in range(0, n_samples, _DRAW_CHUNK)
+        for coeffs in gaussian_matrix(
+            seed, min(_DRAW_CHUNK, n_samples - start), len(lattice), sample_offset + start
+        )
+    )
+    # Degenerate split (g = 0): every randomized piece vanishes too, so
+    # the decay event holds trivially and only the h-norm event remains.
+    degenerate = not np.any(split.g.values != 0)
     for pair, val in base.items():
-        if val <= 0:
+        if val <= 0 and not degenerate:
             raise ConfigurationError(
                 f"decay seminorm of the smooth part vanishes for indices {pair}"
             )
     inv_scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     axes = tuple(range(spec.dim))
     hnorms = np.empty(n_samples)
-    ratios = np.empty(n_samples)
+    ratios = np.zeros(n_samples)
     dxi_vol = spec.frequency_cell_volume
-    for m in range(n_samples):
-        coeffs = coefficient_block(seed, len(lattice), sample_offset + m)
+    for m, coeffs in enumerate(draws):
         W = randomized_weights(spec, lattice, coeffs)
         hnorms[m] = math.sqrt(dxi_vol * float(np.sum(np.abs(W * Fh) ** 2)))
+        if degenerate:
+            continue
         worst = 0.0
         for b in betas:
             spec_side = np.fft.ifftshift(W * beta_weights[b])
@@ -622,10 +605,7 @@ def moment_growth_check(
     beta_idx = multi_index(beta_idx)
     spec = g.spec
     der = spectral_derivative(g, beta_idx)
-    weight = np.ones(spec.shape)
-    for j, aj in enumerate(alpha_idx):
-        if aj:
-            weight = weight * spec.coordinate_grids()[j] ** aj
+    weight = monomial_weight(spec.coordinate_grids(), alpha_idx)
     field_abs = np.abs(weight * der.values)
     flat = int(np.argmax(field_abs))
     x_star = np.unravel_index(flat, spec.shape)
@@ -635,19 +615,8 @@ def moment_growth_check(
         if aj:
             x_weight *= coords[x_star[j]] ** aj
     b = x_weight * point_coefficients(g, x_star, beta_idx)
-    rows = []
-    if not np.any(b != 0):
-        return [(float(p), 0.0) for p in p_list]
-    total = {float(p): 0.0 for p in p_list}
-    for start in _chunk_starts(n_samples):
-        count = min(_CHUNK, n_samples - start)
-        gmat = gaussian_matrix(seed, count, b.size, sample_offset=start)
-        vals = np.abs(gmat @ b)
-        for p in total:
-            total[p] += float(np.sum(vals**p))
-    for p in p_list:
-        rows.append((float(p), (total[float(p)] / n_samples) ** (1.0 / float(p))))
-    return rows
+    p_list = [float(p) for p in p_list]
+    return list(zip(p_list, moment_norms(b, p_list, n_samples, seed, _CHUNK)))
 
 
 def series_norm(coefficients: np.ndarray) -> float:
@@ -718,7 +687,3 @@ def write_manifest(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def bound_params_dict(params: BoundParams) -> dict:
-    return asdict(params)

@@ -32,6 +32,7 @@ from .grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
+    monomial_weight,
 )
 
 _TWO_PI = 2.0 * np.pi
@@ -228,38 +229,64 @@ def unit_lattice(spec: GridSpec) -> UnitLattice:
     return UnitLattice.for_grid(spec)
 
 
-def _axis_window(ax: np.ndarray, center: float) -> slice:
-    lo = np.searchsorted(ax, center - 1.0, side="right")
-    hi = np.searchsorted(ax, center + 1.0, side="left")
-    return slice(lo, hi)
+@dataclass(frozen=True, eq=False)
+class NeighbourTable:
+    """The partition of unity on one grid's frequency mesh.
+
+    Row n belongs to mesh frequency xi_n (row-major mesh order) and lists
+    its 2^dim lattice corners floor(xi_n) + {0,1}^dim in lexicographic,
+    that is lattice, order, with the weights psi(xi_n - k).  No other
+    lattice point has a nonzero bump at xi_n, because the bump's support
+    has radius one.  Entries of weight zero carry lattice index 0.
+    """
+
+    index: np.ndarray  # (N^dim, 2^dim) int32 lattice indices
+    weight: np.ndarray  # (N^dim, 2^dim) psi(xi - k)
+    pieces: np.ndarray  # lattice indices whose window |xi_j - k_j| < 1 meets the mesh
+
+    def __len__(self) -> int:
+        return self.pieces.size
+
+
+_BUILD_ROWS = 512
 
 
 @lru_cache(maxsize=8)
-def projection_blocks(spec: GridSpec):
-    """Support windows of psi(. - k) on the frequency mesh, one per lattice
-    point with a nonempty window.
-
-    Returns a tuple of (k, lattice_index, window_slices, bump_block).
-    Every grid frequency is covered by at most 2^dim blocks, so the total
-    block size is O(2^dim N^dim) regardless of the lattice size.
-    """
+def projection_blocks(spec: GridSpec) -> NeighbourTable:
+    """The partition of unity of ``spec`` as a neighbour table, built once
+    per grid; its length is the number of unit-scale pieces."""
     lattice = unit_lattice(spec)
     ax = spec.axis_frequencies()
-    out = []
-    for idx, k in enumerate(lattice.points):
-        windows = tuple(_axis_window(ax, float(k[j])) for j in range(spec.dim))
-        if any(w.stop <= w.start for w in windows):
-            continue
-        sub = np.meshgrid(*(ax[w] for w in windows), indexing="ij")
-        pts = np.stack(sub, axis=-1) - np.asarray(k, dtype=float)
-        block = bump_value(pts)
-        out.append((tuple(int(c) for c in k), idx, windows, block))
-    return tuple(out)
-
-
-@lru_cache(maxsize=8)
-def _blocks_by_point(spec: GridSpec):
-    return {k: (windows, block) for k, _, windows, block in projection_blocks(spec)}
+    # Dense lookup over the lattice's bounding box; a corner with a nonzero
+    # weight lies within distance one of the frequency box, so in the lattice.
+    lo = lattice.points.min(axis=0)
+    span = lattice.points.max(axis=0) - lo + 1
+    lookup = np.zeros(span, dtype=np.int32)
+    lookup[tuple((lattice.points - lo).T)] = np.arange(len(lattice))
+    offsets = np.asarray(_neighbor_offsets(spec.dim), dtype=float)
+    index = np.zeros((spec.size, offsets.shape[0]), dtype=np.int32)
+    weight = np.zeros((spec.size, offsets.shape[0]))
+    # Mesh rows in chunks keep the build's temporaries small.
+    for start in range(0, spec.size, _BUILD_ROWS):
+        rows = np.arange(start, min(start + _BUILD_ROWS, spec.size))
+        xi = ax[np.stack(np.unravel_index(rows, spec.shape), axis=-1)][:, None, :]
+        corners = np.floor(xi) + offsets
+        weight[rows] = bump_value(xi - corners)
+        rel = np.clip(corners.astype(np.int64) - lo, 0, span - 1)
+        hit = lookup[tuple(np.moveaxis(rel, -1, 0))]
+        index[rows] = np.where(weight[rows] != 0, hit, 0)
+    pts = lattice.points.astype(float)
+    nonempty = np.searchsorted(ax, pts + 1.0, side="left") > np.searchsorted(
+        ax, pts - 1.0, side="right"
+    )
+    table = NeighbourTable(
+        index=index,
+        weight=weight,
+        pieces=np.flatnonzero(np.all(nonempty, axis=1)),
+    )
+    for arr in (table.index, table.weight, table.pieces):
+        arr.flags.writeable = False
+    return table
 
 
 def project(f: Field, k) -> Field:
@@ -276,26 +303,43 @@ def project(f: Field, k) -> Field:
             f"lattice point of length {len(k)} on a dim-{spec.dim} grid"
         )
     F = forward_transform(f)
-    masked = np.zeros(spec.shape, dtype=np.complex128)
-    entry = _blocks_by_point(spec).get(k)
-    if entry is not None:
-        windows, block = entry
-        masked[windows] = block * F.coeffs[windows]
-    return inverse_transform(Spectrum(spec, masked))
+    lattice = unit_lattice(spec)
+    weight = 0.0
+    if k in lattice:
+        table = projection_blocks(spec)
+        hit = table.index == lattice.index_of(k)
+        weight = np.where(hit, table.weight, 0.0).sum(axis=1).reshape(spec.shape)
+    return inverse_transform(Spectrum(spec, weight * F.coeffs))
 
 
 def reconstruct(f: Field) -> Field:
     """Sum of all unit-scale pieces; equals f up to rounding because the
     bump translates sum to one at every grid frequency."""
     spec = f.spec
-    F = forward_transform(f)
-    acc = np.zeros(spec.shape, dtype=np.complex128)
-    for _, _, windows, block in projection_blocks(spec):
-        acc[windows] += block * F.coeffs[windows]
-    return inverse_transform(Spectrum(spec, acc))
+    F = forward_transform(f).coeffs.reshape(-1)
+    acc = np.zeros(spec.size, dtype=np.complex128)
+    for weight in projection_blocks(spec).weight.T:
+        acc += weight * F
+    return inverse_transform(Spectrum(spec, acc.reshape(spec.shape)))
 
 
 _SQUARE_CHUNK = 256
+
+
+def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
+    """Full-mesh spectra psi(xi - k) coeffs(xi) of the pieces in lattice
+    order, scattered from the neighbour table _SQUARE_CHUNK pieces at a time."""
+    table = projection_blocks(spec)
+    slot = np.full(len(unit_lattice(spec)), -1)
+    slot[table.pieces] = np.arange(len(table))
+    entry_slot = np.where(table.weight != 0, slot[table.index], -1)
+    flat = coeffs.reshape(-1)
+    for start in range(0, len(table), _SQUARE_CHUNK):
+        count = min(_SQUARE_CHUNK, len(table) - start)
+        rows, cols = np.nonzero((entry_slot >= start) & (entry_slot < start + count))
+        stack = np.zeros((count, spec.size), dtype=np.complex128)
+        stack[entry_slot[rows, cols] - start, rows] = table.weight[rows, cols] * flat[rows]
+        yield stack.reshape((count,) + spec.shape)
 
 
 def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -305,15 +349,10 @@ def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray) -> np.ndarr
     only multiplies each piece by a unimodular (-1)^j checkerboard, which
     the modulus removes; one final shift restores natural x order.
     """
-    blocks = projection_blocks(spec)
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     total = np.zeros(spec.shape)
     axes = tuple(range(1, spec.dim + 1))
-    for start in range(0, len(blocks), _SQUARE_CHUNK):
-        chunk = blocks[start : start + _SQUARE_CHUNK]
-        stack = np.zeros((len(chunk),) + spec.shape, dtype=np.complex128)
-        for i, (_, _, windows, block) in enumerate(chunk):
-            stack[(i,) + windows] = block * coeffs[windows]
+    for stack in _piece_stacks(spec, coeffs):
         pieces = scipy.fft.ifftn(stack, axes=axes)
         total += np.sum(np.abs(scale * pieces) ** 2, axis=0)
     return np.sqrt(np.fft.fftshift(total))
@@ -343,26 +382,15 @@ def weighted_tail_sum(g: Field, alpha_idx, beta_idx, k_min: int) -> float:
     beta_idx = tuple(int(b) for b in beta_idx)
     if len(alpha_idx) != spec.dim or len(beta_idx) != spec.dim:
         raise ConfigurationError("multi-index length must match grid dim")
-    F = forward_transform(g).coeffs
-    mesh = spec.frequency_grids()
-    weight = np.ones(spec.shape)
-    for j, a in enumerate(alpha_idx):
-        if a:
-            weight = weight * mesh[j] ** a
-    weighted = weight * F
-    ax = spec.axis_frequencies()
-    total = 0.0
-    for k in unit_lattice(spec).points:
-        if float(np.sqrt(np.sum(k.astype(float) ** 2))) < k_min:
-            continue
-        windows = tuple(_axis_window(ax, float(k[j])) for j in range(spec.dim))
-        if any(w.stop <= w.start for w in windows):
-            continue
-        sub = np.meshgrid(*(ax[w] for w in windows), indexing="ij")
-        pts = np.stack(sub, axis=-1) - k.astype(float)
-        der = bump_derivative(pts, beta_idx)
-        total += float(np.sum(np.abs(weighted[windows] * der) ** 2))
-    return total * spec.frequency_cell_volume
+    grids = spec.frequency_grids()
+    weighted = (monomial_weight(grids, alpha_idx) * forward_transform(g).coeffs).reshape(-1)
+    table = projection_blocks(spec)
+    points = unit_lattice(spec).points
+    far = np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min
+    rows, cols = np.nonzero((table.weight != 0) & far[table.index])
+    xi = np.stack(grids, axis=-1).reshape(-1, spec.dim)[rows]
+    der = bump_derivative(xi - points[table.index[rows, cols]], beta_idx)
+    return float(np.sum(np.abs(weighted[rows] * der) ** 2)) * spec.frequency_cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +413,12 @@ def partition_deviation(dim: int, n_points: int, seed: int) -> float:
     return float(np.max(np.abs(total - 1.0)))
 
 
-def _random_field(spec: GridSpec, rng) -> Field:
-    vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, vals)
-
-
 def reconstruction_deviation(spec: GridSpec, n_fields: int, seed: int) -> float:
     """Max relative L2 error of summing all unit-scale pieces."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):
-        f = _random_field(spec, rng)
+        f = propagators._random_field(spec, rng)
         err = l2_norm(Field(spec, reconstruct(f).values - f.values))
         worst = max(worst, err / l2_norm(f))
     return worst
@@ -406,7 +429,7 @@ def square_bound_excess(spec: GridSpec, flow, times, n_fields: int, seed: int) -
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):
-        f = _random_field(spec, rng)
+        f = propagators._random_field(spec, rng)
         norm = l2_norm(f)
         if flow is None:
             sq = square_function(f)
@@ -424,17 +447,12 @@ def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     worst = 0.0
     axes = tuple(range(1, spec.dim + 1))
-    blocks = projection_blocks(spec)
     for _ in range(n_fields):
-        F = forward_transform(_random_field(spec, rng)).coeffs
-        for start in range(0, len(blocks), _SQUARE_CHUNK):
-            chunk = blocks[start : start + _SQUARE_CHUNK]
-            stack = np.zeros((len(chunk),) + spec.shape, dtype=np.complex128)
-            for i, (_, _, windows, block) in enumerate(chunk):
-                stack[(i,) + windows] = block * F[windows]
+        F = forward_transform(propagators._random_field(spec, rng)).coeffs
+        for stack in _piece_stacks(spec, F):
             # sup and norm are invariant under the omitted index shifts.
             mags = np.abs(scale * scipy.fft.ifftn(stack, axes=axes))
-            mags = mags.reshape(len(chunk), -1)
+            mags = mags.reshape(len(stack), -1)
             sup = mags.max(axis=1)
             nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
             ok = nrm > 0

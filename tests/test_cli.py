@@ -35,6 +35,13 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             parse_seed("seven")
 
+    def test_seed_outside_key_space_rejected(self):
+        # Philox keys are 64 bit: 2^64 + 7 would silently reuse seed 7's stream.
+        assert parse_seed(2**64 - 1) == 2**64 - 1
+        for bad in (2**64 + 7, str(2**64 + 7), hex(2**64), -1, "-1"):
+            with pytest.raises(ConfigurationError):
+                parse_seed(bad)
+
     def test_grid_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             parse_grid({"dim": 1, "samples_per_axis": 64, "extent": 8.0, "pad": 2})
@@ -81,6 +88,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "times" in capsys.readouterr().err
+
+    def test_wrapping_seed_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "seed.json", dict(BASE_TAILS, seed=2**64 + 7))
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "2^64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

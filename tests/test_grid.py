@@ -10,6 +10,7 @@ from dispersim.grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
+    monomial_weight,
     read_binary,
     sobolev_norm,
     write_binary,
@@ -208,3 +209,18 @@ class TestSerialization:
         path.write_bytes(raw[:-8])
         with pytest.raises(ShapeError):
             read_binary(path)
+
+
+class TestMonomialWeight:
+    def test_matches_axis_by_axis_products(self):
+        spec = GridSpec(2, 16, 6.0)
+        x, y = spec.coordinate_grids()
+        assert np.array_equal(monomial_weight((x, y), (0, 0)), np.ones(spec.shape))
+        assert np.array_equal(monomial_weight((x, y), (2, 1)), np.ones(spec.shape) * x**2 * y)
+        xi, eta = spec.frequency_grids()
+        w = monomial_weight((xi, eta), (1, 2), imaginary=True)
+        assert w.dtype == np.complex128
+        assert np.array_equal(w, np.ones(spec.shape, dtype=complex) * (1j * xi) * (1j * eta) ** 2)
+        base = np.full(spec.shape, 2.0 + 1.0j)
+        got = monomial_weight((xi, eta), (0, 1), base=base, imaginary=True)
+        assert np.array_equal(got, base * (1j * eta))

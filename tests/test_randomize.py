@@ -10,9 +10,12 @@ from dispersim.randomize import (
     expected_randomized_norm_squared,
     gaussian_matrix,
     khintchine_moment,
+    khintchine_moments,
     randomize_field,
+    randomized_weights,
 )
 from dispersim.wiener import unit_lattice
+from test_wiener import TABLE_SPECS, reference_randomized_weights
 
 
 SPEC = GridSpec(1, 128, 16.0)
@@ -152,3 +155,32 @@ class TestKhintchineMoment:
         a = khintchine_moment(c, 2.0, 5000, 5, chunk=5000)
         b = khintchine_moment(c, 2.0, 5000, 5, chunk=128)
         assert a == b
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: f"{s.dim}d")
+def test_randomized_weights_bitwise_equal_block_loop(spec):
+    lattice = unit_lattice(spec)
+    for m in range(3):
+        g = coefficient_block(3, len(lattice), m)
+        expected = reference_randomized_weights(spec, g)
+        assert np.array_equal(randomized_weights(spec, lattice, g), expected)
+
+
+def test_khintchine_moments_share_one_draw_per_vector(monkeypatch):
+    import dispersim.randomize as randomize
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_matrix(*args, **kwargs)
+
+    c = np.random.default_rng(4).standard_normal(16) + 0j
+    ps = (2.0, 3.0, 8.0)
+    monkeypatch.setattr(randomize, "gaussian_matrix", counted)
+    moments = khintchine_moments(c, ps, 3000, 21, chunk=1024)
+    assert len(calls) == 3  # one per chunk, shared by every p
+    monkeypatch.undo()
+    assert moments == [khintchine_moment(c, p, 3000, 21, chunk=1024) for p in ps]
+    with pytest.raises(ValueError):
+        khintchine_moments(c, (2.0, 1.0), 3000, 21)

@@ -1,13 +1,25 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from dispersim.grid import Field, GridSpec, l2_norm
+from dispersim.grid import (
+    Field,
+    GridSpec,
+    Spectrum,
+    forward_transform,
+    inverse_transform,
+    l2_norm,
+)
 from dispersim.propagators import FlowKind
+from dispersim.tailprob import _windowed_series
 from dispersim.wiener import (
     bump_derivative,
     bump_value,
     partition_deviation,
     project,
+    projection_blocks,
     reconstruct,
     smooth_step,
     square_function,
@@ -254,3 +266,130 @@ class TestWeightedTailSum:
         for kmin in (6, 12):
             assert measured[kmin] <= scale * inv_square_tail(kmin) * (1 + 1e-9)
         assert measured[3] >= measured[6] >= measured[12]
+
+
+# ---------------------------------------------------------------------------
+# Neighbour table against the block-loop reference
+# ---------------------------------------------------------------------------
+
+TABLE_SPECS = [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0), GridSpec(3, 16, 8.0)]
+
+
+def _axis_window(ax, center):
+    lo = np.searchsorted(ax, center - 1.0, side="right")
+    hi = np.searchsorted(ax, center + 1.0, side="left")
+    return slice(lo, hi)
+
+
+@lru_cache(maxsize=None)
+def reference_blocks(spec):
+    """The partition as a loop over lattice points: one (lattice index,
+    support windows, bump block) per point whose window |xi_j - k_j| < 1
+    meets the mesh, in lattice order."""
+    ax = spec.axis_frequencies()
+    out = []
+    for idx, k in enumerate(unit_lattice(spec).points):
+        windows = tuple(_axis_window(ax, float(k[j])) for j in range(spec.dim))
+        if any(w.stop <= w.start for w in windows):
+            continue
+        sub = np.meshgrid(*(ax[w] for w in windows), indexing="ij")
+        block = bump_value(np.stack(sub, axis=-1) - np.asarray(k, dtype=float))
+        out.append((idx, windows, block))
+    return out
+
+
+def reference_randomized_weights(spec, coefficients):
+    weights = np.zeros(spec.shape, dtype=np.complex128)
+    for idx, windows, block in reference_blocks(spec):
+        weights[windows] += coefficients[idx] * block
+    return weights
+
+
+def reference_square_function(spec, coeffs):
+    blocks = reference_blocks(spec)
+    scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
+    total = np.zeros(spec.shape)
+    axes = tuple(range(1, spec.dim + 1))
+    for start in range(0, len(blocks), 256):
+        chunk = blocks[start : start + 256]
+        stack = np.zeros((len(chunk),) + spec.shape, dtype=np.complex128)
+        for i, (_, windows, block) in enumerate(chunk):
+            stack[(i,) + windows] = block * coeffs[windows]
+        total += np.sum(np.abs(scale * scipy.fft.ifftn(stack, axes=axes)) ** 2, axis=0)
+    return np.sqrt(np.fft.fftshift(total))
+
+
+def _spec_id(spec):
+    return f"{spec.dim}d-{spec.samples_per_axis}"
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+class TestNeighbourTable:
+    def test_shape_and_piece_count(self, spec):
+        table = projection_blocks(spec)
+        assert table.index.shape == table.weight.shape == (spec.size, 2**spec.dim)
+        assert table.index.dtype == np.int32
+        assert len(table) == len(reference_blocks(spec))
+        assert [idx for idx, _, _ in reference_blocks(spec)] == list(table.pieces)
+
+    def test_rows_sum_to_one(self, spec):
+        table = projection_blocks(spec)
+        assert np.max(np.abs(table.weight.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_nonzero_weights_point_at_near_lattice_points(self, spec):
+        table = projection_blocks(spec)
+        xi = np.stack(spec.frequency_grids(), axis=-1).reshape(-1, 1, spec.dim)
+        k = unit_lattice(spec).points[table.index]
+        dist = np.sqrt(np.sum((xi - k) ** 2, axis=-1))
+        live = table.weight != 0
+        assert np.all(dist[live] < 1.0)
+        assert np.all(table.index[~live] == 0)
+
+    def test_weights_equal_block_loop(self, spec):
+        table = projection_blocks(spec)
+        points = unit_lattice(spec).points
+        per_point = np.zeros(spec.shape)
+        for idx, windows, block in reference_blocks(spec):
+            dense = np.zeros(spec.shape)
+            dense[windows] = block
+            hit = table.index == idx
+            from_table = np.where(hit, table.weight, 0.0).sum(axis=1)
+            assert np.array_equal(from_table.reshape(spec.shape), dense), points[idx]
+            per_point += dense != 0
+        assert np.array_equal(per_point.reshape(-1), np.sum(table.weight != 0, axis=1))
+
+    def test_reconstruct_bitwise(self, spec):
+        f = random_field(spec, np.random.default_rng(spec.dim))
+        F = forward_transform(f)
+        acc = np.zeros(spec.shape, dtype=np.complex128)
+        for _, windows, block in reference_blocks(spec):
+            acc[windows] += block * F.coeffs[windows]
+        expected = inverse_transform(Spectrum(spec, acc))
+        assert np.array_equal(reconstruct(f).values, expected.values)
+
+    def test_square_function_bitwise(self, spec):
+        f = random_field(spec, np.random.default_rng(10 + spec.dim))
+        coeffs = forward_transform(f).coeffs
+        assert np.array_equal(
+            square_function(f).values.real, reference_square_function(spec, coeffs)
+        )
+
+    def test_project_matches_block_loop(self, spec):
+        f = random_field(spec, np.random.default_rng(20 + spec.dim))
+        F = forward_transform(f)
+        for idx, windows, block in reference_blocks(spec)[::7]:
+            masked = np.zeros(spec.shape, dtype=np.complex128)
+            masked[windows] = block * F.coeffs[windows]
+            expected = inverse_transform(Spectrum(spec, masked)).values
+            piece = project(f, unit_lattice(spec).points[idx]).values
+            assert np.array_equal(piece, expected)
+
+    def test_windowed_series_matches_block_loop(self, spec):
+        f = random_field(spec, np.random.default_rng(30 + spec.dim))
+        weighted = forward_transform(f).coeffs
+        expected = np.zeros(len(unit_lattice(spec)), dtype=np.complex128)
+        for idx, windows, block in reference_blocks(spec):
+            expected[idx] = np.sum(block * weighted[windows])
+        expected *= spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
+        got = _windowed_series(spec, weighted)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -6,7 +6,8 @@ as CSV tables plus a JSON manifest; CSV bodies are byte identical across
 reruns with the same config and seed, whatever the thread count.
 
 Exit codes: 0 success, 1 configuration error, 2 a check-* subcommand
-found failures.
+found failures, 3 the density split could not reach a requested epsilon
+on the grid.  Result files are written whole or not at all.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .checks import CheckResult
-from .errors import ConfigurationError, FitError
+from .errors import ConfigurationError, FitError, SplitResolutionError
 from .grid import Field, GridSpec, read_binary
 from .propagators import FlowKind
 from .propagators import invariant_report as propagator_checks
@@ -66,6 +67,16 @@ def parse_seed(value) -> int:
     if not 0 <= value < 2**64:
         raise ConfigurationError(f"seed must lie in [0, 2^64), got {value}")
     return value
+
+
+def derived_seed(seed: int, offset: int) -> int:
+    """``seed + offset``, the seed of a derived stream, which must stay in
+    [0, 2^64) too: Philox would wrap it onto seed ``offset - 1``'s stream."""
+    if seed + offset >= 2**64:
+        raise ConfigurationError(
+            f"seed {seed} is too large: the derived seed {seed} + {offset} leaves [0, 2^64)"
+        )
+    return seed + offset
 
 
 def parse_grid(obj) -> GridSpec:
@@ -206,6 +217,7 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
     length = int(config.get("vector_length", 32))
     n_vectors = int(config.get("n_vectors", 20))
     samples = int(config.get("samples", 10_000))
+    derived_seed(seed, n_vectors - 1)  # vector i draws with seed + i
     rng = np.random.default_rng(seed)
     vectors = []
     for i in range(n_vectors):
@@ -228,7 +240,7 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
     path = os.path.join(out_dir, "khintchine_results.csv")
-    with open(path, "w", newline="") as fh:
+    with tailprob.atomic_open(path) as fh:
         fh.write(f"# config={chash}\n")
         fh.write("vector_id,p,moment,ratio\n")
         for vid, p, moment, ratio in rows:
@@ -384,13 +396,14 @@ def run_convergence(config, seed, threads, out_dir) -> int:
         raise ConfigurationError("epsilon_schedule entries must be positive")
     ensemble = int(config["ensemble_size"])
     cal_ensemble = int(config.get("calibration_ensemble", max(2000, ensemble // 2)))
+    cal_seed = derived_seed(seed, 1)
     x_index = observation_points(config, spec, seed)[0]
     chash = config_hash(config)
     os.makedirs(out_dir, exist_ok=True)
 
     path = os.path.join(out_dir, "convergence_results.csv")
     manifest_fits = {}
-    with open(path, "w", newline="") as fh:
+    with tailprob.atomic_open(path) as fh:
         fh.write(f"# config={chash}\n")
         fh.write(
             "flow,epsilon,t,alpha,exceed_count,M,prob,ci_low,ci_high,h_norm,bound\n"
@@ -398,7 +411,7 @@ def run_convergence(config, seed, threads, out_dir) -> int:
         for flow in flows:
             times = tuple(e / 2.0 for e in schedule)
             fit, params, _ = _calibration(
-                flow, data, times, _CAL_TARGETS, cal_ensemble, seed + 1, x_index, threads
+                flow, data, times, _CAL_TARGETS, cal_ensemble, cal_seed, x_index, threads
             )
             rows = tailprob.convergence_curve(
                 flow, data, schedule, params, ensemble, seed, x_index, threads=threads
@@ -483,17 +496,18 @@ def run_density(config, seed, threads, out_dir) -> int:
     ]
     ensemble = int(config["ensemble_size"])
     cal_ensemble = int(config.get("calibration_ensemble", ensemble))
+    cal_seed = derived_seed(seed, 1)
     chash = config_hash(config)
     os.makedirs(out_dir, exist_ok=True)
 
     path = os.path.join(out_dir, "density_results.csv")
     results = []
-    with open(path, "w", newline="") as fh:
+    with tailprob.atomic_open(path) as fh:
         fh.write(f"# config={chash}\n")
         fh.write("epsilon,lambda,m_threshold,hit_count,M,prob,ci_low,ci_high,target\n")
         for eps in schedule:
             params = tailprob.calibrate_density_constants(
-                data, eps, pairs, cal_ensemble, seed + 1
+                data, eps, pairs, cal_ensemble, cal_seed
             )
             res = tailprob.density_event_probability(
                 data, eps, pairs, ensemble, seed, params
@@ -638,6 +652,9 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except (FitError, ValueError) as exc:
         return _fail(str(exc))
+    except SplitResolutionError as exc:
+        print(f"split error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

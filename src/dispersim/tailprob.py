@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .decompose import (
     SchwartzSplit,
@@ -44,14 +45,24 @@ _TWO_PI = 2.0 * np.pi
 _E = math.e
 _CHUNK = 2048
 _DRAW_CHUNK = 256  # draws per gaussian_matrix call in the density statistics
+_WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    ci = stats.binomtest(successes, trials).proportion_ci(
-        confidence_level=0.95, method="wilson"
-    )
-    return float(ci.low), float(ci.high)
+    """95% Wilson score interval for a binomial proportion (Wilson 1927),
+    in the closed form of Newcombe (1998); the bounds at k = 0 and k = n
+    are exactly 0 and 1."""
+    k, n = int(successes), int(trials)
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError(f"need 0 <= successes <= trials and trials >= 1, got {k}/{n}")
+    p = k / n
+    z = _WILSON_Z
+    denom = 2 * (n + z**2)
+    center = (2 * n * p + z**2) / denom
+    delta = z / denom * math.sqrt(4 * n * p * (1 - p) + z**2)
+    lo = 0.0 if k == 0 else center - delta
+    hi = 1.0 if k == n else center + delta
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +664,25 @@ def format_x_index(x_index) -> str:
     return ":".join(str(int(i)) for i in x_index)
 
 
+@contextmanager
+def atomic_open(path):
+    """Text file handle for a result file: the rows go to a temporary file
+    in the same directory, which replaces ``path`` only once the block
+    completes, so a failed run leaves no partial result file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_results_csv(path, estimates, bounds=None, config_hash: str = "") -> None:
     """Write tail estimates in the fixed column layout; ``bounds`` maps
     row position to the theoretical bound value (blank when absent)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         if config_hash:
             fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -684,6 +710,6 @@ def write_manifest(path, payload: dict) -> None:
     excluded from any byte-identity guarantees."""
     body = dict(payload)
     body.setdefault("created_at", time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")

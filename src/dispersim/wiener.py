@@ -10,6 +10,18 @@ applied first.
 
 Frequency vectors are arrays of shape (..., dim); the last axis is the
 coordinate axis even in dimension one.
+
+The square function sum_k |piece_k(x)|^2 is computed on a coarse grid.
+Piece k's spectrum lives in a window of at most W mesh points per axis
+starting at some index a_k; moving the window to the origin multiplies
+piece_k by the unimodular phase exp(2 pi i a_k.j / N), which |piece_k|^2
+drops.  So the sum is a trigonometric polynomial in x with integer
+frequencies delta, |delta_j| <= W - 1, whose coefficients R_delta are the
+windows' summed autocorrelations.  Zero-padding each window to 2W - 1
+points per axis makes a small inverse FFT, |.|^2 and a forward FFT give
+every R_delta without aliasing; folding delta modulo N onto the mesh is
+exact, even when 2W - 1 > N, because exp(2 pi i delta.j / N) depends on
+delta only modulo N.  One inverse FFT on the mesh then evaluates the sum.
 """
 
 from __future__ import annotations
@@ -20,7 +32,6 @@ import hashlib
 import itertools
 
 import numpy as np
-import scipy.fft
 
 from . import propagators
 from .checks import CheckResult
@@ -326,36 +337,84 @@ def reconstruct(f: Field) -> Field:
 _SQUARE_CHUNK = 256
 
 
+@lru_cache(maxsize=8)
+def _piece_entries(spec: GridSpec):
+    """The neighbour table's nonzero entries grouped by piece.
+
+    Returns (slot, position, row, weight, width): the entry's piece slot
+    (its place in ``pieces``, ascending), its flat place in that piece's
+    width^dim window, its mesh row and its weight psi(xi - k).  A piece's
+    window starts at the first mesh frequency of its support along each
+    axis; width is the widest per-axis window on the grid.
+    """
+    table = projection_blocks(spec)
+    ax = spec.axis_frequencies()
+    pts = unit_lattice(spec).points[table.pieces].astype(float)
+    first = np.searchsorted(ax, pts - 1.0, side="right")
+    width = int(np.max(np.searchsorted(ax, pts + 1.0, side="left") - first))
+    slot_of = np.full(len(unit_lattice(spec)), -1)
+    slot_of[table.pieces] = np.arange(len(table))
+    rows, cols = np.nonzero(table.weight)
+    slot = slot_of[table.index[rows, cols]]
+    order = np.argsort(slot, kind="stable")
+    rows, cols, slot = rows[order], cols[order], slot[order]
+    local = np.stack(np.unravel_index(rows, spec.shape), axis=-1) - first[slot]
+    position = np.ravel_multi_index(tuple(local.T), (width,) * spec.dim)
+    entries = (slot, position, rows, table.weight[rows, cols])
+    for arr in entries:
+        arr.flags.writeable = False
+    return entries + (width,)
+
+
+def _chunks(slot: np.ndarray, pieces: int, chunk: int):
+    """(first piece, piece count, entry slice) per run of ``chunk`` pieces."""
+    for start in range(0, pieces, chunk):
+        lo, hi = np.searchsorted(slot, (start, start + chunk))
+        yield start, min(chunk, pieces - start), slice(lo, hi)
+
+
 def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
     """Full-mesh spectra psi(xi - k) coeffs(xi) of the pieces in lattice
-    order, scattered from the neighbour table _SQUARE_CHUNK pieces at a time."""
-    table = projection_blocks(spec)
-    slot = np.full(len(unit_lattice(spec)), -1)
-    slot[table.pieces] = np.arange(len(table))
-    entry_slot = np.where(table.weight != 0, slot[table.index], -1)
+    order, _SQUARE_CHUNK pieces at a time."""
+    slot, _, row, weight, _ = _piece_entries(spec)
     flat = coeffs.reshape(-1)
-    for start in range(0, len(table), _SQUARE_CHUNK):
-        count = min(_SQUARE_CHUNK, len(table) - start)
-        rows, cols = np.nonzero((entry_slot >= start) & (entry_slot < start + count))
+    for start, count, part in _chunks(slot, len(projection_blocks(spec)), _SQUARE_CHUNK):
         stack = np.zeros((count, spec.size), dtype=np.complex128)
-        stack[entry_slot[rows, cols] - start, rows] = table.weight[rows, cols] * flat[rows]
+        stack[slot[part] - start, row[part]] = weight[part] * flat[row[part]]
         yield stack.reshape((count,) + spec.shape)
 
 
 def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise (sum_k |piece_k(x)|^2)^(1/2) for the given coefficients.
+    """Pointwise (sum_k |piece_k(x)|^2)^(1/2) for the given coefficients,
+    computed on the coarse grid of the pieces' windows (module docstring).
 
     Transforming the natural-order spectrum without the usual index shift
     only multiplies each piece by a unimodular (-1)^j checkerboard, which
     the modulus removes; one final shift restores natural x order.
     """
-    scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
-    total = np.zeros(spec.shape)
-    axes = tuple(range(1, spec.dim + 1))
-    for stack in _piece_stacks(spec, coeffs):
-        pieces = scipy.fft.ifftn(stack, axes=axes)
-        total += np.sum(np.abs(scale * pieces) ** 2, axis=0)
-    return np.sqrt(np.fft.fftshift(total))
+    slot, position, row, weight, width = _piece_entries(spec)
+    dim = spec.dim
+    coarse = 2 * width - 1
+    axes = tuple(range(1, dim + 1))
+    values = weight * coeffs.reshape(-1)[row]
+    # No chunk of windows outgrows _SQUARE_CHUNK full-mesh spectra.
+    chunk = max(1, _SQUARE_CHUNK * spec.size // coarse**dim)
+    density = np.zeros((coarse,) * dim)
+    for start, count, part in _chunks(slot, len(projection_blocks(spec)), chunk):
+        windows = np.zeros((count, width**dim), dtype=np.complex128)
+        windows[slot[part] - start, position[part]] = values[part]
+        windows = windows.reshape((count,) + (width,) * dim)
+        # Zero-padded to 2W-1 points per axis, so no lag of |piece|^2 aliases.
+        sums = np.fft.ifftn(windows, s=(coarse,) * dim, axes=axes, norm="forward")
+        density += np.sum(np.abs(sums) ** 2, axis=0)
+    # Autocorrelation R_delta, delta in (-W, W)^dim, folded modulo N.
+    autocorr = np.fft.fftn(density, norm="forward")
+    lag = np.fft.fftfreq(coarse, 1.0 / coarse).astype(np.int64) % spec.samples_per_axis
+    folded = np.zeros(spec.shape, dtype=np.complex128)
+    np.add.at(folded, np.ix_(*(lag,) * dim), autocorr)
+    scale = _TWO_PI ** (dim / 2.0) / spec.cell_volume / spec.size
+    total = scale**2 * np.fft.ifftn(folded, norm="forward").real
+    return np.sqrt(np.fft.fftshift(np.maximum(total, 0.0)))
 
 
 def square_function(f: Field) -> Field:
@@ -451,7 +510,7 @@ def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
         F = forward_transform(propagators._random_field(spec, rng)).coeffs
         for stack in _piece_stacks(spec, F):
             # sup and norm are invariant under the omitted index shifts.
-            mags = np.abs(scale * scipy.fft.ifftn(stack, axes=axes))
+            mags = np.abs(scale * np.fft.ifftn(stack, axes=axes))
             mags = mags.reshape(len(stack), -1)
             sup = mags.max(axis=1)
             nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)

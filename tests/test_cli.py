@@ -1,10 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dispersim.cli import main, parse_data, parse_grid, parse_seed, config_hash
+import dispersim
+from dispersim.cli import (
+    config_hash,
+    derived_seed,
+    main,
+    parse_data,
+    parse_grid,
+    parse_seed,
+)
 from dispersim.errors import ConfigurationError
 from dispersim.grid import Field, GridSpec, write_binary
 
@@ -26,6 +37,16 @@ BASE_TAILS = {
     "seed": 7,
 }
 
+DENSITY = {
+    "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
+    "data": {"recipe": "gaussian", "width": 2.0},
+    "epsilon_schedule": [0.2],
+    "multi_indices": [[[0], [0]], [[1], [1]]],
+    "ensemble_size": 300,
+    "calibration_ensemble": 1200,
+    "seed": 5,
+}
+
 
 class TestParsing:
     def test_seed_decimal_and_hex(self):
@@ -34,6 +55,23 @@ class TestParsing:
         assert parse_seed(7) == 7
         with pytest.raises(ConfigurationError):
             parse_seed("seven")
+
+    def test_derived_seed_stays_in_key_space(self):
+        assert derived_seed(2**64 - 2, 1) == 2**64 - 1
+        assert derived_seed(7, 0) == 7
+        for seed, offset in ((2**64 - 1, 1), (2**64 - 5, 5)):
+            with pytest.raises(ConfigurationError):
+                derived_seed(seed, offset)
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency; the CLI must not pay its import.
+        src = os.path.dirname(os.path.dirname(dispersim.__file__))
+        code = "import sys, dispersim.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert "'scipy'" not in done.stdout and "'numpy'" in done.stdout
 
     def test_seed_outside_key_space_rejected(self):
         # Philox keys are 64 bit: 2^64 + 7 would silently reuse seed 7's stream.
@@ -94,6 +132,35 @@ class TestExitCodes:
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "2^64" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_wrapping_derived_seed_exits_one(self, tmp_path, capsys):
+        # Calibration draws with seed + 1, which for 2^64 - 1 would wrap
+        # onto seed 0's stream.
+        payload = dict(DENSITY, seed=2**64 - 1)
+        cfg = write_config(tmp_path, "seed.json", payload)
+        assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "2^64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_split_failure_exits_three_without_result_file(self, tmp_path, capsys):
+        # A wide Gaussian splits trivially at eps above its norm (4.6), then
+        # cannot reach eps 0.5 on this grid: the first row is computed, the
+        # second fails, and no CSV may be left behind.
+        payload = {
+            "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
+            "flow": "kdv",
+            "data": {"recipe": "gaussian", "width": 12.0},
+            "epsilon_schedule": [5.0, 0.5],
+            "ensemble_size": 100,
+            "calibration_ensemble": 500,
+            "observation_points": [[128]],
+            "seed": 3,
+        }
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
+        assert "split" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -172,16 +239,7 @@ class TestConvergenceCommand:
 
 class TestDensityCommand:
     def test_density_rows(self, tmp_path):
-        payload = {
-            "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
-            "data": {"recipe": "gaussian", "width": 2.0},
-            "epsilon_schedule": [0.2],
-            "multi_indices": [[[0], [0]], [[1], [1]]],
-            "ensemble_size": 300,
-            "calibration_ensemble": 1200,
-            "seed": 5,
-        }
-        cfg = write_config(tmp_path, "d.json", payload)
+        cfg = write_config(tmp_path, "d.json", DENSITY)
         out = tmp_path / "out"
         assert main(["density", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "density_results.csv").read_text().splitlines()

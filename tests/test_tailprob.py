@@ -76,6 +76,23 @@ class TestWilson:
         lo, hi = wilson_interval(0, 1000)
         assert lo == 0.0 and 0 < hi < 0.01
 
+    def test_bitwise_equal_to_scipy(self):
+        # scipy's binomtest is the oracle; the closed form must reproduce
+        # it bit for bit, including the exact 0 and 1 at k = 0 and k = n.
+        sizes = list(range(1, 41)) + [99, 100, 1000, 1024, 2000, 10_000, 20_000]
+        for n in sizes:
+            ks = set(range(0, n + 1, max(1, n // 60))) | {0, 1, 2, n - 2, n - 1, n}
+            for k in sorted(k for k in ks if 0 <= k <= n):
+                ci = stats.binomtest(k, n).proportion_ci(
+                    confidence_level=0.95, method="wilson"
+                )
+                assert wilson_interval(k, n) == (float(ci.low), float(ci.high)), (k, n)
+
+    def test_rejects_impossible_counts(self):
+        for k, n in ((0, 0), (5, 4), (-1, 10)):
+            with pytest.raises(ValueError):
+                wilson_interval(k, n)
+
 
 class TestConfigValidation:
     def test_small_ensemble_rejected(self):

@@ -12,9 +12,10 @@ from dispersim.grid import (
     inverse_transform,
     l2_norm,
 )
-from dispersim.propagators import FlowKind
+from dispersim.propagators import FlowKind, symbol
 from dispersim.tailprob import _windowed_series
 from dispersim.wiener import (
+    _piece_entries,
     bump_derivative,
     bump_value,
     partition_deviation,
@@ -370,9 +371,9 @@ class TestNeighbourTable:
     def test_square_function_bitwise(self, spec):
         f = random_field(spec, np.random.default_rng(10 + spec.dim))
         coeffs = forward_transform(f).coeffs
-        assert np.array_equal(
-            square_function(f).values.real, reference_square_function(spec, coeffs)
-        )
+        expected = reference_square_function(spec, coeffs)
+        got = square_function(f).values.real
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
     def test_project_matches_block_loop(self, spec):
         f = random_field(spec, np.random.default_rng(20 + spec.dim))
@@ -393,3 +394,55 @@ class TestNeighbourTable:
         expected *= spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
         got = _windowed_series(spec, weighted)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+# ---------------------------------------------------------------------------
+# Square function against a direct sum over pieces and mesh frequencies
+# ---------------------------------------------------------------------------
+
+# The last grid has windows of 13 points per axis on a 16-point mesh, so its
+# autocorrelation lags (up to +-12) fold modulo N.
+ORACLE_SPECS = TABLE_SPECS + [GridSpec(1, 16, 40.0)]
+ORACLE_FLOWS = {1: "kdv", 2: "schrodinger:+-", 3: "schrodinger:++-"}
+
+
+def direct_square_function(spec, coeffs):
+    """(sum_k |sum_xi psi(xi - k) F(xi) exp(i xi.x)|^2)^(1/2) summed term by
+    term, with no FFT; xi.x = 2 pi m j / N for mesh offsets m, j from the
+    centre, reduced modulo N in integers so the phases are exact."""
+    n = spec.samples_per_axis
+    centred = np.arange(n) - n // 2
+    scale = (2.0 * np.pi) ** (-spec.dim / 2.0) * spec.frequency_cell_volume
+    total = np.zeros(spec.shape)
+    for _, windows, block in reference_blocks(spec):
+        piece = block * coeffs[windows]
+        for w in windows:
+            phase = np.exp(2j * np.pi * (np.outer(centred[w], centred) % n) / n)
+            piece = np.tensordot(piece, phase, axes=([0], [0]))
+        total += np.abs(scale * piece) ** 2
+    return np.sqrt(total)
+
+
+def _relative_gap(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(expected)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
+class TestSquareFunctionOracle:
+    def test_matches_direct_sum(self, spec):
+        f = random_field(spec, np.random.default_rng(40 + spec.dim))
+        expected = direct_square_function(spec, forward_transform(f).coeffs)
+        assert _relative_gap(square_function(f).values.real, expected) <= 1e-13
+
+    def test_evolved_matches_direct_sum(self, spec):
+        f = random_field(spec, np.random.default_rng(50 + spec.dim))
+        flow = FlowKind.parse(ORACLE_FLOWS[spec.dim])
+        coeffs = symbol(flow, spec, 0.3) * forward_transform(f).coeffs
+        got = square_function_evolved(f, flow, 0.3).values.real
+        assert _relative_gap(got, direct_square_function(spec, coeffs)) <= 1e-13
+
+
+def test_fold_grid_folds():
+    spec = ORACLE_SPECS[-1]
+    width = _piece_entries(spec)[-1]
+    assert 2 * width - 1 > spec.samples_per_axis

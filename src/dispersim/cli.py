@@ -7,12 +7,14 @@ reruns with the same config and seed, whatever the thread count.
 
 Exit codes: 0 success, 1 configuration error, 2 a check-* subcommand
 found failures, 3 the density split could not reach a requested epsilon
-on the grid.  Result files are written whole or not at all.
+on the grid, not even in its cutoff-only limit.  Result files are written
+whole or not at all, each table by ``tailprob.write_table``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -101,9 +103,7 @@ def parse_data(obj, spec: GridSpec) -> Field:
         amplitude = float(obj.get("amplitude", 1.0))
         if width <= 0:
             raise ConfigurationError("gaussian width must be positive")
-        r2 = np.zeros(spec.shape)
-        for g in spec.coordinate_grids():
-            r2 = r2 + g**2
+        r2 = spec.coordinate_norm_squared()
         return Field(spec, amplitude * np.exp(-r2 / (2.0 * width**2)))
     if recipe == "mode":
         _reject_unknown(obj, ("recipe", "frequency"), "data")
@@ -174,6 +174,55 @@ def config_hash(config: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Result files
+# ---------------------------------------------------------------------------
+
+_NORMALIZATION = "E|g_k|^2 = 1 (complex standard Gaussian)"
+KHINTCHINE_COLUMNS = ("vector_id", "p", "moment", "ratio")
+CONVERGENCE_COLUMNS = ("flow", "epsilon", "t", "alpha", "exceed_count", "M", "prob",
+                       "ci_low", "ci_high", "h_norm", "bound")
+DENSITY_COLUMNS = ("epsilon", "lambda", "m_threshold", "hit_count", "M", "prob",
+                   "ci_low", "ci_high", "target")
+
+
+def _write_results(
+    out_dir, stem, config, seed, columns, rows, spec=None, **fields
+) -> str:
+    """Write ``<stem>_results.csv`` and ``<stem>_manifest.json``; the manifest
+    carries the keys every run shares (config and its hash, seed, version,
+    coefficient normalization, the lattice hash when a grid is given) plus
+    the subcommand's own ``fields``.  Returns the table's path."""
+    chash = config_hash(config)
+    path = os.path.join(out_dir, f"{stem}_results.csv")
+    tailprob.write_table(path, columns, rows, chash)
+    manifest = {
+        "config": config,
+        "config_hash": chash,
+        "seed": seed,
+        "software_version": __version__,
+        "normalization": _NORMALIZATION,
+        **fields,
+    }
+    if spec is not None:
+        manifest["lattice_hash"] = unit_lattice(spec).digest()
+    tailprob.write_manifest(os.path.join(out_dir, f"{stem}_manifest.json"), manifest)
+    return path
+
+
+def _split_records(results) -> list[dict]:
+    """Manifest records of the density splits behind convergence or density rows."""
+    return [
+        {
+            "epsilon": r.epsilon,
+            "sigma": r.split_sigma,
+            "radius": r.split_radius,
+            "achieved_h_norm": r.h_norm,
+        }
+        for r in results
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -238,23 +287,8 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
             worst = max(worst, ratio)
             rows.append((vid, p, moment, ratio))
     os.makedirs(out_dir, exist_ok=True)
-    chash = config_hash(config)
-    path = os.path.join(out_dir, "khintchine_results.csv")
-    with tailprob.atomic_open(path) as fh:
-        fh.write(f"# config={chash}\n")
-        fh.write("vector_id,p,moment,ratio\n")
-        for vid, p, moment, ratio in rows:
-            fh.write(f"{vid},{repr(float(p))},{repr(float(moment))},{repr(float(ratio))}\n")
-    tailprob.write_manifest(
-        os.path.join(out_dir, "khintchine_manifest.json"),
-        {
-            "config": config,
-            "config_hash": chash,
-            "seed": seed,
-            "software_version": __version__,
-            "worst_ratio": worst,
-            "normalization": "E|g_k|^2 = 1 (complex standard Gaussian)",
-        },
+    path = _write_results(
+        out_dir, "khintchine", config, seed, KHINTCHINE_COLUMNS, rows, worst_ratio=worst
     )
     print(f"worst ratio moment / (sqrt(p) ||c||): {worst:.4f} -> {path}")
     return 0
@@ -306,7 +340,6 @@ def run_tails(config, seed, threads, out_dir) -> int:
     data = parse_data(config["data"], spec)
     flows = parse_flows(config)
     points = observation_points(config, spec, seed)
-    chash = config_hash(config)
     os.makedirs(out_dir, exist_ok=True)
 
     estimates = []
@@ -355,21 +388,17 @@ def run_tails(config, seed, threads, out_dir) -> int:
                     f" CI width {cfg.max_ci_width}"
                 )
 
-    path = os.path.join(out_dir, "tails_results.csv")
-    tailprob.write_results_csv(path, estimates, bounds, config_hash=chash)
-    tailprob.write_manifest(
-        os.path.join(out_dir, "tails_manifest.json"),
-        {
-            "config": config,
-            "config_hash": chash,
-            "seed": seed,
-            "software_version": __version__,
-            "fitted_constants": manifest_fits,
-            "lattice_hash": unit_lattice(spec).digest(),
-            "ensemble_size": int(config["ensemble_size"]),
-            "warnings": warnings,
-            "normalization": "E|g_k|^2 = 1 (complex standard Gaussian)",
-        },
+    path = _write_results(
+        out_dir,
+        "tails",
+        config,
+        seed,
+        tailprob.CSV_COLUMNS,
+        tailprob.tail_rows(estimates, bounds),
+        spec=spec,
+        fitted_constants=manifest_fits,
+        ensemble_size=int(config["ensemble_size"]),
+        warnings=warnings,
     )
     print(f"wrote {len(estimates)} rows -> {path}")
     return 0
@@ -398,74 +427,41 @@ def run_convergence(config, seed, threads, out_dir) -> int:
     cal_ensemble = int(config.get("calibration_ensemble", max(2000, ensemble // 2)))
     cal_seed = derived_seed(seed, 1)
     x_index = observation_points(config, spec, seed)[0]
-    chash = config_hash(config)
     os.makedirs(out_dir, exist_ok=True)
 
-    path = os.path.join(out_dir, "convergence_results.csv")
+    rows = []
     manifest_fits = {}
-    with tailprob.atomic_open(path) as fh:
-        fh.write(f"# config={chash}\n")
-        fh.write(
-            "flow,epsilon,t,alpha,exceed_count,M,prob,ci_low,ci_high,h_norm,bound\n"
+    for flow in flows:
+        times = tuple(e / 2.0 for e in schedule)
+        fit, params, _ = _calibration(
+            flow, data, times, _CAL_TARGETS, cal_ensemble, cal_seed, x_index, threads
         )
-        for flow in flows:
-            times = tuple(e / 2.0 for e in schedule)
-            fit, params, _ = _calibration(
-                flow, data, times, _CAL_TARGETS, cal_ensemble, cal_seed, x_index, threads
-            )
-            rows = tailprob.convergence_curve(
-                flow, data, schedule, params, ensemble, seed, x_index, threads=threads
-            )
-            manifest_fits[flow.label()] = {
-                "C": params.C,
-                "C1": params.C1,
-                "r_squared": fit.r_squared,
-                "splits": [
-                    {
-                        "epsilon": r.epsilon,
-                        "sigma": r.split_sigma,
-                        "radius": r.split_radius,
-                        "achieved_h_norm": r.h_norm,
-                    }
-                    for r in rows
-                ],
-            }
-            for r in rows:
-                bound = min(
-                    1.0,
-                    3.0
-                    * params.C1
-                    * math.exp(-((r.alpha / (params.C * math.e * r.epsilon)) ** 2)),
-                )
-                fh.write(
-                    ",".join(
-                        [
-                            flow.label(),
-                            repr(float(r.epsilon)),
-                            repr(float(r.t)),
-                            repr(float(r.alpha)),
-                            str(r.exceed_count),
-                            str(r.ensemble_size),
-                            repr(float(r.probability)),
-                            repr(float(r.ci_low)),
-                            repr(float(r.ci_high)),
-                            repr(float(r.h_norm)),
-                            repr(float(bound)),
-                        ]
-                    )
-                    + "\n"
-                )
-    tailprob.write_manifest(
-        os.path.join(out_dir, "convergence_manifest.json"),
-        {
-            "config": config,
-            "config_hash": chash,
-            "seed": seed,
-            "software_version": __version__,
-            "fitted_constants": manifest_fits,
-            "lattice_hash": unit_lattice(spec).digest(),
-            "normalization": "E|g_k|^2 = 1 (complex standard Gaussian)",
-        },
+        curve = tailprob.convergence_curve(
+            flow, data, schedule, params, ensemble, seed, x_index, threads=threads
+        )
+        manifest_fits[flow.label()] = {
+            "C": params.C,
+            "C1": params.C1,
+            "r_squared": fit.r_squared,
+            "splits": _split_records(curve),
+        }
+        # The chained bound 3 C1 exp(-(alpha / (C e eps))^2) of the schedule.
+        chained = tailprob.BoundParams(params.C, 3.0 * params.C1, params.regime)
+        rows.extend(
+            (flow.label(), r.epsilon, r.t, r.alpha, r.exceed_count, r.ensemble_size,
+             r.probability, r.ci_low, r.ci_high, r.h_norm,
+             tailprob.theoretical_bound(chained, r.alpha, r.epsilon))
+            for r in curve
+        )
+    path = _write_results(
+        out_dir,
+        "convergence",
+        config,
+        seed,
+        CONVERGENCE_COLUMNS,
+        rows,
+        spec=spec,
+        fitted_constants=manifest_fits,
     )
     print(f"wrote convergence curves for {len(flows)} flow(s) -> {path}")
     return 0
@@ -497,61 +493,34 @@ def run_density(config, seed, threads, out_dir) -> int:
     ensemble = int(config["ensemble_size"])
     cal_ensemble = int(config.get("calibration_ensemble", ensemble))
     cal_seed = derived_seed(seed, 1)
-    chash = config_hash(config)
     os.makedirs(out_dir, exist_ok=True)
 
-    path = os.path.join(out_dir, "density_results.csv")
+    fits = {}
     results = []
-    with tailprob.atomic_open(path) as fh:
-        fh.write(f"# config={chash}\n")
-        fh.write("epsilon,lambda,m_threshold,hit_count,M,prob,ci_low,ci_high,target\n")
-        for eps in schedule:
-            params = tailprob.calibrate_density_constants(
-                data, eps, pairs, cal_ensemble, cal_seed
-            )
-            res = tailprob.density_event_probability(
-                data, eps, pairs, ensemble, seed, params
-            )
-            results.append((eps, params, res))
-            fh.write(
-                ",".join(
-                    [
-                        repr(float(res.epsilon)),
-                        repr(float(res.lam)),
-                        repr(float(res.m_threshold)),
-                        str(res.hit_count),
-                        str(res.ensemble_size),
-                        repr(float(res.probability)),
-                        repr(float(res.ci_low)),
-                        repr(float(res.ci_high)),
-                        repr(float(res.target)),
-                    ]
-                )
-                + "\n"
-            )
-    tailprob.write_manifest(
-        os.path.join(out_dir, "density_manifest.json"),
-        {
-            "config": config,
-            "config_hash": chash,
-            "seed": seed,
-            "software_version": __version__,
-            "fitted_constants": {
-                repr(eps): {"C": p.C, "C1": p.C1} for eps, p, _ in results
-            },
-            "splits": [
-                {
-                    "epsilon": eps,
-                    "sigma": r.split_sigma,
-                    "radius": r.split_radius,
-                    "achieved_h_norm": r.h_norm,
-                }
-                for eps, _, r in results
-            ],
-            "multi_indices": [[list(a), list(b)] for a, b in pairs],
-            "lattice_hash": unit_lattice(spec).digest(),
-            "normalization": "E|g_k|^2 = 1 (complex standard Gaussian)",
-        },
+    for eps in schedule:
+        params = tailprob.calibrate_density_constants(
+            data, eps, pairs, cal_ensemble, cal_seed
+        )
+        fits[repr(eps)] = {"C": params.C, "C1": params.C1}
+        results.append(
+            tailprob.density_event_probability(data, eps, pairs, ensemble, seed, params)
+        )
+    rows = [
+        (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,
+         r.ci_low, r.ci_high, r.target)
+        for r in results
+    ]
+    path = _write_results(
+        out_dir,
+        "density",
+        config,
+        seed,
+        DENSITY_COLUMNS,
+        rows,
+        spec=spec,
+        fitted_constants=fits,
+        splits=_split_records(results),
+        multi_indices=[[list(a), list(b)] for a, b in pairs],
     )
     print(f"wrote {len(results)} density rows -> {path}")
     return 0
@@ -563,13 +532,12 @@ def run_report(config, seed, threads, out_dir) -> int:
     for name in sorted(os.listdir(out_dir) if os.path.isdir(out_dir) else []):
         if not name.endswith("_results.csv"):
             continue
-        with open(os.path.join(out_dir, name)) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-        if not lines:
+        with open(os.path.join(out_dir, name), newline="") as fh:
+            table = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        if not table:
             continue
-        header = lines[0].split(",")
-        for ln in lines[1:]:
-            rows.append((name, dict(zip(header, ln.split(",")))))
+        header, *body = table
+        rows.extend((name, dict(zip(header, cells))) for cells in body)
     if not rows:
         print(f"no result files under {out_dir}")
         return 0

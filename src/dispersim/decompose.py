@@ -7,8 +7,9 @@ physical-side equivalent, multiplication by exp(-sigma^2 |x|^2 / 2); the
 cutoff is a smooth radial ramp from the same compactly supported family
 as the frequency bump, equal to 1 inside |x| <= R and 0 outside
 |x| >= 2R.  The adaptive loop walks a fixed schedule of shrinking sigma
-and growing R until the remainder drops below eps, so tightening eps
-never increases the achieved remainder.
+and growing R, ending at the cutoff alone (sigma -> 0) at the largest
+radius, until the remainder drops below eps, so tightening eps never
+increases the achieved remainder.
 """
 
 from __future__ import annotations
@@ -85,10 +86,7 @@ def _indices_up_to(dim: int, order: int):
 
 def smooth_cutoff(spec: GridSpec, radius: float) -> np.ndarray:
     """Radial cutoff: 1 for |x| <= radius, 0 for |x| >= 2 radius, smooth."""
-    r2 = np.zeros(spec.shape)
-    for g in spec.coordinate_grids():
-        r2 = r2 + g**2
-    r = np.sqrt(r2)
+    r = np.sqrt(spec.coordinate_norm_squared())
     return smooth_step((2.0 * radius - r) / radius)
 
 
@@ -112,10 +110,7 @@ class SchwartzSplit:
 
 def _candidate(f: Field, sigma: float, radius: float) -> Field:
     spec = f.spec
-    r2 = np.zeros(spec.shape)
-    for g in spec.coordinate_grids():
-        r2 = r2 + g**2
-    envelope = np.exp(-0.5 * sigma**2 * r2)
+    envelope = np.exp(-0.5 * sigma**2 * spec.coordinate_norm_squared())
     return Field(spec, smooth_cutoff(spec, radius) * envelope * f.values)
 
 
@@ -124,9 +119,13 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
 
     Walks sigma down by halving and radius up geometrically (capped at a
     quarter of the box so the cutoff vanishes before the boundary) until
-    ||f - g|| < eps.  Raises :class:`SplitResolutionError`, reporting the
-    best remainder reached, once sigma falls below one frequency cell with
-    the radius already at its cap.
+    ||f - g|| < eps.  Once sigma is below one frequency cell with the
+    radius at its cap, the last candidate is the sigma -> 0 limit, the
+    cutoff alone; it leaves the smallest remainder of the whole schedule,
+    since the envelope only shrinks g and the largest radius keeps the
+    most of f.  Raises
+    :class:`SplitResolutionError`, reporting that remainder, when even it
+    does not reach eps.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -140,22 +139,23 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
     radius0 = max(2.0 * spec.dx, spec.extent / 16.0)
     radius_cap = spec.extent / 4.0
     sigma, radius = sigma0, radius0
-    best = np.inf
     while True:
         g = _candidate(f, sigma, radius)
         h = Field(spec, f.values - g.values)
         err = l2_norm(h)
-        best = min(best, err)
         if err < eps:
             return _finalize(f, g, h, eps, sigma=sigma, radius=radius)
-        if sigma < spec.dxi and radius >= radius_cap:
+        if sigma == 0.0:
             raise SplitResolutionError(
-                f"split stalled at ||h|| = {best:.3e} >= eps = {eps:.3e}"
-                f" with sigma below one frequency cell",
-                best_epsilon=best,
+                f"split stalled at ||h|| = {err:.3e} >= eps = {eps:.3e},"
+                f" the remainder of the cutoff alone at radius {radius:.4g}",
+                best_epsilon=err,
             )
-        sigma *= 0.5
-        radius = min(radius * 1.5, radius_cap)
+        if sigma < spec.dxi and radius >= radius_cap:
+            sigma = 0.0
+        else:
+            sigma *= 0.5
+            radius = min(radius * 1.5, radius_cap)
 
 
 def _finalize(f, g, h, eps, sigma, radius) -> SchwartzSplit:

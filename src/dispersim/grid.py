@@ -95,10 +95,11 @@ class GridSpec:
 
     def frequency_norm_squared(self) -> np.ndarray:
         """|xi|^2 on the full frequency mesh."""
-        out = np.zeros(self.shape)
-        for g in self.frequency_grids():
-            out = out + g**2
-        return out
+        return sum(g**2 for g in self.frequency_grids())
+
+    def coordinate_norm_squared(self) -> np.ndarray:
+        """|x|^2 on the full coordinate mesh."""
+        return sum(g**2 for g in self.coordinate_grids())
 
     def origin_index(self) -> tuple[int, ...]:
         return (self.samples_per_axis // 2,) * self.dim

@@ -620,12 +620,7 @@ def moment_growth_check(
     field_abs = np.abs(weight * der.values)
     flat = int(np.argmax(field_abs))
     x_star = np.unravel_index(flat, spec.shape)
-    coords = spec.axis_coordinates()
-    x_weight = 1.0
-    for j, aj in enumerate(alpha_idx):
-        if aj:
-            x_weight *= coords[x_star[j]] ** aj
-    b = x_weight * point_coefficients(g, x_star, beta_idx)
+    b = weight[x_star] * point_coefficients(g, x_star, beta_idx)
     p_list = [float(p) for p in p_list]
     return list(zip(p_list, moment_norms(b, p_list, n_samples, seed, _CHUNK)))
 
@@ -679,30 +674,32 @@ def atomic_open(path):
             os.remove(tmp)
 
 
-def write_results_csv(path, estimates, bounds=None, config_hash: str = "") -> None:
-    """Write tail estimates in the fixed column layout; ``bounds`` maps
-    row position to the theoretical bound value (blank when absent)."""
+def write_table(path, columns, rows, config_hash: str = "") -> None:
+    """The one writer of result tables: a ``# config=`` line (when a hash
+    is given), the header, then one line per row with floats as ``repr``
+    and every other cell as ``str``."""
     with atomic_open(path) as fh:
         if config_hash:
             fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i, est in enumerate(estimates):
-            bound = "" if bounds is None or bounds[i] is None else _fmt(bounds[i])
-            writer.writerow(
-                [
-                    est.flow_label,
-                    _fmt(est.t),
-                    _fmt(est.alpha),
-                    format_x_index(est.x_index),
-                    est.exceed_count,
-                    est.ensemble_size,
-                    _fmt(est.probability),
-                    _fmt(est.ci_low),
-                    _fmt(est.ci_high),
-                    bound,
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def tail_rows(estimates, bounds=None) -> list[tuple]:
+    """Rows of tail estimates in the ``CSV_COLUMNS`` layout; ``bounds`` maps
+    row position to the theoretical bound value (blank when absent)."""
+    return [
+        (est.flow_label, est.t, est.alpha, format_x_index(est.x_index),
+         est.exceed_count, est.ensemble_size, est.probability, est.ci_low, est.ci_high,
+         "" if bounds is None or bounds[i] is None else bounds[i])
+        for i, est in enumerate(estimates)
+    ]
+
+
+def write_results_csv(path, estimates, bounds=None, config_hash: str = "") -> None:
+    """Write tail estimates in the fixed ``CSV_COLUMNS`` layout."""
+    write_table(path, CSV_COLUMNS, tail_rows(estimates, bounds), config_hash)
 
 
 def write_manifest(path, payload: dict) -> None:

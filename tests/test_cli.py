@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,21 @@ DENSITY = {
     "calibration_ensemble": 1200,
     "seed": 5,
 }
+
+
+CONVERGENCE = {
+    "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
+    "flow": "kdv",
+    "data": {"recipe": "gaussian", "width": 2.0},
+    "epsilon_schedule": [0.05],
+    "ensemble_size": 100,
+    "calibration_ensemble": 500,
+    "observation_points": [[128]],
+    "seed": 3,
+}
+
+KHINTCHINE = {"p_values": [2, 4], "vector_length": 8, "n_vectors": 4,
+              "samples": 2000, "seed": 3}
 
 
 class TestParsing:
@@ -236,6 +253,16 @@ class TestConvergenceCommand:
             )
             assert abs(alpha - expected) < 1e-12
 
+    def test_split_falls_back_to_cutoff_only(self, tmp_path):
+        # The sigma schedule stalls at ||h|| = 0.075 on this data; the
+        # cutoff alone reaches 5e-10, so eps = 0.05 runs instead of exiting 3.
+        cfg = write_config(tmp_path, "c.json", CONVERGENCE)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "convergence_manifest.json").read_text())
+        (split,) = manifest["fitted_constants"]["kdv"]["splits"]
+        assert split["sigma"] == 0.0 and split["achieved_h_norm"] < 0.05
+
 
 class TestDensityCommand:
     def test_density_rows(self, tmp_path):
@@ -266,9 +293,7 @@ class TestReportCommand:
 
 class TestKhintchineCommand:
     def test_ratio_table(self, tmp_path, capsys):
-        payload = {"p_values": [2, 4], "vector_length": 8, "n_vectors": 4,
-                   "samples": 2000, "seed": 3}
-        cfg = write_config(tmp_path, "k.json", payload)
+        cfg = write_config(tmp_path, "k.json", KHINTCHINE)
         out = tmp_path / "out"
         assert main(["khintchine", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "khintchine_results.csv").read_text().splitlines()
@@ -276,3 +301,49 @@ class TestKhintchineCommand:
         assert len(lines) == 2 + 4 * 2
         manifest = json.loads((out / "khintchine_manifest.json").read_text())
         assert manifest["worst_ratio"] <= 3.0
+
+
+# The columns README.md documents for each result table.
+COLUMNS = {
+    "khintchine": ["vector_id", "p", "moment", "ratio"],
+    "tails": ["flow", "t", "alpha", "x_index", "exceed_count", "M", "prob",
+              "ci_low", "ci_high", "bound"],
+    "convergence": ["flow", "epsilon", "t", "alpha", "exceed_count", "M", "prob",
+                    "ci_low", "ci_high", "h_norm", "bound"],
+    "density": ["epsilon", "lambda", "m_threshold", "hit_count", "M", "prob",
+                "ci_low", "ci_high", "target"],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload",
+    [
+        ("khintchine", KHINTCHINE),
+        ("tails", BASE_TAILS),
+        ("convergence", CONVERGENCE),
+        ("density", DENSITY),
+    ],
+)
+def test_result_files_share_one_layout(tmp_path, capsys, subcommand, payload):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / f"{subcommand}_manifest.json").read_text())
+    shared = {"config", "config_hash", "seed", "software_version", "normalization",
+              "created_at"}
+    assert shared <= set(manifest)
+    assert manifest["config"] == payload and manifest["seed"] == payload["seed"]
+    assert ("lattice_hash" in manifest) == ("grid" in payload)
+
+    with open(out / f"{subcommand}_results.csv", newline="") as fh:
+        first = fh.readline()
+        header, *rows = list(csv.reader(fh))
+    assert first == f"# config={manifest['config_hash']}\n"
+    assert header == COLUMNS[subcommand]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"`{','.join(header)}`" in readme
+    assert rows and all(len(r) == len(header) for r in rows)
+
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count(f"{subcommand}_results.csv") == len(rows)

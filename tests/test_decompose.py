@@ -71,13 +71,28 @@ class TestSchwartzSplit:
             worst.append(sp.max_decay_seminorm)
         assert max(worst) < 10 * min(w for w in worst if w > 0)
 
+    def test_cutoff_only_limit_reaches_small_eps(self):
+        # The sigma schedule stalls at ||h|| = 0.075 (1D) and 0.088 (2D) on
+        # these grids; the cutoff alone at the largest radius goes far below.
+        spec2 = GridSpec(2, 64, 32.0)
+        gaussian2d = Field(spec2, np.exp(-spec2.coordinate_norm_squared() / 8.0))
+        for f in (gaussian(2.0), gaussian2d):
+            sp = schwartz_split(f, 0.05)
+            assert sp.achieved_h_norm < 0.05
+            assert sp.sigma == 0.0 and sp.radius == f.spec.extent / 4.0
+            cutoff = smooth_cutoff(f.spec, sp.radius)
+            assert np.array_equal(sp.g.values, cutoff * f.values)
+
     def test_resolution_failure_is_loud(self):
         # Data with substantial mass outside the largest admissible cutoff
         # cannot be split to a tiny eps on this grid.
         wide = Field(SPEC, np.exp(-(X**2) / (2 * 12.0**2)))
         with pytest.raises(SplitResolutionError) as err:
             schwartz_split(wide, 1e-4)
-        assert err.value.best_epsilon > 0
+        # The reported remainder is the cutoff-only one, the schedule's best.
+        rest = (1.0 - smooth_cutoff(SPEC, SPEC.extent / 4.0)) * wide.values
+        expected = l2_norm(Field(SPEC, rest))
+        assert err.value.best_epsilon == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ key set (unknown keys are rejected).  Results go to the output directory
 as CSV tables plus a JSON manifest; CSV bodies are byte identical across
 reruns with the same config and seed, whatever the thread count.
 
-Exit codes: 0 success, 1 configuration error, 2 a check-* subcommand
-found failures, 3 the density split could not reach a requested epsilon
-on the grid, not even in its cutoff-only limit.  Result files are written
-whole or not at all, each table by ``tailprob.write_table``.
+Exit codes: 0 success, 1 configuration error (or calibration tails that
+cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could
+not reach a requested epsilon on the grid, not even in its cutoff-only
+limit, 4 an internal error (its traceback goes to stderr).  Result files
+are written whole or not at all, each table by ``tailprob.write_table``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ import json
 import math
 import os
 import sys
+import traceback
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .checks import CheckResult
+from .decompose import multi_index
 from .errors import ConfigurationError, FitError, SplitResolutionError
 from .grid import Field, GridSpec, read_binary
 from .propagators import FlowKind
@@ -40,6 +44,28 @@ _ENV_PREFIX = "DISPERSIM_"
 def _fail(message: str) -> int:
     print(f"config error: {message}", file=sys.stderr)
     return 1
+
+
+@contextmanager
+def _config_values(where: str):
+    """Config values are read inside this block: a TypeError or ValueError
+    raised there (a string where a number belongs, a bad multi-index) is a
+    configuration error of ``where``, not an internal fault."""
+    try:
+        yield
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
+def _count(config: dict, key: str, default=None, minimum: int = 1) -> int:
+    """The integer config field ``key`` (required when ``default`` is None),
+    at least ``minimum``."""
+    value = int(config[key] if default is None else config.get(key, default))
+    if value < minimum:
+        raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -133,7 +159,10 @@ def parse_data(obj, spec: GridSpec) -> Field:
     if recipe == "custom-file":
         _reject_unknown(obj, ("recipe", "path"), "data")
         _require(obj, ("path",), "data")
-        loaded = read_binary(obj["path"])
+        try:
+            loaded = read_binary(obj["path"])
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read custom-file: {exc}") from exc
         if not isinstance(loaded, Field):
             raise ConfigurationError("custom-file must hold a physical-space field")
         if loaded.spec != spec:
@@ -147,6 +176,28 @@ def parse_data(obj, spec: GridSpec) -> Field:
     )
 
 
+def parse_schedule(config) -> list[float]:
+    schedule = [float(e) for e in config["epsilon_schedule"]]
+    if any(e <= 0 for e in schedule):
+        raise ConfigurationError("epsilon_schedule entries must be positive")
+    return schedule
+
+
+def parse_pairs(config, spec: GridSpec) -> list[tuple]:
+    """The density event's (alpha, beta) multi-index pairs: one nonnegative
+    entry per axis each, and |beta| <= 2, the spectral derivative's limit."""
+    default = [[[0] * spec.dim, [0] * spec.dim], [[1] * spec.dim, [1] * spec.dim]]
+    pairs = []
+    for a, b in config.get("multi_indices", default):
+        pair = (multi_index(a), multi_index(b))
+        if any(len(m) != spec.dim for m in pair):
+            raise ConfigurationError(f"multi-index pair {pair} needs {spec.dim} entries each")
+        if sum(pair[1]) > 2:
+            raise ConfigurationError(f"derivative order of {pair[1]} exceeds 2")
+        pairs.append(pair)
+    return pairs
+
+
 def parse_flows(config) -> list[FlowKind]:
     if ("flow" in config) == ("flows" in config):
         raise ConfigurationError("exactly one of 'flow' or 'flows' is required")
@@ -157,7 +208,7 @@ def parse_flows(config) -> list[FlowKind]:
 def observation_points(config, spec: GridSpec, seed: int):
     """Configured points, or the origin plus 4 seeded random grid points."""
     if "observation_points" in config:
-        return tuple(tuple(int(i) for i in p) for p in config["observation_points"])
+        return tailprob.grid_points(spec, config["observation_points"])
     rng = np.random.default_rng(seed)
     pts = [spec.origin_index()]
     for _ in range(4):
@@ -251,21 +302,26 @@ def _grids_from_config(config) -> dict[int, GridSpec]:
 
 def run_check_wiener(config, seed, threads, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-wiener")
-    return _print_checks(wiener_checks(_grids_from_config(config), seed=seed))
+    with _config_values("check-wiener"):
+        grids = _grids_from_config(config)
+    return _print_checks(wiener_checks(grids, seed=seed))
 
 
 def run_check_propagators(config, seed, threads, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-propagators")
-    return _print_checks(propagator_checks(_grids_from_config(config), seed=seed))
+    with _config_values("check-propagators"):
+        grids = _grids_from_config(config)
+    return _print_checks(propagator_checks(grids, seed=seed))
 
 
 def run_khintchine(config, seed, threads, out_dir) -> int:
     allowed = _COMMON_KEYS + ("p_values", "vector_length", "n_vectors", "samples")
     _reject_unknown(config, allowed, "khintchine")
-    p_values = [float(p) for p in config.get("p_values", (2, 4, 8, 16))]
-    length = int(config.get("vector_length", 32))
-    n_vectors = int(config.get("n_vectors", 20))
-    samples = int(config.get("samples", 10_000))
+    with _config_values("khintchine"):
+        p_values = [float(p) for p in config.get("p_values", (2, 4, 8, 16))]
+        length = _count(config, "vector_length", 32)
+        n_vectors = _count(config, "n_vectors", 20)
+        samples = int(config.get("samples", 10_000))
     derived_seed(seed, n_vectors - 1)  # vector i draws with seed + i
     rng = np.random.default_rng(seed)
     vectors = []
@@ -336,27 +392,32 @@ def run_tails(config, seed, threads, out_dir) -> int:
     )
     _reject_unknown(config, allowed, "tails")
     _require(config, ("grid", "data", "times", "thresholds", "ensemble_size"), "tails")
-    spec = parse_grid(config["grid"])
-    data = parse_data(config["data"], spec)
-    flows = parse_flows(config)
-    points = observation_points(config, spec, seed)
+    with _config_values("tails"):
+        spec = parse_grid(config["grid"])
+        data = parse_data(config["data"], spec)
+        points = observation_points(config, spec, seed)
+        width = config.get("max_ci_width")
+        configs = [
+            tailprob.TailExperimentConfig(
+                flow=flow,
+                data=data,
+                times=tuple(config["times"]),
+                thresholds=tuple(config["thresholds"]),
+                observation_points=points,
+                ensemble_size=int(config["ensemble_size"]),
+                seed=seed,
+                max_ci_width=None if width is None else float(width),
+            )
+            for flow in parse_flows(config)
+        ]
     os.makedirs(out_dir, exist_ok=True)
 
     estimates = []
     bounds = []
     manifest_fits = {}
     warnings = []
-    for flow in flows:
-        cfg = tailprob.TailExperimentConfig(
-            flow=flow,
-            data=data,
-            times=tuple(config["times"]),
-            thresholds=tuple(config["thresholds"]),
-            observation_points=points,
-            ensemble_size=int(config["ensemble_size"]),
-            seed=seed,
-            max_ci_width=config.get("max_ci_width"),
-        )
+    for cfg in configs:
+        flow = cfg.flow
         warnings.extend(f"{flow.label()}: {w}" for w in cfg.time_limit_warnings())
         cells = tailprob.estimate_tail(cfg, threads=threads)
         params = None
@@ -399,6 +460,7 @@ def run_tails(config, seed, threads, out_dir) -> int:
         fitted_constants=manifest_fits,
         ensemble_size=int(config["ensemble_size"]),
         warnings=warnings,
+        exact_law=tailprob.exact_law(estimates),
     )
     print(f"wrote {len(estimates)} rows -> {path}")
     return 0
@@ -417,16 +479,15 @@ def run_convergence(config, seed, threads, out_dir) -> int:
     )
     _reject_unknown(config, allowed, "convergence")
     _require(config, ("grid", "data", "epsilon_schedule", "ensemble_size"), "convergence")
-    spec = parse_grid(config["grid"])
-    data = parse_data(config["data"], spec)
-    flows = parse_flows(config)
-    schedule = [float(e) for e in config["epsilon_schedule"]]
-    if any(e <= 0 for e in schedule):
-        raise ConfigurationError("epsilon_schedule entries must be positive")
-    ensemble = int(config["ensemble_size"])
-    cal_ensemble = int(config.get("calibration_ensemble", max(2000, ensemble // 2)))
+    with _config_values("convergence"):
+        spec = parse_grid(config["grid"])
+        data = parse_data(config["data"], spec)
+        flows = parse_flows(config)
+        schedule = parse_schedule(config)
+        ensemble = _count(config, "ensemble_size")
+        cal_ensemble = _count(config, "calibration_ensemble", max(2000, ensemble // 2))
+        x_index = observation_points(config, spec, seed)[0]
     cal_seed = derived_seed(seed, 1)
-    x_index = observation_points(config, spec, seed)[0]
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
@@ -480,18 +541,13 @@ def run_density(config, seed, threads, out_dir) -> int:
     _require(
         config, ("grid", "data", "epsilon_schedule", "ensemble_size"), "density"
     )
-    spec = parse_grid(config["grid"])
-    data = parse_data(config["data"], spec)
-    schedule = [float(e) for e in config["epsilon_schedule"]]
-    pairs = [
-        (tuple(int(i) for i in a), tuple(int(i) for i in b))
-        for a, b in config.get(
-            "multi_indices",
-            [[[0] * spec.dim, [0] * spec.dim], [[1] * spec.dim, [1] * spec.dim]],
-        )
-    ]
-    ensemble = int(config["ensemble_size"])
-    cal_ensemble = int(config.get("calibration_ensemble", ensemble))
+    with _config_values("density"):
+        spec = parse_grid(config["grid"])
+        data = parse_data(config["data"], spec)
+        schedule = parse_schedule(config)
+        pairs = parse_pairs(config, spec)
+        ensemble = _count(config, "ensemble_size")
+        cal_ensemble = _count(config, "calibration_ensemble", ensemble)
     cal_seed = derived_seed(seed, 1)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -526,10 +582,41 @@ def run_density(config, seed, threads, out_dir) -> int:
     return 0
 
 
+# Acceptance criterion 4: every Khintchine moment stays below this many
+# times sqrt(p) ||c||_2.
+KHINTCHINE_RATIO_LIMIT = 3.0
+
+
+def _row_check(row: dict) -> tuple[str, str, str, str]:
+    """(label, checked value, relation, limit) of one result row: a
+    khintchine ratio against ``KHINTCHINE_RATIO_LIMIT``, a density row's
+    ci_high against its target, a tails or convergence row's ci_high
+    against its bound; the relation is blank when there is no limit."""
+    if "ratio" in row:
+        label = f"v{row['vector_id']} p={row['p']}"
+        return label, row["ratio"], "<=", repr(KHINTCHINE_RATIO_LIMIT)
+    if "target" in row:
+        return f"eps={row['epsilon']}", row["ci_high"], ">=", row["target"]
+    bound = row.get("bound", "")
+    return row.get("flow", "-"), row.get("ci_high", ""), "<=" if bound else "", bound
+
+
 def run_report(config, seed, threads, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS, "report")
+    # The result files are input here: a malformed one is not an internal error.
+    with _config_values(f"report of {out_dir}"):
+        return _report(out_dir)
+
+
+def _report(out_dir) -> int:
     rows = []
+    misses = []
     for name in sorted(os.listdir(out_dir) if os.path.isdir(out_dir) else []):
+        if name.endswith("_manifest.json"):
+            with open(os.path.join(out_dir, name)) as fh:
+                law = json.load(fh).get("exact_law")
+            if law:
+                misses.append((name, law["outside_wilson"], len(law["rows"])))
         if not name.endswith("_results.csv"):
             continue
         with open(os.path.join(out_dir, name), newline="") as fh:
@@ -541,25 +628,29 @@ def run_report(config, seed, threads, out_dir) -> int:
     if not rows:
         print(f"no result files under {out_dir}")
         return 0
-    print(f"{'file':<28} {'flow':<16} {'prob':>10} {'ci_high':>10} {'bound':>10} ok")
+    print(f"{'file':<28} {'row':<16} {'prob':>10} {'value':>10}    {'limit':>10} ok")
     n_ok = 0
     comparable = 0
     for name, row in rows:
-        prob = row.get("prob", "")
-        ci_high = row.get("ci_high", "")
-        bound = row.get("bound", "")
+        label, value, relation, limit = _row_check(row)
         verdict = ""
-        if bound not in ("", None) and ci_high:
+        if relation and value:
             comparable += 1
-            ok = float(ci_high) <= float(bound)
+            a, b = float(value), float(limit)
+            ok = a <= b if relation == "<=" else a >= b
             n_ok += ok
             verdict = "yes" if ok else "NO"
         print(
-            f"{name:<28} {row.get('flow', '-'):<16} {prob:>10.10s}"
-            f" {ci_high:>10.10s} {str(bound):>10.10s} {verdict}"
+            f"{name:<28} {label:<16} {row.get('prob', ''):>10.10s} {value:>10.10s}"
+            f" {relation:>2} {limit:>10.10s} {verdict}"
         )
+    print("value: ci_high against the bound (tails, convergence) or the target"
+          " (density); ratio moment / (sqrt(p) ||c||) against criterion 4 (khintchine)")
     if comparable:
-        print(f"{n_ok}/{comparable} rows with bounds are dominated")
+        print(f"{n_ok}/{comparable} rows pass their check")
+    for name, missed, total in misses:
+        print(f"{name}: {missed}/{total} Wilson intervals miss the exact law"
+              " (about 5% expected)")
     return 0
 
 
@@ -611,18 +702,22 @@ def main(argv=None) -> int:
             if args.threads is not None
             else _env("THREADS") or config.get("threads", 1)
         )
-        threads = int(threads_raw)
+        with _config_values("threads"):
+            threads = int(threads_raw)
         if threads < 1:
             raise ConfigurationError("threads must be >= 1")
         out_dir = args.out or _env("OUT") or config.get("output_dir", "results")
         return _SUBCOMMANDS[args.subcommand](config, seed, threads, out_dir)
-    except ConfigurationError as exc:
-        return _fail(str(exc))
-    except (FitError, ValueError) as exc:
+    except (ConfigurationError, FitError) as exc:
         return _fail(str(exc))
     except SplitResolutionError as exc:
         print(f"split error: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a fault in dispersim, not in the config",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

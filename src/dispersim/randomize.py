@@ -49,26 +49,24 @@ def gaussian_matrix(
     """Stack of coefficient blocks for samples [offset, offset + n_samples).
 
     Identical to stacking :func:`coefficient_block` calls; the bit
-    generator pair is created once per call and re-keyed per sample,
-    which keeps the keying per sample but drops the object-construction
-    overhead.  Local state only, so concurrent calls are safe.
+    generator pair and its state record are created once per call, and
+    per sample only the key's sample word changes before the generator
+    fills that sample's row of normals in place.  Local state only, so
+    concurrent calls are safe.
     """
     out = np.empty((n_samples, n_coeffs), dtype=np.complex128)
+    parts = out.view(np.float64)  # row m: Re, Im of each coefficient, interleaved
     bg = np.random.Philox(key=_key(seed, sample_offset))
     gen = np.random.Generator(bg)
-    template = bg.state
+    key = _key(seed, sample_offset)
+    # A fresh stream: counter 0, empty output buffer.
+    state = dict(bg.state, buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
     for m in range(n_samples):
-        state = dict(template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": _key(seed, sample_offset + m),
-        }
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
+        key[1] = (sample_offset + m) & _MASK64
         bg.state = state
-        z = gen.standard_normal(2 * n_coeffs)
-        out[m] = _SQRT_HALF * (z[0::2] + 1j * z[1::2])
+        gen.standard_normal(out=parts[m])
+    out *= _SQRT_HALF
     return out
 
 
@@ -165,9 +163,9 @@ def khintchine_moments(c, p_values, samples: int, seed: int, chunk: int = 4096):
     from one set of draws; every p must be >= 2 and samples >= 1000."""
     for p in p_values:
         if p < 2:
-            raise ValueError(f"moment order must be >= 2, got {p}")
+            raise ConfigurationError(f"p_values: moment order must be >= 2, got {p}")
     if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+        raise ConfigurationError(f"samples: need at least 1000, got {samples}")
     return moment_norms(c, p_values, samples, seed, chunk)
 
 

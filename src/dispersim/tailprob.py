@@ -1,12 +1,16 @@
 """Monte Carlo tail-probability experiments for randomized free flows.
 
-The pointwise deviation |S(t)f^omega(x) - f^omega(x)| of a randomized
-field is a linear series sum_k g_k a_k(t, x) in the Gaussian coefficients,
-so ensembles are evaluated by precomputing the per-lattice-point series
-coefficients once per (t, x) and reducing coefficient blocks against
-them.  Exceedance counting is integer based and sample streams are
-counter keyed, so results are reproducible bit for bit regardless of
-chunking or thread count.
+The pointwise deviation Y_c = S(t)f^omega(x) - f^omega(x) of a randomized
+field at a cell c = (t, x) is a linear series sum_k g_k a_k(t, x) in the
+circular complex Gaussian coefficients, so the vector Y over all cells is
+exactly circular CN(0, Sigma) with Sigma = A^T conj(A) the small cells x
+cells Gram matrix of the series coefficients.  Tail and convergence
+ensembles therefore draw one complex normal per cell per sample and map
+it through a factor of Sigma (:func:`observable_factor`) instead of one
+normal per lattice point.  Exceedance counting is integer based and
+sample streams are counter keyed, so results are reproducible bit for
+bit regardless of chunking or thread count.  The nonlinear density event
+keeps the per-lattice-point draws.
 """
 
 from __future__ import annotations
@@ -70,6 +74,16 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def grid_points(spec: GridSpec, points) -> tuple:
+    """Observation points as tuples of grid indices, each inside the grid."""
+    pts = tuple(tuple(int(i) for i in p) for p in points)
+    n = spec.samples_per_axis
+    for p in pts:
+        if len(p) != spec.dim or any(not (0 <= i < n) for i in p):
+            raise ConfigurationError(f"observation point {p} outside the grid")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class TailExperimentConfig:
     flow: FlowKind
@@ -88,11 +102,7 @@ class TailExperimentConfig:
         object.__setattr__(
             self, "thresholds", tuple(float(a) for a in self.thresholds)
         )
-        pts = tuple(tuple(int(i) for i in p) for p in self.observation_points)
-        n = spec.samples_per_axis
-        for p in pts:
-            if len(p) != spec.dim or any(not (0 <= i < n) for i in p):
-                raise ConfigurationError(f"observation point {p} outside the grid")
+        pts = grid_points(spec, self.observation_points)
         object.__setattr__(self, "observation_points", pts)
         if self.ensemble_size < 100:
             raise ConfigurationError("ensemble_size must be at least 100")
@@ -121,6 +131,7 @@ class TailEstimate:
     probability: float
     ci_low: float
     ci_high: float
+    series_norm: float | None = None  # ||a|| of the cell's series, when it has one
 
 
 @dataclass(frozen=True)
@@ -171,17 +182,22 @@ def _point_phase(spec: GridSpec, x_index) -> list[np.ndarray]:
 
 
 def _windowed_series(spec: GridSpec, weighted: np.ndarray) -> np.ndarray:
-    """Per-lattice-point sums a_k = scale * sum_xi psi(xi - k) weighted(xi),
-    accumulated from the neighbour table by a bincount per corner."""
+    """Per-lattice-point sums a_k = scale * sum_xi psi(xi - k) weighted(xi)
+    of a mesh array, or of each in a stack of them (leading axes), from
+    the neighbour table: one bincount per corner over index + row * n."""
     table = projection_blocks(spec)
-    weighted = weighted.reshape(-1)
     n = len(unit_lattice(spec))
-    out = np.zeros(n, dtype=np.complex128)
+    stack = weighted.reshape(-1, spec.size)
+    offsets = n * np.arange(len(stack))[:, None]
+    out = np.zeros(len(stack) * n, dtype=np.complex128)
     for index, weight in zip(table.index.T, table.weight.T):
-        terms = weight * weighted
-        out += np.bincount(index, terms.real, n) + 1j * np.bincount(index, terms.imag, n)
+        terms = (weight * stack).reshape(-1)
+        bins = (index + offsets).reshape(-1)
+        out += np.bincount(bins, terms.real, out.size) + 1j * np.bincount(
+            bins, terms.imag, out.size
+        )
     scale = spec.frequency_cell_volume * _TWO_PI ** (-spec.dim / 2.0)
-    return scale * out
+    return scale * out.reshape(weighted.shape[: weighted.ndim - spec.dim] + (n,))
 
 
 def _mesh_from_axes(axes_arrays) -> np.ndarray:
@@ -191,16 +207,38 @@ def _mesh_from_axes(axes_arrays) -> np.ndarray:
     return out
 
 
+def _deviation_stack(flow: FlowKind, f: Field, times, points) -> np.ndarray:
+    """Series coefficients of every cell (t, x), t major, as an
+    (n_cells, n_lattice) stack: one transform of f, one symbol per time,
+    one windowed sum per time over all points."""
+    spec = f.spec
+    F = forward_transform(f).coeffs
+    phases = np.stack([_mesh_from_axes(_point_phase(spec, x)) for x in points])
+    return np.concatenate(
+        [_windowed_series(spec, phases * (symbol(flow, spec, t) - 1.0) * F) for t in times]
+    )
+
+
 def deviation_coefficients(
     flow: FlowKind, f: Field, t: float, x_index
 ) -> np.ndarray:
     """Series coefficients a_k(t, x) of S(t)f^omega(x) - f^omega(x):
     the deviation of a draw with coefficients g is |sum_k g_k a_k|."""
-    spec = f.spec
-    F = forward_transform(f).coeffs
-    phase = _mesh_from_axes(_point_phase(spec, x_index))
-    weighted = phase * (symbol(flow, spec, t) - 1.0) * F
-    return _windowed_series(spec, weighted)
+    return _deviation_stack(flow, f, (t,), (x_index,))[0]
+
+
+def observable_factor(A: np.ndarray) -> np.ndarray:
+    """B with B^T conj(B) = A^T conj(A) for an (n_lattice, n_cells) stack A
+    of series coefficients.
+
+    With z a row of n_cells standard complex Gaussians, z @ B has the law
+    of g @ A (circular, covariance A^T conj(A)), so a sample of every
+    cell's observable needs n_cells normals, not n_lattice.  The factor
+    comes from the eigendecomposition of the Gram matrix, with round-off
+    negative eigenvalues clipped to 0, so a rank-deficient Gram matrix (a
+    t = 0 cell, a repeated point) needs no special case."""
+    lam, vecs = np.linalg.eigh(A.T @ A.conj())
+    return (vecs * np.sqrt(np.maximum(lam, 0.0))).T
 
 
 def point_coefficients(f: Field, x_index, beta_idx=None) -> np.ndarray:
@@ -245,13 +283,13 @@ def deviation_samples(
     seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws."""
-    a = deviation_coefficients(flow, f, t, x_index)
+    """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws,
+    each drawn as one complex normal through :func:`observable_factor`."""
+    factor = observable_factor(deviation_coefficients(flow, f, t, x_index)[:, None])
 
     def work(start: int) -> np.ndarray:
         count = min(_CHUNK, n_samples - start)
-        g = gaussian_matrix(seed, count, a.size, sample_offset=start)
-        return np.abs(g @ a)
+        return np.abs(gaussian_matrix(seed, count, 1, sample_offset=start) @ factor)[:, 0]
 
     return np.concatenate([np.empty(0), *_map_chunks(work, n_samples, threads)])
 
@@ -260,27 +298,26 @@ def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEs
     """Exceedance frequencies with Wilson intervals for every
     (t, alpha, x) cell, all cells sharing one ensemble of draws.
 
-    Deterministic for a given seed: coefficients are counter keyed per
-    sample and exceedances are integer counts, so chunking and thread
-    count cannot change the result.
+    Sample m draws one complex normal per cell, keyed by (seed, m), and
+    maps them through :func:`observable_factor`, so every cell's
+    deviation has its exact joint law.  Deterministic for a given seed:
+    exceedances are integer counts, so chunking and thread count cannot
+    change the result.
     """
-    spec = config.data.spec
     cells = [(t, x) for t in config.times for x in config.observation_points]
-    avecs = [
-        deviation_coefficients(config.flow, config.data, t, x) for t, x in cells
-    ]
-    nk = avecs[0].size
+    stack = _deviation_stack(
+        config.flow, config.data, config.times, config.observation_points
+    )
+    factor = observable_factor(stack.T)
+    norms = [series_norm(a) for a in stack]
     alphas = np.asarray(config.thresholds)
     m_total = config.ensemble_size
 
     def work(start: int) -> np.ndarray:
         count = min(_CHUNK, m_total - start)
-        g = gaussian_matrix(config.seed, count, nk, sample_offset=start)
-        local = np.zeros((len(cells), alphas.size), dtype=np.int64)
-        for ci, a in enumerate(avecs):
-            dev = np.abs(g @ a)
-            local[ci] = np.sum(dev[:, None] > alphas[None, :], axis=0)
-        return local
+        z = gaussian_matrix(config.seed, count, len(cells), sample_offset=start)
+        dev = np.abs(z @ factor)
+        return np.sum(dev[:, :, None] > alphas, axis=0)
 
     counts = sum(_map_chunks(work, m_total, threads))
 
@@ -301,9 +338,36 @@ def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEs
                     probability=k / m_total,
                     ci_low=lo,
                     ci_high=hi,
+                    series_norm=norms[ci],
                 )
             )
     return estimates
+
+
+def exact_law(estimates) -> dict:
+    """Each tail estimate against its exact law: a deviation with series
+    norm ||a|| is CN(0, ||a||^2), so P(|Y| > alpha) = exp(-alpha^2/||a||^2).
+    One entry per estimate with that probability and the z-score
+    (k - M p) / sqrt(M p (1 - p)) of the count (0 when p is 0 or 1), and
+    the number of estimates whose Wilson interval misses it."""
+    entries = []
+    misses = 0
+    for est in estimates:
+        norm, m = est.series_norm, est.ensemble_size
+        r = est.alpha / norm if norm > 0 else math.inf
+        p = 1.0 if est.alpha < 0 else math.exp(-r * r)
+        spread = m * p * (1.0 - p)
+        entries.append({
+            "flow": est.flow_label,
+            "t": est.t,
+            "alpha": est.alpha,
+            "x_index": format_x_index(est.x_index),
+            "series_norm": norm,
+            "exact_prob": p,
+            "z": (est.exceed_count - m * p) / math.sqrt(spread) if spread > 0 else 0.0,
+        })
+        misses += not est.ci_low <= p <= est.ci_high
+    return {"rows": entries, "outside_wilson": misses}
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,39 @@ class TestExitCodes:
         assert "split" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_khintchine_sample_floor_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "k.json", dict(KHINTCHINE, samples=500))
+        assert main(["khintchine", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "config error: samples: need at least 1000, got 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pairs", [[[[0], [3]]], [[[-1], [0]]], [[[0, 0], [0]]], [[[0], ["x"]]], [[[0]]]]
+    )
+    def test_bad_multi_index_exits_one(self, tmp_path, capsys, pairs):
+        cfg = write_config(tmp_path, "d.json", dict(DENSITY, multi_indices=pairs))
+        out = tmp_path / "o"
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_field_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "t.json", dict(BASE_TAILS, ensemble_size="many"))
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "many" in capsys.readouterr().err
+
+    def test_internal_error_exits_four_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("injected internal fault")
+
+        monkeypatch.setattr(dispersim.tailprob, "estimate_tail", broken)
+        cfg = write_config(tmp_path, "t.json", BASE_TAILS)
+        out = tmp_path / "o"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "injected internal fault" in err
+        assert "config error" not in err
+        assert list(out.iterdir()) == []
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -202,6 +235,27 @@ class TestTailsCommand:
         manifest = json.loads((out / "tails_manifest.json").read_text())
         assert manifest["seed"] == 7
         assert "lattice_hash" in manifest
+
+    def test_manifest_carries_the_exact_law(self, tmp_path, capsys):
+        payload = dict(BASE_TAILS, times=[0.05, 0.1], thresholds=[0.005, 0.01, 0.02],
+                       observation_points=[[64], [70]], ensemble_size=2000)
+        cfg = write_config(tmp_path, "t.json", payload)
+        out = tmp_path / "out"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "tails_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        law = json.loads((out / "tails_manifest.json").read_text())["exact_law"]
+        assert len(law["rows"]) == len(rows) == 12
+        misses = 0
+        for row, entry in zip(rows, law["rows"]):
+            assert entry["x_index"] == row["x_index"]
+            assert entry["alpha"] == float(row["alpha"]) and entry["t"] == float(row["t"])
+            p = math.exp(-((entry["alpha"] / entry["series_norm"]) ** 2))
+            assert entry["exact_prob"] == pytest.approx(p, rel=1e-12)
+            misses += not float(row["ci_low"]) <= p <= float(row["ci_high"])
+            k, m = int(row["exceed_count"]), int(row["M"])
+            assert entry["z"] == pytest.approx((k - m * p) / math.sqrt(m * p * (1 - p)))
+        assert law["outside_wilson"] == misses
 
     def test_rerun_with_other_thread_count_is_byte_identical(self, tmp_path):
         payload = dict(BASE_TAILS, times=[0.05, 0.1], thresholds=[0.005, 0.01, 0.02],
@@ -285,6 +339,25 @@ class TestReportCommand:
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "tails_results.csv" in text
+
+    def test_verdicts_for_khintchine_and_density_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["khintchine", "--out", str(out)]) == 0  # the defaults: 80 rows
+        cfg = write_config(tmp_path, "d.json", DENSITY)
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "density_results.csv", newline="") as fh:
+            (density,) = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        khintchine = [ln for ln in lines if ln.startswith("khintchine_results.csv")]
+        assert len(khintchine) == 80
+        assert all(ln.split()[-3:-1] == ["<=", "3.0"] for ln in khintchine)
+        assert all(ln.endswith(" yes") for ln in khintchine)
+        (row,) = [ln for ln in lines if ln.startswith("density_results.csv")]
+        reached = float(density["ci_high"]) >= float(density["target"])
+        assert row.endswith(" yes" if reached else " NO") and " >= " in row
+        assert f"{80 + 1 - (not reached)}/81 rows pass their check" in lines
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 0

@@ -7,7 +7,7 @@ from scipy import stats
 from dispersim.errors import ConfigurationError, FitError
 from dispersim.grid import Field, GridSpec, l2_norm
 from dispersim.propagators import FlowKind
-from dispersim.randomize import draw
+from dispersim.randomize import draw, gaussian_matrix
 from dispersim.wiener import bump_value, unit_lattice
 from dispersim import tailprob
 from dispersim.tailprob import (
@@ -23,6 +23,7 @@ from dispersim.tailprob import (
     estimate_tail,
     fit_constants,
     moment_growth_check,
+    observable_factor,
     point_coefficients,
     pointwise_deviation,
     series_norm,
@@ -188,6 +189,107 @@ class TestEstimateTail:
         f = gaussian()
         cfg = TailExperimentConfig(KDV, f, (0.1,), (0.002, 0.005), (ORIGIN,), 4200, 12)
         assert estimate_tail(cfg, threads=1) == estimate_tail(cfg, threads=3)
+
+    def test_chunk_size_never_changes_results(self, monkeypatch):
+        cfg = TailExperimentConfig(
+            KDV, gaussian(), (0.1, 0.3), (0.002, 0.005), (ORIGIN, (70,)), 4200, 12
+        )
+        whole = estimate_tail(cfg)
+        monkeypatch.setattr(tailprob, "_CHUNK", 333)
+        assert estimate_tail(cfg) == whole
+
+    def test_draws_one_normal_per_cell(self, monkeypatch):
+        widths = []
+
+        def counted(seed, n_samples, n_coeffs, sample_offset=0):
+            widths.append((n_samples, n_coeffs))
+            return gaussian_matrix(seed, n_samples, n_coeffs, sample_offset)
+
+        monkeypatch.setattr(tailprob, "gaussian_matrix", counted)
+        cfg = TailExperimentConfig(
+            KDV, gaussian(), (0.1, 0.3), (0.002, 0.005), (ORIGIN, (70,), (3,)), 4200, 12
+        )
+        estimate_tail(cfg)
+        assert {n for _, n in widths} == {6}  # 2 times x 3 points
+        assert sum(m for m, _ in widths) == 4200
+        widths.clear()
+        deviation_samples(KDV, gaussian(), 0.1, ORIGIN, 3000, 12)
+        assert {n for _, n in widths} == {1}
+        assert sum(m for m, _ in widths) == 3000
+
+
+# Observable-space sampling: grids with a t = 0 cell (a = 0) and a repeated
+# observation point, so the Gram matrix of the cells is rank deficient.
+FACTOR_CASES = {
+    "3d": (
+        GridSpec(3, 16, 16.0),
+        FlowKind.parse("schrodinger:++-"),
+        (0.0, 0.05),
+        ((8, 8, 8), (9, 8, 8), (8, 8, 8), (5, 11, 8)),
+    ),
+    "2d": (
+        GridSpec(2, 32, 16.0),
+        FlowKind.parse("wave-half"),
+        (0.0, 0.1, 0.3),
+        ((16, 16), (17, 15), (16, 16)),
+    ),
+}
+
+
+def factor_case(name):
+    spec, flow, times, points = FACTOR_CASES[name]
+    r2 = spec.coordinate_norm_squared()
+    f = Field(spec, np.exp(-r2 / 2.0) * (1.0 + 0.3j * spec.coordinate_grids()[0]))
+    A = np.stack(
+        [deviation_coefficients(flow, f, t, x) for t in times for x in points], axis=1
+    )
+    return A, observable_factor(A)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+class TestObservableFactor:
+    def test_reproduces_rank_deficient_gram(self, name):
+        A, B = factor_case(name)
+        gram = A.T @ A.conj()
+        assert np.linalg.matrix_rank(gram, tol=1e-10 * np.max(np.abs(gram))) < len(gram)
+        err = np.max(np.abs(B.T @ B.conj() - gram))
+        assert err <= 1e-13 * np.max(np.abs(gram))
+
+    def test_samples_have_the_cell_covariance(self, name):
+        A, B = factor_case(name)
+        gram = A.T @ A.conj()
+        n = 20_000
+        Y = gaussian_matrix(404, n, len(gram)) @ B
+        var = np.real(np.diag(gram))
+        # Var of the estimator of E[Y_c conj(Y_d)] is Sigma_cc Sigma_dd / n, and
+        # of the estimator of E[Y_c Y_d] at most twice that; allow 5 sigma.
+        sigma = np.sqrt(2.0 * np.outer(var, var) / n)
+        slack = 5.0 * sigma + 1e-13 * np.max(var)
+        assert np.all(np.abs(Y.T @ Y.conj() / n - gram) <= slack)
+        assert np.all(np.abs(Y.T @ Y / n) <= slack)
+
+
+class TestExactLaw:
+    def test_entries_follow_the_rayleigh_law(self):
+        f = gaussian()
+        points = (ORIGIN, (70,))
+        cfg = TailExperimentConfig(KDV, f, (0.0, 0.2), (1e-4, 0.003, 0.01), points, 2000, 8)
+        estimates = estimate_tail(cfg)
+        law = tailprob.exact_law(estimates)
+        assert len(law["rows"]) == len(estimates) == 12
+        misses = 0
+        for est, row in zip(estimates, law["rows"]):
+            norm = series_norm(deviation_coefficients(KDV, f, est.t, est.x_index))
+            assert row["series_norm"] == pytest.approx(norm, rel=1e-12, abs=0.0)
+            if est.t == 0.0:  # a = 0: the deviation never exceeds alpha > 0
+                assert row["exact_prob"] == 0.0 and row["z"] == 0.0
+                continue
+            p = math.exp(-((est.alpha / norm) ** 2))
+            assert row["exact_prob"] == pytest.approx(p, rel=1e-12)
+            m, k = est.ensemble_size, est.exceed_count
+            assert row["z"] == pytest.approx((k - m * p) / math.sqrt(m * p * (1 - p)))
+            misses += not est.ci_low <= p <= est.ci_high
+        assert law["outside_wilson"] == misses
 
 
 class TestTheoreticalBound:

@@ -395,6 +395,16 @@ class TestNeighbourTable:
         got = _windowed_series(spec, weighted)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    def test_windowed_series_of_a_stack_matches_each_row(self, spec):
+        rng = np.random.default_rng(40 + spec.dim)
+        stack = np.stack(
+            [forward_transform(random_field(spec, rng)).coeffs for _ in range(3)]
+        )
+        got = _windowed_series(spec, stack)
+        assert got.shape == (3, len(unit_lattice(spec)))
+        for row, weighted in zip(got, stack):
+            assert np.array_equal(row, _windowed_series(spec, weighted))
+
 
 # ---------------------------------------------------------------------------
 # Square function against a direct sum over pieces and mesh frequencies

@@ -350,23 +350,24 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
     return 0
 
 
-def _calibration(flow, data, times, targets, ensemble, seed, x_index, threads):
+def _calibration(
+    flow, data, times, coefficients, targets, ensemble, seed, x_index, threads
+):
     """Fit tail constants at the largest |t| and inflate them to dominate
-    every (t, alpha) calibration cell."""
+    every (t, alpha) calibration cell; ``coefficients`` are the series
+    coefficients of each time's cell (t, x_index)."""
     all_cells = []
     fit_cells = []
     t_fit = max(times, key=abs)
-    for t in times:
-        norm_a = tailprob.series_norm(
-            tailprob.deviation_coefficients(flow, data, t, x_index)
-        )
+    for t, a in zip(times, coefficients):
+        norm_a = tailprob.series_norm(a)
         if norm_a == 0:
             continue
         alphas = tuple(sorted(norm_a * math.sqrt(-math.log(p)) for p in targets))
         cfg = tailprob.TailExperimentConfig(
             flow, data, (t,), alphas, (x_index,), ensemble, seed
         )
-        cells = tailprob.estimate_tail(cfg, threads=threads)
+        cells = tailprob.estimate_tail(cfg, threads=threads, stack=a[None, :])
         all_cells.extend(cells)
         if t == t_fit:
             fit_cells.extend(cells)
@@ -494,11 +495,15 @@ def run_convergence(config, seed, threads, out_dir) -> int:
     manifest_fits = {}
     for flow in flows:
         times = tuple(e / 2.0 for e in schedule)
+        # Each cell's series, computed once for calibration and curve alike.
+        coeffs = [tailprob.deviation_coefficients(flow, data, t, x_index) for t in times]
         fit, params, _ = _calibration(
-            flow, data, times, _CAL_TARGETS, cal_ensemble, cal_seed, x_index, threads
+            flow, data, times, coeffs, _CAL_TARGETS, cal_ensemble, cal_seed, x_index,
+            threads,
         )
         curve = tailprob.convergence_curve(
-            flow, data, schedule, params, ensemble, seed, x_index, threads=threads
+            flow, data, schedule, params, ensemble, seed, x_index, threads=threads,
+            coefficients=coeffs,
         )
         manifest_fits[flow.label()] = {
             "C": params.C,
@@ -551,16 +556,11 @@ def run_density(config, seed, threads, out_dir) -> int:
     cal_seed = derived_seed(seed, 1)
     os.makedirs(out_dir, exist_ok=True)
 
-    fits = {}
-    results = []
-    for eps in schedule:
-        params = tailprob.calibrate_density_constants(
-            data, eps, pairs, cal_ensemble, cal_seed
-        )
-        fits[repr(eps)] = {"C": params.C, "C1": params.C1}
-        results.append(
-            tailprob.density_event_probability(data, eps, pairs, ensemble, seed, params)
-        )
+    density = tailprob.density_rows(
+        data, schedule, pairs, ensemble, seed, cal_ensemble, cal_seed
+    )
+    fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r in density}
+    results = [r for _, r in density]
     rows = [
         (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,
          r.ci_low, r.ci_high, r.target)

@@ -119,10 +119,17 @@ def randomized_weights(
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
     from the neighbour table corner by corner in lattice order."""
     table = projection_blocks(spec)
-    weights = np.zeros(spec.size, dtype=np.complex128)
-    for index, weight in zip(table.index.T, table.weight.T):
-        weights += coefficients[index] * weight
-    return weights.reshape(spec.shape)
+    return _gather_weights(table.index, table.weight, coefficients).reshape(spec.shape)
+
+
+def _gather_weights(index, weight, coefficients) -> np.ndarray:
+    """Flat sum_k g_k psi(xi - k) over the rows of neighbour-table arrays
+    ``index`` and ``weight`` (any row order), adding the corners in
+    lattice order."""
+    weights = np.zeros(index.shape[0], dtype=np.complex128)
+    for idx, w in zip(index.T, weight.T):
+        weights += coefficients[idx] * w
+    return weights
 
 
 def randomize_field(f: Field, d: RandomDraw) -> Field:

@@ -37,10 +37,10 @@ from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, forward_transform, monomial_weight
 from .propagators import FlowKind, evolve, symbol
 from .randomize import (
+    _gather_weights,
     gaussian_matrix,
     moment_norms,
     randomize_field,
-    randomized_weights,
     RandomDraw,
 )
 from .wiener import projection_blocks, unit_lattice
@@ -282,10 +282,14 @@ def deviation_samples(
     n_samples: int,
     seed: int,
     threads: int = 1,
+    coefficients: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws,
-    each drawn as one complex normal through :func:`observable_factor`."""
-    factor = observable_factor(deviation_coefficients(flow, f, t, x_index)[:, None])
+    each drawn as one complex normal through :func:`observable_factor`.
+    ``coefficients`` are the cell's a_k when the caller already has them."""
+    if coefficients is None:
+        coefficients = deviation_coefficients(flow, f, t, x_index)
+    factor = observable_factor(coefficients[:, None])
 
     def work(start: int) -> np.ndarray:
         count = min(_CHUNK, n_samples - start)
@@ -294,9 +298,13 @@ def deviation_samples(
     return np.concatenate([np.empty(0), *_map_chunks(work, n_samples, threads)])
 
 
-def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEstimate]:
+def estimate_tail(
+    config: TailExperimentConfig, threads: int = 1, stack: np.ndarray | None = None
+) -> list[TailEstimate]:
     """Exceedance frequencies with Wilson intervals for every
     (t, alpha, x) cell, all cells sharing one ensemble of draws.
+    ``stack`` holds the cells' series coefficients, t major, when the
+    caller already has them.
 
     Sample m draws one complex normal per cell, keyed by (seed, m), and
     maps them through :func:`observable_factor`, so every cell's
@@ -305,9 +313,10 @@ def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEs
     change the result.
     """
     cells = [(t, x) for t in config.times for x in config.observation_points]
-    stack = _deviation_stack(
-        config.flow, config.data, config.times, config.observation_points
-    )
+    if stack is None:
+        stack = _deviation_stack(
+            config.flow, config.data, config.times, config.observation_points
+        )
     factor = observable_factor(stack.T)
     norms = [series_norm(a) for a in stack]
     alphas = np.asarray(config.thresholds)
@@ -344,19 +353,47 @@ def estimate_tail(config: TailExperimentConfig, threads: int = 1) -> list[TailEs
     return estimates
 
 
+def binomial_z(k: int, m: int, p: float) -> float:
+    """Signed z-score of k successes in m Binomial(m, p) trials from the
+    exact two-sided tail: the standard normal quantile of half that tail's
+    probability, with the sign of k - m p.  The tail is summed term by
+    term from k outward, each term in log space, so the score stays valid
+    when m p is small, where the normal approximation
+    (k - m p) / sqrt(m p (1 - p)) overstates it.  0 when k = m p is the
+    only possible count (p of 0 or 1), infinite when k is impossible."""
+    # Imported here: statistics pulls in decimal and fractions, ~4 ms and
+    # 0.5 MB that only the tails manifest needs.
+    from statistics import NormalDist
+
+    if p <= 0.0 or p >= 1.0:
+        return 0.0 if k == m * p else math.copysign(math.inf, k - m * p)
+    log_p, log_q, log_m = math.log(p), math.log1p(-p), math.lgamma(m + 1)
+    step = 1 if k >= m * p else -1  # from k away from the mean, terms shrink
+    tail, j = 0.0, k
+    while 0 <= j <= m:
+        log_choose = log_m - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+        term = math.exp(log_choose + j * log_p + (m - j) * log_q)
+        tail += term
+        if term <= 1e-17 * tail:
+            break
+        j += step
+    half = min(1.0, 2.0 * tail) / 2.0
+    z = math.inf if half <= 0.0 else -NormalDist().inv_cdf(half)
+    return math.copysign(z, k - m * p) if z else 0.0
+
+
 def exact_law(estimates) -> dict:
     """Each tail estimate against its exact law: a deviation with series
     norm ||a|| is CN(0, ||a||^2), so P(|Y| > alpha) = exp(-alpha^2/||a||^2).
-    One entry per estimate with that probability and the z-score
-    (k - M p) / sqrt(M p (1 - p)) of the count (0 when p is 0 or 1), and
-    the number of estimates whose Wilson interval misses it."""
+    One entry per estimate with that probability and the
+    :func:`binomial_z` of the count, and the number of estimates whose
+    Wilson interval misses it."""
     entries = []
     misses = 0
     for est in estimates:
         norm, m = est.series_norm, est.ensemble_size
         r = est.alpha / norm if norm > 0 else math.inf
         p = 1.0 if est.alpha < 0 else math.exp(-r * r)
-        spread = m * p * (1.0 - p)
         entries.append({
             "flow": est.flow_label,
             "t": est.t,
@@ -364,7 +401,7 @@ def exact_law(estimates) -> dict:
             "x_index": format_x_index(est.x_index),
             "series_norm": norm,
             "exact_prob": p,
-            "z": (est.exceed_count - m * p) / math.sqrt(spread) if spread > 0 else 0.0,
+            "z": binomial_z(est.exceed_count, m, p),
         })
         misses += not est.ci_low <= p <= est.ci_high
     return {"rows": entries, "outside_wilson": misses}
@@ -479,18 +516,25 @@ def convergence_curve(
     seed: int,
     observation_point=None,
     threads: int = 1,
+    coefficients=None,
 ) -> list[ConvergencePoint]:
     """For each eps: split the data, set t = eps/2 and
     alpha = C e eps sqrt(ln(3 C1/eps)) from previously fitted constants,
-    and measure P(|S(t)f^omega - f^omega| > alpha) empirically."""
+    and measure P(|S(t)f^omega - f^omega| > alpha) empirically.
+    ``coefficients``, one per eps, are the series coefficients of the
+    cells (eps/2, x) when the caller already has them."""
     spec = f.spec
     x = tuple(observation_point) if observation_point else spec.origin_index()
+    if coefficients is None:
+        coefficients = [None] * len(eps_schedule)
     rows = []
-    for eps in eps_schedule:
+    for eps, a in zip(eps_schedule, coefficients):
         split = schwartz_split(f, eps)
         t = eps / 2.0
         alpha = threshold_schedule(params, eps)
-        devs = deviation_samples(flow, f, t, x, ensemble_size, seed, threads=threads)
+        devs = deviation_samples(
+            flow, f, t, x, ensemble_size, seed, threads=threads, coefficients=a
+        )
         k = int(np.sum(devs > alpha))
         lo, hi = wilson_interval(k, ensemble_size)
         rows.append(
@@ -538,16 +582,24 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
     over the requested (alpha, beta) pairs.
+
+    Every mesh array is kept in FFT order: the neighbour-table rows, the
+    beta weights, Fh and the alpha weights are permuted once per call, so
+    each draw's weight is gathered in the order ``np.fft.ifftn`` takes and
+    its result is used unshifted (the maximum does not depend on order).
+    Each entry gets the same arithmetic as in natural order, so the ratios
+    are bitwise those of shifting every draw.  The h-norm terms are summed
+    back in natural order, because a sum in another order rounds
+    differently.
     """
     spec = split.g.spec
-    lattice = unit_lattice(spec)
-    Fg = forward_transform(split.g).coeffs
-    Fh = forward_transform(split.h).coeffs
-    betas = sorted({b for _, b in pairs})
-    freqs = spec.frequency_grids()
-    beta_weights = {b: monomial_weight(freqs, b, imaginary=True) * Fg for b in betas}
-    coords = spec.coordinate_grids()
-    alpha_weights = {a: monomial_weight(coords, a) for a, _ in pairs}
+    n_lattice = len(unit_lattice(spec))
+    # Entry j of a flat FFT-ordered mesh array is entry order[j] of the
+    # natural one; samples_per_axis is a power of two, so fftshift and
+    # ifftshift are both this permutation, and it is its own inverse.
+    order = np.fft.ifftshift(np.arange(spec.size).reshape(spec.shape)).reshape(-1)
+    table = projection_blocks(spec)
+    index, weight = table.index[order], table.weight[order]
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
     # One gaussian_matrix call per chunk: the same stream as per-draw
     # coefficient_block calls, without building a generator per draw.
@@ -555,7 +607,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
         coeffs
         for start in range(0, n_samples, _DRAW_CHUNK)
         for coeffs in gaussian_matrix(
-            seed, min(_DRAW_CHUNK, n_samples - start), len(lattice), sample_offset + start
+            seed, min(_DRAW_CHUNK, n_samples - start), n_lattice, sample_offset + start
         )
     )
     # Degenerate split (g = 0): every randomized piece vanishes too, so
@@ -566,38 +618,39 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
             raise ConfigurationError(
                 f"decay seminorm of the smooth part vanishes for indices {pair}"
             )
+    Fg = forward_transform(split.g).coeffs
+    Fh = np.fft.ifftshift(forward_transform(split.h).coeffs)
+    freqs = spec.frequency_grids()
+    coords = spec.coordinate_grids()
+    # Per beta: (i xi)^beta Fg, and (x^alpha, seminorm of g) of each of its pairs.
+    by_beta = {}
+    for (a, b), val in base.items():
+        if b not in by_beta:
+            beta_weight = monomial_weight(freqs, b, imaginary=True) * Fg
+            by_beta[b] = (np.fft.ifftshift(beta_weight), [])
+        by_beta[b][1].append((np.fft.ifftshift(monomial_weight(coords, a)), val))
     inv_scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
-    axes = tuple(range(spec.dim))
     hnorms = np.empty(n_samples)
     ratios = np.zeros(n_samples)
     dxi_vol = spec.frequency_cell_volume
     for m, coeffs in enumerate(draws):
-        W = randomized_weights(spec, lattice, coeffs)
-        hnorms[m] = math.sqrt(dxi_vol * float(np.sum(np.abs(W * Fh) ** 2)))
+        W = _gather_weights(index, weight, coeffs).reshape(spec.shape)
+        terms = (np.abs(W * Fh) ** 2).reshape(-1)[order]
+        hnorms[m] = math.sqrt(dxi_vol * float(np.sum(terms)))
         if degenerate:
             continue
         worst = 0.0
-        for b in betas:
-            spec_side = np.fft.ifftshift(W * beta_weights[b])
-            fld = inv_scale * np.fft.fftshift(np.fft.ifftn(spec_side, axes=axes))
-            mag = np.abs(fld)
-            for a, bb in pairs:
-                if bb != b:
-                    continue
-                val = float(np.max(alpha_weights[a] * mag))
-                worst = max(worst, val / base[(a, bb)])
+        for beta_weight, alphas in by_beta.values():
+            mag = np.abs(inv_scale * np.fft.ifftn(W * beta_weight))
+            for alpha_weight, val in alphas:
+                worst = max(worst, float(np.max(alpha_weight * mag)) / val)
         ratios[m] = worst
     return hnorms, ratios
 
 
-def calibrate_density_constants(
-    f: Field, eps: float, pairs, n_samples: int, seed: int
-) -> BoundParams:
-    """Fit dominating constants for the joint smallness/decay event from
-    pilot ensembles of ||h^omega|| and of the worst decay ratio."""
-    split = schwartz_split(f, eps)
-    pairs = tuple((multi_index(a), multi_index(b)) for a, b in pairs)
-    hnorms, ratios = _split_draw_statistics(split, pairs, n_samples, seed)
+def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
+    """Constants dominating the pilot tails of ||h^omega|| (on the scale
+    ||h||) and of the worst decay ratio (on the unit scale)."""
 
     def fitted(samples: np.ndarray, scale: float) -> BoundParams:
         qs = np.quantile(samples, [0.55, 0.7, 0.8, 0.88, 0.94, 0.975, 0.99])
@@ -632,27 +685,17 @@ def calibrate_density_constants(
     )
 
 
-def density_event_probability(
-    f: Field,
-    eps: float,
-    pairs,
-    n_samples: int,
-    seed: int,
-    params: BoundParams,
+def _density_result(
+    split: SchwartzSplit, eps: float, params: BoundParams, hnorms, ratios
 ) -> DensityResult:
-    """Empirical probability of the joint event
-    ||h^omega|| <= lambda and, for every listed index pair,
-    decay_seminorm(g^omega) <= M * decay_seminorm(g),
-    with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps));
-    compare against the 1 - 2 eps target."""
-    split = schwartz_split(f, eps)
-    pairs = tuple((multi_index(a), multi_index(b)) for a, b in pairs)
+    """The joint event's frequency over the draws, with lambda and M from
+    ``params`` and eps."""
     log_term = math.log(params.C1 / eps)
     if log_term <= 0:
         raise ConfigurationError("C1 must exceed eps for the threshold schedule")
     lam = params.C * _E * eps * math.sqrt(log_term)
     m_threshold = params.C * _E * math.sqrt(log_term)
-    hnorms, ratios = _split_draw_statistics(split, pairs, n_samples, seed)
+    n_samples = hnorms.size
     hits = int(np.sum((hnorms <= lam) & (ratios <= m_threshold)))
     lo, hi = wilson_interval(hits, n_samples)
     return DensityResult(
@@ -669,6 +712,67 @@ def density_event_probability(
         split_sigma=split.sigma,
         split_radius=split.radius,
     )
+
+
+def _index_pairs(pairs) -> tuple:
+    return tuple((multi_index(a), multi_index(b)) for a, b in pairs)
+
+
+def calibrate_density_constants(
+    f: Field, eps: float, pairs, n_samples: int, seed: int
+) -> BoundParams:
+    """Fit dominating constants for the joint smallness/decay event from
+    pilot ensembles of ||h^omega|| and of the worst decay ratio."""
+    split = schwartz_split(f, eps)
+    stats = _split_draw_statistics(split, _index_pairs(pairs), n_samples, seed)
+    return _density_constants(split, *stats)
+
+
+def density_event_probability(
+    f: Field,
+    eps: float,
+    pairs,
+    n_samples: int,
+    seed: int,
+    params: BoundParams,
+) -> DensityResult:
+    """Empirical probability of the joint event
+    ||h^omega|| <= lambda and, for every listed index pair,
+    decay_seminorm(g^omega) <= M * decay_seminorm(g),
+    with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps));
+    compare against the 1 - 2 eps target."""
+    split = schwartz_split(f, eps)
+    stats = _split_draw_statistics(split, _index_pairs(pairs), n_samples, seed)
+    return _density_result(split, eps, params, *stats)
+
+
+def density_rows(
+    f: Field, schedule, pairs, n_samples: int, seed: int, cal_samples: int, cal_seed: int
+) -> list[tuple[BoundParams, DensityResult]]:
+    """(constants, result) for every eps of ``schedule``, equal to
+    :func:`calibrate_density_constants` with (cal_samples, cal_seed)
+    followed by :func:`density_event_probability` with (n_samples, seed).
+
+    The data is fixed, so a split's (sigma, R) determines g and h.  The
+    split schedule is coarse, and eps that select the same split share
+    its calibration and event ensembles, drawn once; only lambda and M
+    depend on eps.
+    """
+    pairs = _index_pairs(pairs)
+    shared = {}
+    rows = []
+    for eps in schedule:
+        split = schwartz_split(f, eps)
+        key = (split.sigma, split.radius)
+        if key not in shared:
+            cal = _split_draw_statistics(split, pairs, cal_samples, cal_seed)
+            shared[key] = (
+                _density_constants(split, *cal),
+                _split_draw_statistics(split, pairs, n_samples, seed),
+            )
+        params, stats = shared[key]
+        rows.append((params, _density_result(split, eps, params, *stats)))
+    return rows
 
 
 def moment_growth_check(

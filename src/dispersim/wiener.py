@@ -282,7 +282,13 @@ def projection_blocks(spec: GridSpec) -> NeighbourTable:
         rows = np.arange(start, min(start + _BUILD_ROWS, spec.size))
         xi = ax[np.stack(np.unravel_index(rows, spec.shape), axis=-1)][:, None, :]
         corners = np.floor(xi) + offsets
-        weight[rows] = bump_value(xi - corners)
+        # psi = phi / S with S = sum_k phi(xi - k) shared by the corners;
+        # summing them in offset order gives bump_value's S bit for bit.
+        phi = mollifier_value(xi - corners)
+        total = np.zeros(len(rows))
+        for column in phi.T:
+            total += column
+        weight[rows] = phi / total[:, None]
         rel = np.clip(corners.astype(np.int64) - lo, 0, span - 1)
         hit = lookup[tuple(np.moveaxis(rel, -1, 0))]
         index[rows] = np.where(weight[rows] != 0, hit, 0)

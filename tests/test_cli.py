@@ -254,7 +254,7 @@ class TestTailsCommand:
             assert entry["exact_prob"] == pytest.approx(p, rel=1e-12)
             misses += not float(row["ci_low"]) <= p <= float(row["ci_high"])
             k, m = int(row["exceed_count"]), int(row["M"])
-            assert entry["z"] == pytest.approx((k - m * p) / math.sqrt(m * p * (1 - p)))
+            assert entry["z"] == pytest.approx(dispersim.tailprob.binomial_z(k, m, p))
         assert law["outside_wilson"] == misses
 
     def test_rerun_with_other_thread_count_is_byte_identical(self, tmp_path):
@@ -307,6 +307,22 @@ class TestConvergenceCommand:
             )
             assert abs(alpha - expected) < 1e-12
 
+    def test_series_computed_once_per_time(self, tmp_path, monkeypatch):
+        # Calibration thresholds, calibration ensembles and the curve all
+        # use one series stack per time t = eps / 2.
+        payload = dict(CONVERGENCE, epsilon_schedule=[0.4, 0.2, 0.1])
+        calls = []
+        inner = dispersim.tailprob._deviation_stack
+
+        def counted(flow, f, times, points):
+            calls.append(tuple(times))
+            return inner(flow, f, times, points)
+
+        monkeypatch.setattr(dispersim.tailprob, "_deviation_stack", counted)
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(0.2,), (0.1,), (0.05,)]
+
     def test_split_falls_back_to_cutoff_only(self, tmp_path):
         # The sigma schedule stalls at ||h|| = 0.075 on this data; the
         # cutoff alone reaches 5e-10, so eps = 0.05 runs instead of exiting 3.
@@ -328,6 +344,38 @@ class TestDensityCommand:
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert float(row["target"]) == 1.0 - 2 * 0.2
         assert 0.0 <= float(row["prob"]) <= 1.0
+
+    def test_rows_sharing_a_split_draw_once(self, tmp_path, monkeypatch):
+        # On this grid eps = 0.2 and 0.1 select the same split, so the run
+        # draws one calibration and one event ensemble, and each row is the
+        # row of a run of its eps alone.
+        payload = {
+            "grid": {"dim": 2, "samples_per_axis": 64, "extent": 32.0},
+            "data": {"recipe": "gaussian", "width": 2.0},
+            "epsilon_schedule": [0.2, 0.1],
+            "ensemble_size": 200,
+            "calibration_ensemble": 300,
+            "seed": 7,
+        }
+        calls = []
+        inner = dispersim.tailprob._split_draw_statistics
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dispersim.tailprob, "_split_draw_statistics", counted)
+        out = tmp_path / "both"
+        assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
+                     "--out", str(out)]) == 0
+        assert calls == [(300, 8), (200, 7)]
+        rows = (out / "density_results.csv").read_text().splitlines()[2:]
+        for eps, row in zip(payload["epsilon_schedule"], rows):
+            single = dict(payload, epsilon_schedule=[eps])
+            out = tmp_path / repr(eps)
+            cfg = write_config(tmp_path, f"{eps}.json", single)
+            assert main(["density", "--config", cfg, "--out", str(out)]) == 0
+            assert (out / "density_results.csv").read_text().splitlines()[2:] == [row]
 
 
 class TestReportCommand:

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dispersim.decompose import decay_seminorm, schwartz_split
 from dispersim.errors import ConfigurationError, FitError
-from dispersim.grid import Field, GridSpec, l2_norm
+from dispersim.grid import Field, GridSpec, forward_transform, l2_norm, monomial_weight
 from dispersim.propagators import FlowKind
-from dispersim.randomize import draw, gaussian_matrix
+from dispersim.randomize import draw, gaussian_matrix, randomized_weights
 from dispersim.wiener import bump_value, unit_lattice
 from dispersim import tailprob
 from dispersim.tailprob import (
     BoundParams,
     TailEstimate,
     TailExperimentConfig,
+    binomial_z,
     calibrate_density_constants,
     convergence_curve,
     density_event_probability,
+    density_rows,
     deviation_coefficients,
     deviation_samples,
     dominate_constants,
@@ -287,9 +290,35 @@ class TestExactLaw:
             p = math.exp(-((est.alpha / norm) ** 2))
             assert row["exact_prob"] == pytest.approx(p, rel=1e-12)
             m, k = est.ensemble_size, est.exceed_count
-            assert row["z"] == pytest.approx((k - m * p) / math.sqrt(m * p * (1 - p)))
+            assert row["z"] == pytest.approx(scipy_binomial_z(k, m, p), rel=1e-9, abs=1e-9)
             misses += not est.ci_low <= p <= est.ci_high
         assert law["outside_wilson"] == misses
+
+    def test_small_mean_count_scored_by_the_exact_tail(self):
+        # M p = 0.5 and k = 4: the normal approximation reads 4.95 sigma, the
+        # exact tail P(X >= 4) = 1.75e-3 only 2.92.
+        k, m, p = 4, 10_000, 5e-5
+        assert (k - m * p) / math.sqrt(m * p * (1 - p)) == pytest.approx(4.95, abs=0.005)
+        assert binomial_z(k, m, p) == pytest.approx(scipy_binomial_z(k, m, p), rel=1e-9)
+        assert binomial_z(k, m, p) == pytest.approx(2.92, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "k, m, p",
+        [(0, 10_000, 5e-5), (1, 100, 0.3), (45, 100, 0.3), (30, 100, 0.3), (9_990, 10_000, 0.999)],
+    )
+    def test_binomial_z_against_scipy(self, k, m, p):
+        assert binomial_z(k, m, p) == pytest.approx(scipy_binomial_z(k, m, p), rel=1e-9, abs=1e-9)
+
+    def test_binomial_z_at_certain_counts(self):
+        assert binomial_z(0, 100, 0.0) == binomial_z(100, 100, 1.0) == 0.0
+        assert binomial_z(3, 100, 0.0) == math.inf
+
+
+def scipy_binomial_z(k, m, p):
+    """Signed z of k against Binomial(m, p) from scipy's exact tails."""
+    tail = stats.binom.sf(k - 1, m, p) if k >= m * p else stats.binom.cdf(k, m, p)
+    z = stats.norm.isf(min(1.0, 2.0 * tail) / 2.0)
+    return math.copysign(z, k - m * p) if z else 0.0
 
 
 class TestTheoreticalBound:
@@ -495,3 +524,93 @@ def test_point_coefficients_second_moment_identity():
         )
     )
     assert abs(np.mean(devs**2) - series_norm(b) ** 2) < 0.1 * series_norm(b) ** 2
+
+
+def shifted_draw_statistics(split, pairs, n_samples, seed, sample_offset=0):
+    """The density draw loop as it was before it kept draws in FFT order:
+    every mesh array in natural order, an ifftshift and an fftshift per
+    draw and beta.  The reference the FFT-order loop matches bit for bit."""
+    spec = split.g.spec
+    lattice = unit_lattice(spec)
+    Fg = forward_transform(split.g).coeffs
+    Fh = forward_transform(split.h).coeffs
+    betas = sorted({b for _, b in pairs})
+    freqs = spec.frequency_grids()
+    beta_weights = {b: monomial_weight(freqs, b, imaginary=True) * Fg for b in betas}
+    coords = spec.coordinate_grids()
+    alpha_weights = {a: monomial_weight(coords, a) for a, _ in pairs}
+    base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
+    degenerate = not np.any(split.g.values != 0)
+    inv_scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
+    axes = tuple(range(spec.dim))
+    hnorms = np.empty(n_samples)
+    ratios = np.zeros(n_samples)
+    draws = gaussian_matrix(seed, n_samples, len(lattice), sample_offset)
+    for m, coeffs in enumerate(draws):
+        W = randomized_weights(spec, lattice, coeffs)
+        hnorms[m] = math.sqrt(
+            spec.frequency_cell_volume * float(np.sum(np.abs(W * Fh) ** 2))
+        )
+        if degenerate:
+            continue
+        worst = 0.0
+        for b in betas:
+            spec_side = np.fft.ifftshift(W * beta_weights[b])
+            mag = np.abs(inv_scale * np.fft.fftshift(np.fft.ifftn(spec_side, axes=axes)))
+            for a, bb in pairs:
+                if bb == b:
+                    worst = max(worst, float(np.max(alpha_weights[a] * mag)) / base[(a, bb)])
+        ratios[m] = worst
+    return hnorms, ratios
+
+
+def _gaussian_on(spec, width):
+    return Field(spec, np.exp(-spec.coordinate_norm_squared() / (2.0 * width**2)))
+
+
+# (grid, data width, eps, pair sets).  3D keeps |beta| <= 2: the spectral
+# derivative stops at order 2, so its all-ones pair has beta (1, 1, 0).
+DRAW_CASES = {
+    "1d": (SPLIT_SPEC, 2.0, 0.2, {
+        "default": (((0,), (0,)), ((1,), (1,))),
+        "mixed": (((2,), (1,)), ((0,), (2,))),
+    }),
+    "2d": (GridSpec(2, 64, 32.0), 2.0, 0.2, {
+        "default": (((0, 0), (0, 0)), ((1, 1), (1, 1))),
+        "mixed": (((1, 0), (0, 1)),),
+    }),
+    "3d": (GridSpec(3, 16, 8.0), 1.0, 0.3, {
+        "default": (((0, 0, 0), (0, 0, 0)), ((1, 1, 1), (1, 1, 0))),
+        "mixed": (((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 0, 0))),
+    }),
+}
+
+
+class TestSplitDrawStatistics:
+    @pytest.mark.parametrize("kind", ["default", "mixed", "degenerate"])
+    @pytest.mark.parametrize("name", sorted(DRAW_CASES))
+    def test_fft_order_equals_shifted_draws(self, name, kind, monkeypatch):
+        spec, width, eps, pair_sets = DRAW_CASES[name]
+        f = _gaussian_on(spec, width)
+        if kind == "degenerate":  # eps above ||f||: g = 0
+            eps = 1.05 * l2_norm(f)
+        split = schwartz_split(f, eps)
+        assert (kind == "degenerate") == (not np.any(split.g.values))
+        pairs = pair_sets["default" if kind == "degenerate" else kind]
+        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)  # chunk edges mid-ensemble
+        got = tailprob._split_draw_statistics(split, pairs, 40, 77, sample_offset=3)
+        expected = shifted_draw_statistics(split, pairs, 40, 77, sample_offset=3)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+class TestDensityRows:
+    def test_rows_equal_calibration_then_event_per_eps(self):
+        # On the density-2d grid eps = 0.2 and 0.1 select the same split.
+        f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
+        pairs = [((0, 0), (0, 0)), ((1, 1), (1, 1))]
+        expected = []
+        for eps in (0.2, 0.1):
+            params = calibrate_density_constants(f, eps, pairs, 300, 8)
+            expected.append((params, density_event_probability(f, eps, pairs, 200, 7, params)))
+        assert density_rows(f, [0.2, 0.1], pairs, 200, 7, 300, 8) == expected

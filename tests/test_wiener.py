@@ -406,6 +406,26 @@ class TestNeighbourTable:
             assert np.array_equal(row, _windowed_series(spec, weighted))
 
 
+BUILD_SPECS = [
+    GridSpec(1, 256, 40.0),
+    GridSpec(2, 64, 32.0),
+    GridSpec(3, 16, 8.0),
+    GridSpec(3, 32, 16.0),
+]
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS, ids=_spec_id)
+def test_partition_build_equals_bump_value_per_corner(spec):
+    # The build shares one normalizing sum between a mesh point's corners;
+    # bump_value recomputes it for each corner.
+    ax = spec.axis_frequencies()
+    rows = np.arange(spec.size)
+    xi = ax[np.stack(np.unravel_index(rows, spec.shape), axis=-1)][:, None, :]
+    offsets = np.array(list(np.ndindex((2,) * spec.dim)), dtype=float)
+    corners = np.floor(xi) + offsets
+    assert np.array_equal(projection_blocks(spec).weight, bump_value(xi - corners))
+
+
 # ---------------------------------------------------------------------------
 # Square function against a direct sum over pieces and mesh frequencies
 # ---------------------------------------------------------------------------

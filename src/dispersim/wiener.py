@@ -11,17 +11,20 @@ applied first.
 Frequency vectors are arrays of shape (..., dim); the last axis is the
 coordinate axis even in dimension one.
 
-The square function sum_k |piece_k(x)|^2 is computed on a coarse grid.
-Piece k's spectrum lives in a window of at most W mesh points per axis
-starting at some index a_k; moving the window to the origin multiplies
-piece_k by the unimodular phase exp(2 pi i a_k.j / N), which |piece_k|^2
-drops.  So the sum is a trigonometric polynomial in x with integer
-frequencies delta, |delta_j| <= W - 1, whose coefficients R_delta are the
-windows' summed autocorrelations.  Zero-padding each window to 2W - 1
-points per axis makes a small inverse FFT, |.|^2 and a forward FFT give
-every R_delta without aliasing; folding delta modulo N onto the mesh is
+The square function sum_k |piece_k(x)|^2 comes from the windows' Gram
+matrix.  Piece k's spectrum lives in a window of at most W mesh points per
+axis starting at some index a_k; moving the window to the origin
+multiplies piece_k by the unimodular phase exp(2 pi i a_k.j / N), which
+|piece_k|^2 drops.  With w_k the window's values at positions p,
+|piece_k(x_j)|^2 = sum_{p,q} w_k[p] conj(w_k[q]) exp(2 pi i (p - q).j / N),
+so the sum over k needs only the Gram matrix M = sum_k w_k w_k^H, one
+matrix product over all pieces.  The sums of M along its lag diagonals
+p - q = delta are the coefficients R_delta of a trigonometric polynomial
+in x with integer frequencies |delta_j| <= W - 1.  Folding delta modulo N
+onto the mesh, one bincount over a cached table of (p - q) mod N, is
 exact, even when 2W - 1 > N, because exp(2 pi i delta.j / N) depends on
 delta only modulo N.  One inverse FFT on the mesh then evaluates the sum.
+Only the window positions some piece uses enter M.
 """
 
 from __future__ import annotations
@@ -372,11 +375,45 @@ def _piece_entries(spec: GridSpec):
     return entries + (width,)
 
 
-def _chunks(slot: np.ndarray, pieces: int, chunk: int):
-    """(first piece, piece count, entry slice) per run of ``chunk`` pieces."""
-    for start in range(0, pieces, chunk):
-        lo, hi = np.searchsorted(slot, (start, start + chunk))
-        yield start, min(chunk, pieces - start), slice(lo, hi)
+@lru_cache(maxsize=8)
+def _window_lags(spec: GridSpec):
+    """The Gram matrix's layout, a sibling of :func:`_piece_entries`.
+
+    Returns (column, lag): each entry's column among the window positions
+    that some piece uses (ascending), and for every pair (i, j) of those
+    positions the flat mesh index lag[i, j] of (pos_i - pos_j) mod N.
+    """
+    _, position, _, _, width = _piece_entries(spec)
+    in_use = np.bincount(position, minlength=width**spec.dim) > 0
+    used = np.flatnonzero(in_use)
+    column = (np.cumsum(in_use) - 1)[position]
+    n = spec.samples_per_axis
+    lag = np.zeros((used.size, used.size), dtype=np.intp)
+    for axis in np.unravel_index(used, (width,) * spec.dim):
+        lag = lag * n + (axis[:, None] - axis[None, :]) % n
+    for arr in (column, lag):
+        arr.flags.writeable = False
+    return column, lag
+
+
+# The Gram matrix is reduced in blocks of rows of at most this many bytes
+# per spectrum, and the invariant suite sends as many spectra per call as
+# keep the call's temporaries within it (at least one).
+_GRAM_BYTES = 1 << 20
+
+
+def _gram_rows(used: int) -> int:
+    return max(1, _GRAM_BYTES // (16 * used))
+
+
+def _gram_group(spec: GridSpec) -> int:
+    _, _, row, _, _ = _piece_entries(spec)
+    used = len(_window_lags(spec)[1])
+    rows = min(used, _gram_rows(used))
+    per_spectrum = 16 * (
+        (len(projection_blocks(spec)) + rows) * used + 2 * row.size + 3 * spec.size
+    )
+    return max(1, _GRAM_BYTES // per_spectrum)
 
 
 def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
@@ -384,43 +421,54 @@ def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
     order, _SQUARE_CHUNK pieces at a time."""
     slot, _, row, weight, _ = _piece_entries(spec)
     flat = coeffs.reshape(-1)
-    for start, count, part in _chunks(slot, len(projection_blocks(spec)), _SQUARE_CHUNK):
+    pieces = len(projection_blocks(spec))
+    for start in range(0, pieces, _SQUARE_CHUNK):
+        count = min(_SQUARE_CHUNK, pieces - start)
+        part = slice(*np.searchsorted(slot, (start, start + count)))
         stack = np.zeros((count, spec.size), dtype=np.complex128)
         stack[slot[part] - start, row[part]] = weight[part] * flat[row[part]]
         yield stack.reshape((count,) + spec.shape)
 
 
+def _folded_gram(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The lag sums R_delta of each spectrum's window Gram matrix, folded
+    onto the mesh: shape (batch, N^dim) for coefficients of shape
+    batch + spec.shape."""
+    slot, _, row, weight, _ = _piece_entries(spec)
+    column, lag = _window_lags(spec)
+    values = coeffs.reshape(-1, spec.size)[:, row]
+    values *= weight
+    batch, used = values.shape[0], len(lag)
+    windows = np.zeros((batch, len(projection_blocks(spec)), used), dtype=np.complex128)
+    windows[:, slot, column] = values
+    conj = windows.conj()
+    real = np.zeros((batch, spec.size))
+    imag = np.zeros((batch, spec.size))
+    step = _gram_rows(used)
+    for start in range(0, used, step):
+        # gram[b, i, j] = sum_k w_k[i] conj(w_k[j]) over the pieces k.
+        gram = np.matmul(windows[:, :, start : start + step].transpose(0, 2, 1), conj)
+        part = lag[start : start + step].reshape(-1)
+        for b, m in enumerate(gram.reshape(batch, -1)):
+            real[b] += np.bincount(part, m.real, spec.size)
+            imag[b] += np.bincount(part, m.imag, spec.size)
+    return real + 1j * imag
+
+
 def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise (sum_k |piece_k(x)|^2)^(1/2) for the given coefficients,
-    computed on the coarse grid of the pieces' windows (module docstring).
+    """Pointwise (sum_k |piece_k(x)|^2)^(1/2) for coefficients of shape
+    batch + spec.shape, one result per spectrum, from the windows' Gram
+    matrix (module docstring).
 
     Transforming the natural-order spectrum without the usual index shift
     only multiplies each piece by a unimodular (-1)^j checkerboard, which
     the modulus removes; one final shift restores natural x order.
     """
-    slot, position, row, weight, width = _piece_entries(spec)
-    dim = spec.dim
-    coarse = 2 * width - 1
-    axes = tuple(range(1, dim + 1))
-    values = weight * coeffs.reshape(-1)[row]
-    # No chunk of windows outgrows _SQUARE_CHUNK full-mesh spectra.
-    chunk = max(1, _SQUARE_CHUNK * spec.size // coarse**dim)
-    density = np.zeros((coarse,) * dim)
-    for start, count, part in _chunks(slot, len(projection_blocks(spec)), chunk):
-        windows = np.zeros((count, width**dim), dtype=np.complex128)
-        windows[slot[part] - start, position[part]] = values[part]
-        windows = windows.reshape((count,) + (width,) * dim)
-        # Zero-padded to 2W-1 points per axis, so no lag of |piece|^2 aliases.
-        sums = np.fft.ifftn(windows, s=(coarse,) * dim, axes=axes, norm="forward")
-        density += np.sum(np.abs(sums) ** 2, axis=0)
-    # Autocorrelation R_delta, delta in (-W, W)^dim, folded modulo N.
-    autocorr = np.fft.fftn(density, norm="forward")
-    lag = np.fft.fftfreq(coarse, 1.0 / coarse).astype(np.int64) % spec.samples_per_axis
-    folded = np.zeros(spec.shape, dtype=np.complex128)
-    np.add.at(folded, np.ix_(*(lag,) * dim), autocorr)
-    scale = _TWO_PI ** (dim / 2.0) / spec.cell_volume / spec.size
-    total = scale**2 * np.fft.ifftn(folded, norm="forward").real
-    return np.sqrt(np.fft.fftshift(np.maximum(total, 0.0)))
+    folded = _folded_gram(spec, coeffs).reshape((-1,) + spec.shape)
+    axes = tuple(range(1, spec.dim + 1))
+    scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume / spec.size
+    total = scale**2 * np.fft.ifftn(folded, axes=axes, norm="forward").real
+    return np.sqrt(np.fft.fftshift(np.maximum(total, 0.0), axes=axes)).reshape(coeffs.shape)
 
 
 def square_function(f: Field) -> Field:
@@ -490,19 +538,28 @@ def reconstruction_deviation(spec: GridSpec, n_fields: int, seed: int) -> float:
 
 
 def square_bound_excess(spec: GridSpec, flow, times, n_fields: int, seed: int) -> float:
-    """Max over fields and times of max_x square function / ||f||_L2."""
+    """Max over fields and times of max_x square function / ||f||_L2.
+
+    Each field is transformed once and each time's symbol built once; the
+    evolved spectra go through the square function :func:`_gram_group` at
+    a time."""
     rng = np.random.default_rng(seed)
+    symbols = [None] if flow is None else [propagators.symbol(flow, spec, t) for t in times]
+
+    def spectra():
+        for _ in range(n_fields):
+            f = propagators._random_field(spec, rng)
+            F = forward_transform(f).coeffs
+            norm = l2_norm(f)
+            for sym in symbols:
+                yield (F if sym is None else sym * F), norm
+
+    pending = spectra()
     worst = 0.0
-    for _ in range(n_fields):
-        f = propagators._random_field(spec, rng)
-        norm = l2_norm(f)
-        if flow is None:
-            sq = square_function(f)
-            worst = max(worst, float(np.max(sq.values.real)) / norm)
-            continue
-        for t in times:
-            sq = square_function_evolved(f, flow, t)
-            worst = max(worst, float(np.max(sq.values.real)) / norm)
+    while group := list(itertools.islice(pending, _gram_group(spec))):
+        sq = _square_function_from_coeffs(spec, np.stack([F for F, _ in group]))
+        peaks = np.max(sq.reshape(len(group), -1), axis=1)
+        worst = max(worst, float(np.max(peaks / [norm for _, norm in group])))
     return worst
 
 

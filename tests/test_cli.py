@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -377,6 +378,19 @@ class TestDensityCommand:
             assert main(["density", "--config", cfg, "--out", str(out)]) == 0
             assert (out / "density_results.csv").read_text().splitlines()[2:] == [row]
 
+    def test_3d_defaults_keep_beta_within_order_two(self, tmp_path):
+        payload = {
+            "grid": {"dim": 3, "samples_per_axis": 16, "extent": 16.0},
+            "data": {"recipe": "gaussian", "width": 2.0},
+            "epsilon_schedule": [0.2],
+            "ensemble_size": 100,
+        }
+        out = tmp_path / "out"
+        assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "density_manifest.json").read_text())
+        assert manifest["multi_indices"] == [[[0, 0, 0], [0, 0, 0]], [[1, 1, 1], [1, 1, 0]]]
+
 
 class TestReportCommand:
     def test_aggregates_result_files(self, tmp_path, capsys):
@@ -407,6 +421,34 @@ class TestReportCommand:
         assert row.endswith(" yes" if reached else " NO") and " >= " in row
         assert f"{80 + 1 - (not reached)}/81 rows pass their check" in lines
 
+    def test_exact_law_judged_by_the_familywise_rule(self, tmp_path, capsys):
+        payload = dict(BASE_TAILS, times=[0.05, 0.1], thresholds=[0.005, 0.01, 0.02],
+                       observation_points=[[64], [70]], ensemble_size=2000)
+        cfg = write_config(tmp_path, "t.json", payload)
+        out = tmp_path / "out"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+        # Bonferroni over 12 rows at familywise alpha 1e-4.
+        limit = NormalDist().inv_cdf(1.0 - 1e-4 / 24.0)
+
+        def verdict():
+            capsys.readouterr()
+            assert main(["report", "--out", str(out)]) == 0
+            (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                       if ln.startswith("tails_manifest.json:")]
+            assert f"limit {limit:.3f}" in line and "12 rows" in line
+            return line
+
+        manifest_path = out / "tails_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        worst = max(abs(r["z"]) for r in manifest["exact_law"]["rows"])
+        assert worst <= limit
+        line = verdict()
+        assert f"max |z| {worst:.3f}" in line and line.endswith(" yes")
+        manifest["exact_law"]["rows"][5]["z"] = -6.0
+        manifest_path.write_text(json.dumps(manifest))
+        line = verdict()
+        assert "max |z| 6.000" in line and line.endswith(" NO")
+
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 0
         assert "no result files" in capsys.readouterr().out
@@ -422,6 +464,25 @@ class TestKhintchineCommand:
         assert len(lines) == 2 + 4 * 2
         manifest = json.loads((out / "khintchine_manifest.json").read_text())
         assert manifest["worst_ratio"] <= 3.0
+
+    def test_manifest_carries_the_exact_gaussian_moment(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "k.json", KHINTCHINE)
+        out = tmp_path / "out"
+        assert main(["khintchine", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "khintchine_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        exact = json.loads((out / "khintchine_manifest.json").read_text())["exact_moments"]
+        assert len(exact) == len(rows) == 8
+        for row, entry in zip(rows, exact):
+            assert entry["vector_id"] == int(row["vector_id"])
+            p = entry["p"]
+            assert p == float(row["p"])
+            # Every vector has unit norm: CN(0, 1) has E|Y|^p = Gamma(1 + p/2).
+            law = math.gamma(1.0 + p / 2.0) ** (1.0 / p)
+            assert entry["exact_moment"] == pytest.approx(law, rel=1e-14)
+            moment = float(row["moment"])
+            assert entry["relative_error"] == pytest.approx((moment - law) / law, rel=1e-9)
+            assert abs(entry["relative_error"]) < 0.1
 
 
 # The columns README.md documents for each result table.

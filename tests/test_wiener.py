@@ -12,10 +12,12 @@ from dispersim.grid import (
     inverse_transform,
     l2_norm,
 )
-from dispersim.propagators import FlowKind, symbol
+from dispersim import wiener
+from dispersim.propagators import FlowKind, _random_field, symbol
 from dispersim.tailprob import _windowed_series
 from dispersim.wiener import (
     _piece_entries,
+    _square_function_from_coeffs,
     bump_derivative,
     bump_value,
     partition_deviation,
@@ -23,6 +25,7 @@ from dispersim.wiener import (
     projection_blocks,
     reconstruct,
     smooth_step,
+    square_bound_excess,
     square_function,
     square_function_evolved,
     unit_lattice,
@@ -434,6 +437,13 @@ def test_partition_build_equals_bump_value_per_corner(spec):
 # autocorrelation lags (up to +-12) fold modulo N.
 ORACLE_SPECS = TABLE_SPECS + [GridSpec(1, 16, 40.0)]
 ORACLE_FLOWS = {1: "kdv", 2: "schrodinger:+-", 3: "schrodinger:++-"}
+# Windows of 11 points per axis: 107 of 121 positions in use on the 2D
+# grid, 989 of 1331 on the 3D one, whose Gram matrix is reduced in blocks
+# of rows.
+WIDE_SPECS = [GridSpec(2, 64, 32.0), GridSpec(3, 16, 32.0)]
+SQUARE_SPECS = [
+    pytest.param(spec, id=_spec_id(spec)) for spec in ORACLE_SPECS
+] + [pytest.param(WIDE_SPECS[0], id="2d-64"), pytest.param(WIDE_SPECS[1], id="3d-16-w11")]
 
 
 def direct_square_function(spec, coeffs):
@@ -457,7 +467,7 @@ def _relative_gap(got, expected):
     return np.max(np.abs(got - expected)) / np.max(expected)
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", SQUARE_SPECS)
 class TestSquareFunctionOracle:
     def test_matches_direct_sum(self, spec):
         f = random_field(spec, np.random.default_rng(40 + spec.dim))
@@ -476,3 +486,63 @@ def test_fold_grid_folds():
     spec = ORACLE_SPECS[-1]
     width = _piece_entries(spec)[-1]
     assert 2 * width - 1 > spec.samples_per_axis
+
+
+def test_wide_windows_reduce_the_gram_matrix_in_blocks():
+    for spec in WIDE_SPECS:
+        assert _piece_entries(spec)[-1] == 11
+    used = len(wiener._window_lags(WIDE_SPECS[1])[1])
+    assert used == 989 and wiener._gram_rows(used) < used
+
+
+@pytest.mark.parametrize("spec", SQUARE_SPECS)
+def test_batch_equals_calls_per_spectrum(spec):
+    rng = np.random.default_rng(60 + spec.dim)
+    stack = np.stack([forward_transform(random_field(spec, rng)).coeffs for _ in range(3)])
+    batch = _square_function_from_coeffs(spec, stack)
+    assert batch.shape == stack.shape
+    for got, coeffs in zip(batch, stack):
+        assert np.array_equal(got, _square_function_from_coeffs(spec, coeffs))
+
+
+def loop_square_bound_excess(spec, flow, times, n_fields, seed):
+    """The invariant as a loop over fields and times: one transform and one
+    symbol per square function."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_fields):
+        f = _random_field(spec, rng)
+        norm = l2_norm(f)
+        if flow is None:
+            sq = square_function(f)
+            worst = max(worst, float(np.max(sq.values.real)) / norm)
+            continue
+        for t in times:
+            sq = square_function_evolved(f, flow, t)
+            worst = max(worst, float(np.max(sq.values.real)) / norm)
+    return worst
+
+
+BOUND_CASES = [
+    (GridSpec(1, 64, 16.0), None),
+    (GridSpec(1, 64, 16.0), "kdv"),
+    (GridSpec(2, 32, 16.0), None),
+    (GridSpec(2, 32, 16.0), "schrodinger:+-"),
+    (GridSpec(3, 16, 8.0), "schrodinger:++-"),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 4096], ids=["default", "small-budget"])
+@pytest.mark.parametrize(
+    "spec, flow", BOUND_CASES, ids=[f"{_spec_id(s)}-{f or 'identity'}" for s, f in BOUND_CASES]
+)
+def test_square_bound_excess_equals_loop_over_fields(spec, flow, budget, monkeypatch):
+    # A small budget sends one spectrum per call and reduces every Gram
+    # matrix in blocks of a few rows.
+    if budget is not None:
+        monkeypatch.setattr(wiener, "_GRAM_BYTES", budget)
+    flow = flow and FlowKind.parse(flow)
+    times = (0.0, 0.1, 1.0)
+    expected = loop_square_bound_excess(spec, flow, times, 7, 11)
+    got = square_bound_excess(spec, flow, times, 7, 11)
+    assert abs(got - expected) <= 1e-13 * expected

@@ -3,7 +3,8 @@
 Configuration is a single JSON object validated against the subcommand's
 key set (unknown keys are rejected).  Results go to the output directory
 as CSV tables plus a JSON manifest; CSV bodies are byte identical across
-reruns with the same config and seed, whatever the thread count.
+reruns with the same config and seed.  Every ensemble runs one serial
+loop over chunks of draws.
 
 Exit codes: 0 success, 1 configuration error (or calibration tails that
 cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could
@@ -221,7 +222,8 @@ def observation_points(config, spec: GridSpec, seed: int):
 
 def config_hash(config: dict) -> str:
     """Hash of the scientific configuration; execution-only knobs
-    (threads, output_dir) are excluded so they cannot change result bytes."""
+    (the ignored threads, output_dir) are excluded so they cannot change
+    result bytes."""
     body = {k: v for k, v in config.items() if k not in ("threads", "output_dir")}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -303,21 +305,21 @@ def _grids_from_config(config) -> dict[int, GridSpec]:
     return {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 32, 16.0)}
 
 
-def run_check_wiener(config, seed, threads, out_dir) -> int:
+def run_check_wiener(config, seed, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-wiener")
     with _config_values("check-wiener"):
         grids = _grids_from_config(config)
     return _print_checks(wiener_checks(grids, seed=seed))
 
 
-def run_check_propagators(config, seed, threads, out_dir) -> int:
+def run_check_propagators(config, seed, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-propagators")
     with _config_values("check-propagators"):
         grids = _grids_from_config(config)
     return _print_checks(propagator_checks(grids, seed=seed))
 
 
-def run_khintchine(config, seed, threads, out_dir) -> int:
+def run_khintchine(config, seed, out_dir) -> int:
     allowed = _COMMON_KEYS + ("p_values", "vector_length", "n_vectors", "samples")
     _reject_unknown(config, allowed, "khintchine")
     with _config_values("khintchine"):
@@ -359,9 +361,7 @@ def run_khintchine(config, seed, threads, out_dir) -> int:
     return 0
 
 
-def _calibration(
-    flow, data, times, coefficients, targets, ensemble, seed, x_index, threads
-):
+def _calibration(flow, data, times, coefficients, targets, ensemble, seed, x_index):
     """Fit tail constants at the largest |t| and inflate them to dominate
     every (t, alpha) calibration cell; ``coefficients`` are the series
     coefficients of each time's cell (t, x_index)."""
@@ -376,7 +376,7 @@ def _calibration(
         cfg = tailprob.TailExperimentConfig(
             flow, data, (t,), alphas, (x_index,), ensemble, seed
         )
-        cells = tailprob.estimate_tail(cfg, threads=threads, stack=a[None, :])
+        cells = tailprob.estimate_tail(cfg, stack=a[None, :])
         all_cells.extend(cells)
         if t == t_fit:
             fit_cells.extend(cells)
@@ -388,7 +388,7 @@ def _calibration(
 _CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)
 
 
-def run_tails(config, seed, threads, out_dir) -> int:
+def run_tails(config, seed, out_dir) -> int:
     allowed = _COMMON_KEYS + (
         "grid",
         "flow",
@@ -429,7 +429,7 @@ def run_tails(config, seed, threads, out_dir) -> int:
     for cfg in configs:
         flow = cfg.flow
         warnings.extend(f"{flow.label()}: {w}" for w in cfg.time_limit_warnings())
-        cells = tailprob.estimate_tail(cfg, threads=threads)
+        cells = tailprob.estimate_tail(cfg)
         params = None
         try:
             fit = tailprob.fit_constants(cells, "flow-deviation")
@@ -476,7 +476,7 @@ def run_tails(config, seed, threads, out_dir) -> int:
     return 0
 
 
-def run_convergence(config, seed, threads, out_dir) -> int:
+def run_convergence(config, seed, out_dir) -> int:
     allowed = _COMMON_KEYS + (
         "grid",
         "flow",
@@ -501,18 +501,17 @@ def run_convergence(config, seed, threads, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
+    cells = []  # the curve rows as tail estimates, for the exact law
     manifest_fits = {}
     for flow in flows:
         times = tuple(e / 2.0 for e in schedule)
         # Each cell's series, computed once for calibration and curve alike.
         coeffs = [tailprob.deviation_coefficients(flow, data, t, x_index) for t in times]
         fit, params, _ = _calibration(
-            flow, data, times, coeffs, _CAL_TARGETS, cal_ensemble, cal_seed, x_index,
-            threads,
+            flow, data, times, coeffs, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
         )
         curve = tailprob.convergence_curve(
-            flow, data, schedule, params, ensemble, seed, x_index, threads=threads,
-            coefficients=coeffs,
+            flow, data, schedule, params, ensemble, seed, x_index, coefficients=coeffs
         )
         manifest_fits[flow.label()] = {
             "C": params.C,
@@ -528,6 +527,12 @@ def run_convergence(config, seed, threads, out_dir) -> int:
              tailprob.theoretical_bound(chained, r.alpha, r.epsilon))
             for r in curve
         )
+        cells.extend(
+            tailprob.TailEstimate(flow.label(), r.t, r.alpha, x_index, r.exceed_count,
+                                  r.ensemble_size, r.probability, r.ci_low, r.ci_high,
+                                  tailprob.series_norm(a))
+            for r, a in zip(curve, coeffs)
+        )
     path = _write_results(
         out_dir,
         "convergence",
@@ -537,12 +542,13 @@ def run_convergence(config, seed, threads, out_dir) -> int:
         rows,
         spec=spec,
         fitted_constants=manifest_fits,
+        exact_law=tailprob.exact_law(cells),
     )
     print(f"wrote convergence curves for {len(flows)} flow(s) -> {path}")
     return 0
 
 
-def run_density(config, seed, threads, out_dir) -> int:
+def run_density(config, seed, out_dir) -> int:
     allowed = _COMMON_KEYS + (
         "grid",
         "data",
@@ -610,17 +616,17 @@ def _row_check(row: dict) -> tuple[str, str, str, str]:
     return row.get("flow", "-"), row.get("ci_high", ""), "<=" if bound else "", bound
 
 
-def run_report(config, seed, threads, out_dir) -> int:
+def run_report(config, seed, out_dir) -> int:
     _reject_unknown(config, _COMMON_KEYS, "report")
     # The result files are input here: a malformed one is not an internal error.
     with _config_values(f"report of {out_dir}"):
         return _report(out_dir)
 
 
-# ``report`` judges a tails manifest's exact law at this familywise level:
-# Bonferroni over its rows, each row's |z| within the normal quantile of
-# 1 - alpha / (2 rows).  The rows share draws, so Wilson misses come in
-# clusters and their bare count says little.
+# ``report`` judges the exact law of a tails or convergence manifest at
+# this familywise level: Bonferroni over its rows, each row's |z| within
+# the normal quantile of 1 - alpha / (2 rows).  The rows share draws, so
+# Wilson misses come in clusters and their bare count says little.
 EXACT_LAW_FAMILYWISE_ALPHA = 1e-4
 
 
@@ -707,7 +713,10 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", help="overrides the config seed (decimal or hex)")
-    parser.add_argument("--threads", type=int, help="worker threads for ensembles")
+    parser.add_argument(
+        "--threads", type=int,
+        help="ignored (ensembles run serially); accepted and validated for compatibility",
+    )
     parser.add_argument("--out", help="output directory for result files")
     args = parser.parse_args(argv)
 
@@ -727,17 +736,17 @@ def main(argv=None) -> int:
     try:
         seed_raw = args.seed or _env("SEED") or config.get("seed", 0)
         seed = parse_seed(seed_raw)
+        # Validated so existing configs keep their errors, but ignored.
         threads_raw = (
             args.threads
             if args.threads is not None
             else _env("THREADS") or config.get("threads", 1)
         )
         with _config_values("threads"):
-            threads = int(threads_raw)
-        if threads < 1:
-            raise ConfigurationError("threads must be >= 1")
+            if int(threads_raw) < 1:
+                raise ConfigurationError("threads must be >= 1")
         out_dir = args.out or _env("OUT") or config.get("output_dir", "results")
-        return _SUBCOMMANDS[args.subcommand](config, seed, threads, out_dir)
+        return _SUBCOMMANDS[args.subcommand](config, seed, out_dir)
     except (ConfigurationError, FitError) as exc:
         return _fail(str(exc))
     except SplitResolutionError as exc:

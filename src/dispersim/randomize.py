@@ -8,8 +8,7 @@ moment-generating bound E exp(gamma X/sqrt(2)) = exp(gamma^2 / 4).
 Generation is counter based: the Philox stream for ensemble member m is
 keyed by the pair (seed, m), and coefficients are read off in the fixed
 canonical (lexicographic) lattice order.  Ensembles are therefore
-reproducible and order independent regardless of how samples are
-distributed across threads.
+reproducible, whatever the chunks their samples are drawn in.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def gaussian_matrix(
     Identical to stacking :func:`coefficient_block` calls; the bit
     generator pair and its state record are created once per call, and
     per sample only the key's sample word changes before the generator
-    fills that sample's row of normals in place.  Local state only, so
-    concurrent calls are safe.
+    fills that sample's row of normals in place.
     """
     out = np.empty((n_samples, n_coeffs), dtype=np.complex128)
     parts = out.view(np.float64)  # row m: Re, Im of each coefficient, interleaved

@@ -7,10 +7,11 @@ exactly circular CN(0, Sigma) with Sigma = A^T conj(A) the small cells x
 cells Gram matrix of the series coefficients.  Tail and convergence
 ensembles therefore draw one complex normal per cell per sample and map
 it through a factor of Sigma (:func:`observable_factor`) instead of one
-normal per lattice point.  Exceedance counting is integer based and
-sample streams are counter keyed, so results are reproducible bit for
-bit regardless of chunking or thread count.  The nonlinear density event
-keeps the per-lattice-point draws.
+normal per lattice point.  Every ensemble runs one serial loop over
+chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
+based and sample streams are counter keyed, so results are reproducible
+bit for bit whatever the chunk size.  The nonlinear density event keeps
+the per-lattice-point draws.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,13 +265,13 @@ def pointwise_deviation(
     return float(np.abs(evolved.values[idx] - fo.values[idx]))
 
 
-def _map_chunks(work, total: int, threads: int) -> list:
-    """work(start) for every chunk start in order, on a pool when threads > 1."""
-    starts = range(0, total, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, starts))
-    return [work(s) for s in starts]
+def _draw_chunks(seed: int, n_samples: int, width: int, chunk: int, sample_offset: int = 0):
+    """Samples sample_offset .. sample_offset + n_samples - 1 of the
+    (seed, m) streams, ``width`` complex normals each, as successive
+    :func:`gaussian_matrix` blocks of at most ``chunk`` rows."""
+    for start in range(0, n_samples, chunk):
+        count = min(chunk, n_samples - start)
+        yield gaussian_matrix(seed, count, width, sample_offset + start)
 
 
 def deviation_samples(
@@ -281,7 +281,6 @@ def deviation_samples(
     x_index,
     n_samples: int,
     seed: int,
-    threads: int = 1,
     coefficients: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws,
@@ -290,16 +289,12 @@ def deviation_samples(
     if coefficients is None:
         coefficients = deviation_coefficients(flow, f, t, x_index)
     factor = observable_factor(coefficients[:, None])
-
-    def work(start: int) -> np.ndarray:
-        count = min(_CHUNK, n_samples - start)
-        return np.abs(gaussian_matrix(seed, count, 1, sample_offset=start) @ factor)[:, 0]
-
-    return np.concatenate([np.empty(0), *_map_chunks(work, n_samples, threads)])
+    chunks = _draw_chunks(seed, n_samples, 1, _CHUNK)
+    return np.concatenate([np.empty(0), *(np.abs(z @ factor)[:, 0] for z in chunks)])
 
 
 def estimate_tail(
-    config: TailExperimentConfig, threads: int = 1, stack: np.ndarray | None = None
+    config: TailExperimentConfig, *, stack: np.ndarray | None = None, threads: int = 1
 ) -> list[TailEstimate]:
     """Exceedance frequencies with Wilson intervals for every
     (t, alpha, x) cell, all cells sharing one ensemble of draws.
@@ -309,8 +304,11 @@ def estimate_tail(
     Sample m draws one complex normal per cell, keyed by (seed, m), and
     maps them through :func:`observable_factor`, so every cell's
     deviation has its exact joint law.  Deterministic for a given seed:
-    exceedances are integer counts, so chunking and thread count cannot
-    change the result.
+    exceedances are integer counts, so chunking cannot change the result.
+
+    ``threads`` is ignored.  It stays only because the benchmark's
+    ``layertrace.py --speedup`` probe passes it, and it goes together
+    with that probe's ``tailprob.thread_speedup`` metric.
     """
     cells = [(t, x) for t in config.times for x in config.observation_points]
     if stack is None:
@@ -321,14 +319,10 @@ def estimate_tail(
     norms = [series_norm(a) for a in stack]
     alphas = np.asarray(config.thresholds)
     m_total = config.ensemble_size
-
-    def work(start: int) -> np.ndarray:
-        count = min(_CHUNK, m_total - start)
-        z = gaussian_matrix(config.seed, count, len(cells), sample_offset=start)
-        dev = np.abs(z @ factor)
-        return np.sum(dev[:, :, None] > alphas, axis=0)
-
-    counts = sum(_map_chunks(work, m_total, threads))
+    counts = sum(
+        np.sum(np.abs(z @ factor)[:, :, None] > alphas, axis=0)
+        for z in _draw_chunks(config.seed, m_total, len(cells), _CHUNK)
+    )
 
     label = config.flow.label()
     estimates = []
@@ -515,7 +509,6 @@ def convergence_curve(
     ensemble_size: int,
     seed: int,
     observation_point=None,
-    threads: int = 1,
     coefficients=None,
 ) -> list[ConvergencePoint]:
     """For each eps: split the data, set t = eps/2 and
@@ -532,9 +525,7 @@ def convergence_curve(
         split = schwartz_split(f, eps)
         t = eps / 2.0
         alpha = threshold_schedule(params, eps)
-        devs = deviation_samples(
-            flow, f, t, x, ensemble_size, seed, threads=threads, coefficients=a
-        )
+        devs = deviation_samples(flow, f, t, x, ensemble_size, seed, coefficients=a)
         k = int(np.sum(devs > alpha))
         lo, hi = wilson_interval(k, ensemble_size)
         rows.append(
@@ -603,13 +594,8 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
     # One gaussian_matrix call per chunk: the same stream as per-draw
     # coefficient_block calls, without building a generator per draw.
-    draws = (
-        coeffs
-        for start in range(0, n_samples, _DRAW_CHUNK)
-        for coeffs in gaussian_matrix(
-            seed, min(_DRAW_CHUNK, n_samples - start), n_lattice, sample_offset + start
-        )
-    )
+    chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK, sample_offset)
+    draws = (coeffs for block in chunks for coeffs in block)
     # Degenerate split (g = 0): every randomized piece vanishes too, so
     # the decay event holds trivially and only the h-norm event remains.
     degenerate = not np.any(split.g.values != 0)

@@ -21,6 +21,7 @@ from dispersim.cli import (
 )
 from dispersim.errors import ConfigurationError
 from dispersim.grid import Field, GridSpec, write_binary
+from dispersim.propagators import FlowKind
 
 
 def write_config(tmp_path, name, payload):
@@ -91,6 +92,17 @@ class TestParsing:
         )
         assert "'scipy'" not in done.stdout and "'numpy'" in done.stdout
 
+    def test_import_leaves_thread_pool_out(self):
+        # Ensembles run serially; concurrent.futures (and the logging it
+        # pulls in) would be import time paid for nothing.
+        src = os.path.dirname(os.path.dirname(dispersim.__file__))
+        code = "import sys, dispersim.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
     def test_seed_outside_key_space_rejected(self):
         # Philox keys are 64 bit: 2^64 + 7 would silently reuse seed 7's stream.
         assert parse_seed(2**64 - 1) == 2**64 - 1
@@ -149,6 +161,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "seed.json", dict(BASE_TAILS, seed=2**64 + 7))
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "2^64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    def test_invalid_thread_count_exits_one(self, tmp_path, capsys, monkeypatch, where):
+        # threads is ignored but still validated, so configs keep their errors.
+        payload = dict(BASE_TAILS, threads="x") if where == "config" else BASE_TAILS
+        argv = ["tails", "--config", write_config(tmp_path, "t.json", payload),
+                "--out", str(tmp_path / "o")]
+        if where == "flag":
+            argv += ["--threads", "0"]
+        if where == "env":
+            monkeypatch.setenv("DISPERSIM_THREADS", "two")
+        assert main(argv) == 1
+        assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_wrapping_derived_seed_exits_one(self, tmp_path, capsys):
@@ -335,6 +361,39 @@ class TestConvergenceCommand:
         assert split["sigma"] == 0.0 and split["achieved_h_norm"] < 0.05
 
 
+    def test_manifest_carries_the_exact_law(self, tmp_path, capsys):
+        # Each curve row's deviation is CN(0, ||a||^2) with a the series of
+        # its cell (eps / 2, x), so P(|Y| > alpha) = exp(-alpha^2 / ||a||^2).
+        payload = dict(CONVERGENCE, epsilon_schedule=[0.4, 0.2, 0.1], ensemble_size=2000)
+        del payload["flow"]
+        payload["flows"] = ["kdv", "schrodinger:+"]
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        law = json.loads((out / "convergence_manifest.json").read_text())["exact_law"]
+        with open(out / "convergence_results.csv", newline="") as fh:
+            table = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        spec = parse_grid(payload["grid"])
+        data = parse_data(payload["data"], spec)
+        schedule = payload["epsilon_schedule"]
+        assert [(r["flow"], r["t"]) for r in law["rows"]] == [
+            (flow, eps / 2.0) for flow in payload["flows"] for eps in schedule
+        ]
+        for entry, row in zip(law["rows"], table):
+            assert entry["alpha"] == float(row["alpha"]) and entry["x_index"] == "128"
+            flow = FlowKind.parse(entry["flow"])
+            a = dispersim.tailprob.deviation_coefficients(flow, data, entry["t"], (128,))
+            norm = dispersim.tailprob.series_norm(a)
+            p = math.exp(-((entry["alpha"] / norm) ** 2))
+            assert entry["series_norm"] == norm
+            assert entry["exact_prob"] == pytest.approx(p, rel=1e-15)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("convergence_manifest.json: max |z| ")]
+        assert "Bonferroni over 6 rows" in line and line.endswith(" yes")
+
+
 class TestDensityCommand:
     def test_density_rows(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", DENSITY)
@@ -377,6 +436,15 @@ class TestDensityCommand:
             cfg = write_config(tmp_path, f"{eps}.json", single)
             assert main(["density", "--config", cfg, "--out", str(out)]) == 0
             assert (out / "density_results.csv").read_text().splitlines()[2:] == [row]
+
+    def test_rerun_with_other_thread_count_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", DENSITY)
+        out1, out3 = tmp_path / "o1", tmp_path / "o3"
+        assert main(["density", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["density", "--config", cfg, "--out", str(out3), "--threads", "3"]) == 0
+        assert (out1 / "density_results.csv").read_bytes() == (
+            out3 / "density_results.csv"
+        ).read_bytes()
 
     def test_3d_defaults_keep_beta_within_order_two(self, tmp_path):
         payload = {

@@ -718,7 +718,12 @@ def main(argv=None) -> int:
         help="ignored (ensembles run serially); accepted and validated for compatibility",
     )
     parser.add_argument("--out", help="output directory for result files")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed check; a
+        # bad command line is a configuration error.  --help exits 0.
+        return 0 if exc.code == 0 else 1
 
     config_path = args.config or _env("CONFIG")
     config = {}

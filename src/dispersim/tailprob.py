@@ -184,20 +184,27 @@ def _point_phase(spec: GridSpec, x_index) -> list[np.ndarray]:
 def _windowed_series(spec: GridSpec, weighted: np.ndarray) -> np.ndarray:
     """Per-lattice-point sums a_k = scale * sum_xi psi(xi - k) weighted(xi)
     of a mesh array, or of each in a stack of them (leading axes), from
-    the neighbour table: one bincount per corner over index + row * n."""
+    the neighbour table: per corner, one bincount over the nonzero-weight
+    entries' interleaved real and imaginary parts, binned by
+    2 (index + row * n) + part.  Each bin adds the same nonzero terms in
+    the same order as a sum over every entry, so the result is the same
+    bit for bit."""
     table = projection_blocks(spec)
     n = len(unit_lattice(spec))
     stack = weighted.reshape(-1, spec.size)
-    offsets = n * np.arange(len(stack))[:, None]
-    out = np.zeros(len(stack) * n, dtype=np.complex128)
+    offsets = 2 * n * np.arange(len(stack))[:, None]
+    out = np.zeros(2 * len(stack) * n)
     for index, weight in zip(table.index.T, table.weight.T):
-        terms = (weight * stack).reshape(-1)
-        bins = (index + offsets).reshape(-1)
-        out += np.bincount(bins, terms.real, out.size) + 1j * np.bincount(
-            bins, terms.imag, out.size
-        )
+        used = np.nonzero(weight != 0)[0]
+        terms = stack.take(used, axis=1)
+        terms *= weight[used]
+        bins = 2 * index[used] + offsets
+        parts = np.stack((bins, bins + 1), axis=-1).reshape(-1)
+        out += np.bincount(parts, terms.view(np.float64).reshape(-1), out.size)
     scale = spec.frequency_cell_volume * _TWO_PI ** (-spec.dim / 2.0)
-    return scale * out.reshape(weighted.shape[: weighted.ndim - spec.dim] + (n,))
+    return scale * out.view(np.complex128).reshape(
+        weighted.shape[: weighted.ndim - spec.dim] + (n,)
+    )
 
 
 def _mesh_from_axes(axes_arrays) -> np.ndarray:
@@ -210,13 +217,18 @@ def _mesh_from_axes(axes_arrays) -> np.ndarray:
 def _deviation_stack(flow: FlowKind, f: Field, times, points) -> np.ndarray:
     """Series coefficients of every cell (t, x), t major, as an
     (n_cells, n_lattice) stack: one transform of f, one symbol per time,
-    one windowed sum per time over all points."""
+    then one cell at a time its point's phase and one windowed sum of
+    that cell's mesh array, so no more than one cell's mesh array is
+    held at once."""
     spec = f.spec
     F = forward_transform(f).coeffs
-    phases = np.stack([_mesh_from_axes(_point_phase(spec, x)) for x in points])
-    return np.concatenate(
-        [_windowed_series(spec, phases * (symbol(flow, spec, t) - 1.0) * F) for t in times]
-    )
+    rows = []
+    for t in times:
+        shifted = symbol(flow, spec, t) - 1.0
+        for x in points:
+            weighted = _mesh_from_axes(_point_phase(spec, x)) * shifted * F
+            rows.append(_windowed_series(spec, weighted))
+    return np.stack(rows)
 
 
 def deviation_coefficients(

@@ -61,15 +61,17 @@ def _radius_squared(xi: np.ndarray) -> np.ndarray:
     return np.sum(xi**2, axis=-1)
 
 
-def mollifier_value(xi) -> np.ndarray:
-    """Base bump exp(-1/(1-|xi|^2)) for |xi| < 1, else 0."""
-    xi = np.asarray(xi, dtype=float)
-    u = _radius_squared(xi)
+def _bump_of_radius_squared(u: np.ndarray) -> np.ndarray:
     out = np.zeros(u.shape)
     inside = u < _SUPPORT_CAP
     w = 1.0 / (1.0 - u[inside])
     out[inside] = np.exp(-w)
     return out
+
+
+def mollifier_value(xi) -> np.ndarray:
+    """Base bump exp(-1/(1-|xi|^2)) for |xi| < 1, else 0."""
+    return _bump_of_radius_squared(_radius_squared(np.asarray(xi, dtype=float)))
 
 
 def _mollifier_jet(xi: np.ndarray):
@@ -262,38 +264,64 @@ class NeighbourTable:
         return self.pieces.size
 
 
-_BUILD_ROWS = 512
+def _corner_grid(tables, slab) -> np.ndarray:
+    """Combine per-axis (N, 2) corner tables into (rows, 2^dim): row-major
+    mesh rows of the first-axis slab ``slab`` by corner offsets in
+    lexicographic order, adding the axes' terms left to right."""
+    dim = len(tables)
+    out = 0
+    for axis, table in enumerate(tables):
+        if axis == 0:
+            table = table[slab]
+        shape = [1] * (2 * dim)
+        shape[axis], shape[dim + axis] = table.shape
+        out = out + table.reshape(shape)
+    return out.reshape(-1, 2**dim)
 
 
 @lru_cache(maxsize=8)
 def projection_blocks(spec: GridSpec) -> NeighbourTable:
     """The partition of unity of ``spec`` as a neighbour table, built once
-    per grid; its length is the number of unit-scale pieces."""
+    per grid; its length is the number of unit-scale pieces.
+
+    Every quantity of a corner factors per axis, so the build keeps two
+    (N, 2) tables per axis, the squared offset (xi_j - (floor xi_j + o))^2
+    and the corner's place in the lattice's lookup box, and broadcasts them
+    over slabs of the first axis.  Adding the
+    squared offsets axis by axis is the association of
+    :func:`mollifier_value`'s sum, and the corners' normalizing sum runs in
+    offset order, so the weights equal :func:`bump_value` bit for bit.
+    """
     lattice = unit_lattice(spec)
     ax = spec.axis_frequencies()
+    n = spec.samples_per_axis
     # Dense lookup over the lattice's bounding box; a corner with a nonzero
     # weight lies within distance one of the frequency box, so in the lattice.
     lo = lattice.points.min(axis=0)
     span = lattice.points.max(axis=0) - lo + 1
     lookup = np.zeros(span, dtype=np.int32)
     lookup[tuple((lattice.points - lo).T)] = np.arange(len(lattice))
-    offsets = np.asarray(_neighbor_offsets(spec.dim), dtype=float)
-    index = np.zeros((spec.size, offsets.shape[0]), dtype=np.int32)
-    weight = np.zeros((spec.size, offsets.shape[0]))
-    # Mesh rows in chunks keep the build's temporaries small.
-    for start in range(0, spec.size, _BUILD_ROWS):
-        rows = np.arange(start, min(start + _BUILD_ROWS, spec.size))
-        xi = ax[np.stack(np.unravel_index(rows, spec.shape), axis=-1)][:, None, :]
-        corners = np.floor(xi) + offsets
-        # psi = phi / S with S = sum_k phi(xi - k) shared by the corners;
-        # summing them in offset order gives bump_value's S bit for bit.
-        phi = mollifier_value(xi - corners)
-        total = np.zeros(len(rows))
+    corners = np.floor(ax)[:, None] + np.array([0.0, 1.0])
+    squares = [(ax[:, None] - corners) ** 2] * spec.dim
+    places = [
+        np.clip(corners.astype(np.int64) - lo[j], 0, span[j] - 1) * np.prod(span[j + 1 :])
+        for j in range(spec.dim)
+    ]
+    corner_count = 2**spec.dim
+    index = np.zeros((spec.size, corner_count), dtype=np.int32)
+    weight = np.zeros((spec.size, corner_count))
+    # Slabs of at most N^2 rows keep the temporaries small on 3D grids.
+    step = min(n, n**3 // spec.size)
+    per_index = spec.size // n
+    for first in range(0, n, step):
+        slab = slice(first, first + step)
+        rows = slice(first * per_index, (first + step) * per_index)
+        phi = _bump_of_radius_squared(_corner_grid(squares, slab))
+        total = np.zeros(len(phi))
         for column in phi.T:
             total += column
         weight[rows] = phi / total[:, None]
-        rel = np.clip(corners.astype(np.int64) - lo, 0, span - 1)
-        hit = lookup[tuple(np.moveaxis(rel, -1, 0))]
+        hit = lookup.reshape(-1)[_corner_grid(places, slab)]
         index[rows] = np.where(weight[rows] != 0, hit, 0)
     pts = lattice.points.astype(float)
     nonempty = np.searchsorted(ax, pts + 1.0, side="left") > np.searchsorted(

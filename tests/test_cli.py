@@ -177,6 +177,29 @@ class TestExitCodes:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["tails", "--threads", "two"], ["bogus"]], ids=["bad-flag", "bad-subcommand"]
+    )
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        # 2 is the code of a failed check, not of a bad command line.
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert "usage: dispersim" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_usage_error_exit_code_of_the_process(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(dispersim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "dispersim.cli", "bogus"],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert done.returncode == 1 and "invalid choice" in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: dispersim" in capsys.readouterr().out
+
     def test_wrapping_derived_seed_exits_one(self, tmp_path, capsys):
         # Calibration draws with seed + 1, which for 2^64 - 1 would wrap
         # onto seed 0's stream.

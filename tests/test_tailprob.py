@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from dispersim.cli import parse_data
 from dispersim.decompose import decay_seminorm, schwartz_split
 from dispersim.errors import ConfigurationError, FitError
 from dispersim.grid import Field, GridSpec, forward_transform, l2_norm, monomial_weight
-from dispersim.propagators import FlowKind
+from dispersim.propagators import FlowKind, symbol
 from dispersim.randomize import draw, gaussian_matrix, randomized_weights
-from dispersim.wiener import bump_value, unit_lattice
+from dispersim.wiener import bump_value, projection_blocks, unit_lattice
 from dispersim import tailprob
 from dispersim.tailprob import (
     BoundParams,
@@ -219,6 +221,96 @@ class TestEstimateTail:
         deviation_samples(KDV, gaussian(), 0.1, ORIGIN, 3000, 12)
         assert {n for _, n in widths} == {1}
         assert sum(m for m, _ in widths) == 3000
+
+
+# ---------------------------------------------------------------------------
+# Series coefficients one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def full_table_series(spec, weighted):
+    """_windowed_series summing every neighbour-table entry, zero weights
+    included, with separate real and imaginary bincounts per corner."""
+    table = projection_blocks(spec)
+    n = len(unit_lattice(spec))
+    stack = weighted.reshape(-1, spec.size)
+    offsets = n * np.arange(len(stack))[:, None]
+    out = np.zeros(len(stack) * n, dtype=np.complex128)
+    for index, weight in zip(table.index.T, table.weight.T):
+        terms = (weight * stack).reshape(-1)
+        bins = (index + offsets).reshape(-1)
+        out += np.bincount(bins, terms.real, out.size) + 1j * np.bincount(
+            bins, terms.imag, out.size
+        )
+    scale = spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
+    return scale * out.reshape(weighted.shape[: weighted.ndim - spec.dim] + (n,))
+
+
+def stacked_deviation_rows(flow, f, times, points):
+    """Every cell's series, one windowed sum per time over the stacked
+    phases of all points."""
+    spec = f.spec
+    F = forward_transform(f).coeffs
+    phases = np.stack(
+        [tailprob._mesh_from_axes(tailprob._point_phase(spec, x)) for x in points]
+    )
+    return np.concatenate(
+        [full_table_series(spec, phases * (symbol(flow, spec, t) - 1.0) * F) for t in times]
+    )
+
+
+# The tails-3d benchmark workload: 2 times x 5 points on a 32^3 mesh.
+TAILS_3D_SPEC = GridSpec(3, 32, 16.0)
+TAILS_3D_FLOW = FlowKind.parse("schrodinger:++-")
+TAILS_3D_TIMES = (0.02, 0.05)
+TAILS_3D_POINTS = ((16, 16, 16), (17, 16, 16), (16, 18, 16), (15, 15, 17), (18, 17, 16))
+
+
+def tails_3d_data():
+    return parse_data({"recipe": "gaussian", "width": 1.5}, TAILS_3D_SPEC)
+
+
+@pytest.mark.parametrize(
+    "spec, lead",
+    [
+        (GridSpec(1, 256, 40.0), ()),
+        (GridSpec(1, 256, 40.0), (3,)),
+        (GridSpec(2, 64, 32.0), ()),
+        (GridSpec(2, 64, 32.0), (2, 2)),
+        (GridSpec(3, 16, 16.0), ()),
+        (GridSpec(3, 16, 16.0), (3,)),
+    ],
+    ids=lambda v: f"{v.dim}d-{v.samples_per_axis}" if isinstance(v, GridSpec) else f"lead{v}",
+)
+def test_windowed_series_equals_full_table_sum(spec, lead):
+    rng = np.random.default_rng(spec.dim + len(lead))
+    weighted = rng.standard_normal(lead + spec.shape) + 1j * rng.standard_normal(
+        lead + spec.shape
+    )
+    got = tailprob._windowed_series(spec, weighted)
+    assert got.shape == lead + (len(unit_lattice(spec)),)
+    assert np.array_equal(got, full_table_series(spec, weighted))
+
+
+def test_deviation_stack_equals_stacked_route_on_tails_3d():
+    f = tails_3d_data()
+    got = tailprob._deviation_stack(TAILS_3D_FLOW, f, TAILS_3D_TIMES, TAILS_3D_POINTS)
+    expected = stacked_deviation_rows(TAILS_3D_FLOW, f, TAILS_3D_TIMES, TAILS_3D_POINTS)
+    assert got.shape == (10, len(unit_lattice(TAILS_3D_SPEC)))
+    assert np.array_equal(got, expected)
+
+
+def test_deviation_stack_holds_about_one_cell_at_a_time():
+    # Stacking all 5 points' mesh arrays peaked at ~25 complex mesh arrays.
+    f = tails_3d_data()
+    projection_blocks(TAILS_3D_SPEC)  # built once per grid, outside the peak
+    tracemalloc.start()
+    try:
+        tailprob._deviation_stack(TAILS_3D_FLOW, f, TAILS_3D_TIMES, TAILS_3D_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * TAILS_3D_SPEC.size
 
 
 # Observable-space sampling: grids with a t = 0 cell (a = 0) and a repeated

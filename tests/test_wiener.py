@@ -429,6 +429,57 @@ def test_partition_build_equals_bump_value_per_corner(spec):
     assert np.array_equal(projection_blocks(spec).weight, bump_value(xi - corners))
 
 
+def row_chunk_table(spec, rows_per_chunk=512):
+    """The neighbour table's (index, weight) built on (rows, 2^dim, dim)
+    chunks of mesh rows, the radial bump evaluated at every corner of
+    every row: the reference the per-axis build must equal bit for bit."""
+    lattice = unit_lattice(spec)
+    ax = spec.axis_frequencies()
+    lo = lattice.points.min(axis=0)
+    span = lattice.points.max(axis=0) - lo + 1
+    lookup = np.zeros(span, dtype=np.int32)
+    lookup[tuple((lattice.points - lo).T)] = np.arange(len(lattice))
+    offsets = np.array(list(np.ndindex((2,) * spec.dim)), dtype=float)
+    index = np.zeros((spec.size, len(offsets)), dtype=np.int32)
+    weight = np.zeros((spec.size, len(offsets)))
+    for start in range(0, spec.size, rows_per_chunk):
+        rows = np.arange(start, min(start + rows_per_chunk, spec.size))
+        xi = ax[np.stack(np.unravel_index(rows, spec.shape), axis=-1)][:, None, :]
+        corners = np.floor(xi) + offsets
+        phi = wiener.mollifier_value(xi - corners)
+        total = np.zeros(len(rows))
+        for column in phi.T:
+            total += column
+        weight[rows] = phi / total[:, None]
+        rel = np.clip(corners.astype(np.int64) - lo, 0, span - 1)
+        hit = lookup[tuple(np.moveaxis(rel, -1, 0))]
+        index[rows] = np.where(weight[rows] != 0, hit, 0)
+    return index, weight
+
+
+ROW_CHUNK_SPECS = [
+    GridSpec(1, 64, 16.0),
+    GridSpec(1, 256, 40.0),
+    GridSpec(2, 32, 16.0),
+    GridSpec(2, 64, 32.0),
+    GridSpec(3, 16, 8.0),
+    GridSpec(3, 16, 16.0),
+    GridSpec(3, 16, 32.0),
+    GridSpec(3, 32, 16.0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", ROW_CHUNK_SPECS, ids=lambda s: f"{_spec_id(s)}-{s.extent:g}"
+)
+def test_per_axis_build_equals_row_chunk_build(spec):
+    index, weight = row_chunk_table(spec)
+    table = projection_blocks(spec)
+    assert table.index.dtype == index.dtype and table.weight.dtype == weight.dtype
+    assert np.array_equal(table.index, index)
+    assert np.array_equal(table.weight, weight)
+
+
 # ---------------------------------------------------------------------------
 # Square function against a direct sum over pieces and mesh frequencies
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Batch front end: config parsing, experiment orchestration, persistence.
 
-Configuration is a single JSON object validated against the subcommand's
-key set (unknown keys are rejected).  Results go to the output directory
-as CSV tables plus a JSON manifest; CSV bodies are byte identical across
-reruns with the same config and seed.  Every ensemble runs one serial
-loop over chunks of draws.
+Configuration is a single JSON object checked against the subcommand's
+required and optional keys in ``_SUBCOMMANDS`` (unknown keys are
+rejected).  Results go to the output directory as CSV tables plus a JSON
+manifest; CSV bodies depend only on the config and the seed, so reruns
+are byte identical.  No flag, variable or key sets how a run is
+scheduled: every ensemble runs one serial loop over chunks of draws.
 
 Exit codes: 0 success, 1 configuration error (or calibration tails that
 cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could
@@ -221,10 +222,9 @@ def observation_points(config, spec: GridSpec, seed: int):
 
 
 def config_hash(config: dict) -> str:
-    """Hash of the scientific configuration; execution-only knobs
-    (the ignored threads, output_dir) are excluded so they cannot change
-    result bytes."""
-    body = {k: v for k, v in config.items() if k not in ("threads", "output_dir")}
+    """Hash of the scientific configuration; output_dir, which only says
+    where results go, is excluded so it cannot change result bytes."""
+    body = {k: v for k, v in config.items() if k != "output_dir"}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -282,9 +282,6 @@ def _split_records(results) -> list[dict]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = ("seed", "threads", "output_dir")
-
-
 def _print_checks(results: list[CheckResult]) -> int:
     for res in results:
         print(res.line())
@@ -306,22 +303,18 @@ def _grids_from_config(config) -> dict[int, GridSpec]:
 
 
 def run_check_wiener(config, seed, out_dir) -> int:
-    _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-wiener")
     with _config_values("check-wiener"):
         grids = _grids_from_config(config)
     return _print_checks(wiener_checks(grids, seed=seed))
 
 
 def run_check_propagators(config, seed, out_dir) -> int:
-    _reject_unknown(config, _COMMON_KEYS + ("grids",), "check-propagators")
     with _config_values("check-propagators"):
         grids = _grids_from_config(config)
     return _print_checks(propagator_checks(grids, seed=seed))
 
 
 def run_khintchine(config, seed, out_dir) -> int:
-    allowed = _COMMON_KEYS + ("p_values", "vector_length", "n_vectors", "samples")
-    _reject_unknown(config, allowed, "khintchine")
     with _config_values("khintchine"):
         p_values = [float(p) for p in config.get("p_values", (2, 4, 8, 16))]
         length = _count(config, "vector_length", 32)
@@ -389,19 +382,6 @@ _CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)
 
 
 def run_tails(config, seed, out_dir) -> int:
-    allowed = _COMMON_KEYS + (
-        "grid",
-        "flow",
-        "flows",
-        "data",
-        "times",
-        "thresholds",
-        "observation_points",
-        "ensemble_size",
-        "max_ci_width",
-    )
-    _reject_unknown(config, allowed, "tails")
-    _require(config, ("grid", "data", "times", "thresholds", "ensemble_size"), "tails")
     with _config_values("tails"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
@@ -477,18 +457,6 @@ def run_tails(config, seed, out_dir) -> int:
 
 
 def run_convergence(config, seed, out_dir) -> int:
-    allowed = _COMMON_KEYS + (
-        "grid",
-        "flow",
-        "flows",
-        "data",
-        "epsilon_schedule",
-        "ensemble_size",
-        "calibration_ensemble",
-        "observation_points",
-    )
-    _reject_unknown(config, allowed, "convergence")
-    _require(config, ("grid", "data", "epsilon_schedule", "ensemble_size"), "convergence")
     with _config_values("convergence"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
@@ -549,18 +517,6 @@ def run_convergence(config, seed, out_dir) -> int:
 
 
 def run_density(config, seed, out_dir) -> int:
-    allowed = _COMMON_KEYS + (
-        "grid",
-        "data",
-        "epsilon_schedule",
-        "multi_indices",
-        "ensemble_size",
-        "calibration_ensemble",
-    )
-    _reject_unknown(config, allowed, "density")
-    _require(
-        config, ("grid", "data", "epsilon_schedule", "ensemble_size"), "density"
-    )
     with _config_values("density"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
@@ -617,7 +573,6 @@ def _row_check(row: dict) -> tuple[str, str, str, str]:
 
 
 def run_report(config, seed, out_dir) -> int:
-    _reject_unknown(config, _COMMON_KEYS, "report")
     # The result files are input here: a malformed one is not an internal error.
     with _config_values(f"report of {out_dir}"):
         return _report(out_dir)
@@ -690,14 +645,32 @@ def _report(out_dir) -> int:
     return 0
 
 
+# Every subcommand accepts these config keys.
+_COMMON_KEYS = ("seed", "output_dir")
+
+# subcommand: (run function, required config keys, optional config keys).
 _SUBCOMMANDS = {
-    "check-wiener": run_check_wiener,
-    "check-propagators": run_check_propagators,
-    "khintchine": run_khintchine,
-    "tails": run_tails,
-    "convergence": run_convergence,
-    "density": run_density,
-    "report": run_report,
+    "check-wiener": (run_check_wiener, (), ("grids",)),
+    "check-propagators": (run_check_propagators, (), ("grids",)),
+    "khintchine": (
+        run_khintchine, (), ("p_values", "vector_length", "n_vectors", "samples")
+    ),
+    "tails": (
+        run_tails,
+        ("grid", "data", "times", "thresholds", "ensemble_size"),
+        ("flow", "flows", "observation_points", "max_ci_width"),
+    ),
+    "convergence": (
+        run_convergence,
+        ("grid", "data", "epsilon_schedule", "ensemble_size"),
+        ("flow", "flows", "calibration_ensemble", "observation_points"),
+    ),
+    "density": (
+        run_density,
+        ("grid", "data", "epsilon_schedule", "ensemble_size"),
+        ("multi_indices", "calibration_ensemble"),
+    ),
+    "report": (run_report, (), ()),
 }
 
 
@@ -713,10 +686,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", help="overrides the config seed (decimal or hex)")
-    parser.add_argument(
-        "--threads", type=int,
-        help="ignored (ensembles run serially); accepted and validated for compatibility",
-    )
     parser.add_argument("--out", help="output directory for result files")
     try:
         args = parser.parse_args(argv)
@@ -741,17 +710,11 @@ def main(argv=None) -> int:
     try:
         seed_raw = args.seed or _env("SEED") or config.get("seed", 0)
         seed = parse_seed(seed_raw)
-        # Validated so existing configs keep their errors, but ignored.
-        threads_raw = (
-            args.threads
-            if args.threads is not None
-            else _env("THREADS") or config.get("threads", 1)
-        )
-        with _config_values("threads"):
-            if int(threads_raw) < 1:
-                raise ConfigurationError("threads must be >= 1")
+        run, required, optional = _SUBCOMMANDS[args.subcommand]
+        _reject_unknown(config, _COMMON_KEYS + required + optional, args.subcommand)
+        _require(config, required, args.subcommand)
         out_dir = args.out or _env("OUT") or config.get("output_dir", "results")
-        return _SUBCOMMANDS[args.subcommand](config, seed, out_dir)
+        return run(config, seed, out_dir)
     except (ConfigurationError, FitError) as exc:
         return _fail(str(exc))
     except SplitResolutionError as exc:

@@ -145,38 +145,36 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
     return inverse_transform(Spectrum(spec, weights * F.coeffs))
 
 
-def moment_norms(c, p_values, samples: int, seed: int, chunk: int) -> list[float]:
-    """( mean_m |sum_k g_k^(m) c_k|^p )^(1/p) for every p in ``p_values``.
+# Moments are drawn and summed in blocks of this many samples: a constant
+# of the estimate, so its rounding never depends on how a run is scheduled.
+_MOMENT_BLOCK = 4096
 
-    All orders reduce the same |g @ c| of samples [0, samples), drawn in
-    fixed chunks so the reduction order never depends on scheduling.
-    """
+
+def khintchine_moments(c, p_values, samples: int, seed: int) -> list[float]:
+    """Monte Carlo L^p norms ( mean_m |sum_k g_k^(m) c_k|^p )^(1/p) over
+    samples [0, samples), one per p, all orders reducing the same draws,
+    summed block by block of ``_MOMENT_BLOCK`` samples; every p must be
+    >= 2 and samples >= 1000."""
+    for p in p_values:
+        if p < 2:
+            raise ConfigurationError(f"p_values: moment order must be >= 2, got {p}")
+    if samples < 1000:
+        raise ConfigurationError(f"samples: need at least 1000, got {samples}")
     c = np.asarray(c, dtype=np.complex128).reshape(-1)
     if c.size == 0 or not np.any(c != 0):
         return [0.0] * len(p_values)
     totals = [0.0] * len(p_values)
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, _MOMENT_BLOCK):
+        count = min(_MOMENT_BLOCK, samples - start)
         vals = np.abs(gaussian_matrix(seed, count, c.size, sample_offset=start) @ c)
         for i, p in enumerate(p_values):
             totals[i] += float(np.sum(vals**p))
     return [float((t / samples) ** (1.0 / p)) for t, p in zip(totals, p_values)]
 
 
-def khintchine_moments(c, p_values, samples: int, seed: int, chunk: int = 4096):
-    """Monte Carlo L^p norms over draws of sum_k g_k c_k, one per p, all
-    from one set of draws; every p must be >= 2 and samples >= 1000."""
-    for p in p_values:
-        if p < 2:
-            raise ConfigurationError(f"p_values: moment order must be >= 2, got {p}")
-    if samples < 1000:
-        raise ConfigurationError(f"samples: need at least 1000, got {samples}")
-    return moment_norms(c, p_values, samples, seed, chunk)
-
-
-def khintchine_moment(c, p: float, samples: int, seed: int, chunk: int = 4096) -> float:
+def khintchine_moment(c, p: float, samples: int, seed: int) -> float:
     """Monte Carlo estimate of the L^p norm over draws of sum_k g_k c_k."""
-    return khintchine_moments(c, (p,), samples, seed, chunk)[0]
+    return khintchine_moments(c, (p,), samples, seed)[0]
 
 
 def expected_randomized_norm_squared(f: Field) -> float:

@@ -34,13 +34,20 @@ from .decompose import (
     spectral_derivative,
 )
 from .errors import ConfigurationError, FitError
-from .grid import Field, GridSpec, forward_transform, monomial_weight
-from .propagators import FlowKind, evolve, symbol
+from .grid import (
+    Field,
+    GridSpec,
+    Spectrum,
+    forward_transform,
+    inverse_transform,
+    monomial_weight,
+)
+from .propagators import FlowKind, symbol
 from .randomize import (
     _gather_weights,
     gaussian_matrix,
-    moment_norms,
-    randomize_field,
+    khintchine_moments,
+    randomized_weights,
     RandomDraw,
 )
 from .wiener import projection_blocks, unit_lattice
@@ -268,13 +275,18 @@ def point_coefficients(f: Field, x_index, beta_idx=None) -> np.ndarray:
 def pointwise_deviation(
     flow: FlowKind, f: Field, d: RandomDraw, t: float, x_index
 ) -> float:
-    """|S(t)f^omega(x) - f^omega(x)| for one draw, computed through the
-    full randomize/evolve pipeline (the randomization is applied once and
-    shared by both terms)."""
-    fo = randomize_field(f, d)
-    evolved = evolve(fo, flow, t)
-    idx = tuple(int(i) for i in x_index)
-    return float(np.abs(evolved.values[idx] - fo.values[idx]))
+    """|S(t)f^omega(x) - f^omega(x)| for one draw, computed on the mesh
+    rather than through the series: the multiplier symbol - 1 applied to
+    the randomized spectrum sum_k g_k psi(xi - k) F(xi), then one inverse
+    transform.  At t = 0 the multiplier is exactly 0, and so is the
+    deviation."""
+    spec = f.spec
+    if d.lattice.spec != spec:
+        raise ConfigurationError("draw lattice does not match the field's grid")
+    weights = randomized_weights(spec, d.lattice, d.coefficients)
+    shifted = (symbol(flow, spec, t) - 1.0) * (weights * forward_transform(f).coeffs)
+    deviation = inverse_transform(Spectrum(spec, shifted))
+    return float(np.abs(deviation.values[tuple(int(i) for i in x_index)]))
 
 
 def _draw_chunks(seed: int, n_samples: int, width: int, chunk: int, sample_offset: int = 0):
@@ -318,9 +330,10 @@ def estimate_tail(
     deviation has its exact joint law.  Deterministic for a given seed:
     exceedances are integer counts, so chunking cannot change the result.
 
-    ``threads`` is ignored.  It stays only because the benchmark's
-    ``layertrace.py --speedup`` probe passes it, and it goes together
-    with that probe's ``tailprob.thread_speedup`` metric.
+    ``threads`` is ignored: ensembles run serially, and no other part of
+    dispersim reads a thread count.  The keyword stays only because the
+    benchmark's ``layertrace.py --speedup`` probe passes it; it goes
+    together with that probe and its ``tailprob.thread_speedup`` metric.
     """
     cells = [(t, x) for t in config.times for x in config.observation_points]
     if stack is None:
@@ -788,7 +801,7 @@ def moment_growth_check(
     x_star = np.unravel_index(flat, spec.shape)
     b = weight[x_star] * point_coefficients(g, x_star, beta_idx)
     p_list = [float(p) for p in p_list]
-    return list(zip(p_list, moment_norms(b, p_list, n_samples, seed, _CHUNK)))
+    return list(zip(p_list, khintchine_moments(b, p_list, n_samples, seed)))
 
 
 def series_norm(coefficients: np.ndarray) -> float:
@@ -861,11 +874,6 @@ def tail_rows(estimates, bounds=None) -> list[tuple]:
          "" if bounds is None or bounds[i] is None else bounds[i])
         for i, est in enumerate(estimates)
     ]
-
-
-def write_results_csv(path, estimates, bounds=None, config_hash: str = "") -> None:
-    """Write tail estimates in the fixed ``CSV_COLUMNS`` layout."""
-    write_table(path, CSV_COLUMNS, tail_rows(estimates, bounds), config_hash)
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -323,7 +323,7 @@ def test_criterion_8_density_event():
     _report("criterion 8 (joint smallness/decay event)", ok, "; ".join(details))
 
 
-def test_criterion_9_thread_determinism(tmp_path):
+def test_criterion_9_chunk_determinism(tmp_path, monkeypatch):
     config = {
         "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
         "flow": "kdv",
@@ -336,25 +336,16 @@ def test_criterion_9_thread_determinism(tmp_path):
     }
     cfg_path = tmp_path / "tails.json"
     cfg_path.write_text(json.dumps(config))
+    default = tailprob._CHUNK
     bodies = []
-    for threads in (1, 5):
-        out = tmp_path / f"run_t{threads}"
-        code = cli.main(
-            [
-                "tails",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(out),
-                "--threads",
-                str(threads),
-            ]
-        )
-        assert code == 0
+    for chunk in (default, 333):
+        monkeypatch.setattr(tailprob, "_CHUNK", chunk)
+        out = tmp_path / f"run_c{chunk}"
+        assert cli.main(["tails", "--config", str(cfg_path), "--out", str(out)]) == 0
         bodies.append((out / "tails_results.csv").read_bytes())
     ok = bodies[0] == bodies[1]
     _report(
-        "criterion 9 (byte-identical CSV across thread counts)",
+        "criterion 9 (byte-identical CSV across draw chunk sizes)",
         ok,
-        f"{len(bodies[0])} bytes, threads 1 vs 5 identical={ok}",
+        f"{len(bodies[0])} bytes, chunks {default} vs 333 identical={ok}",
     )

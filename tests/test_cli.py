@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import dispersim
+from dispersim import tailprob
 from dispersim.cli import (
+    _SUBCOMMANDS,
     config_hash,
     derived_seed,
     main,
@@ -139,8 +141,7 @@ class TestParsing:
 
     def test_config_hash_ignores_execution_knobs(self):
         base = dict(BASE_TAILS)
-        with_threads = dict(base, threads=8, output_dir="elsewhere")
-        assert config_hash(base) == config_hash(with_threads)
+        assert config_hash(base) == config_hash(dict(base, output_dir="elsewhere"))
         assert config_hash(base) != config_hash(dict(base, seed=8))
 
 
@@ -149,6 +150,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "bad.json", dict(BASE_TAILS, bogus=1))
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "bogus" in capsys.readouterr().err
+        # Every subcommand checks its keys against the table, unknown
+        # keys before missing ones, and before it writes anything.
+        cfg = write_config(tmp_path, "bogus.json", {"seed": 7, "bogus": 1})
+        for name in _SUBCOMMANDS:
+            assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert f"unknown {name} field(s): bogus\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)
@@ -163,16 +171,15 @@ class TestExitCodes:
         assert "2^64" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("where", ["flag", "env", "config"])
-    def test_invalid_thread_count_exits_one(self, tmp_path, capsys, monkeypatch, where):
-        # threads is ignored but still validated, so configs keep their errors.
-        payload = dict(BASE_TAILS, threads="x") if where == "config" else BASE_TAILS
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_invalid_thread_count_exits_one(self, tmp_path, capsys, where):
+        # No thread count is read any more: the flag is a usage error and
+        # the key an unknown field, whatever their value.
+        payload = dict(BASE_TAILS, threads=2) if where == "config" else BASE_TAILS
         argv = ["tails", "--config", write_config(tmp_path, "t.json", payload),
                 "--out", str(tmp_path / "o")]
         if where == "flag":
-            argv += ["--threads", "0"]
-        if where == "env":
-            monkeypatch.setenv("DISPERSIM_THREADS", "two")
+            argv += ["--threads", "2"]
         assert main(argv) == 1
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -307,13 +314,15 @@ class TestTailsCommand:
             assert entry["z"] == pytest.approx(dispersim.tailprob.binomial_z(k, m, p))
         assert law["outside_wilson"] == misses
 
-    def test_rerun_with_other_thread_count_is_byte_identical(self, tmp_path):
+    def test_rerun_with_other_draw_chunk_is_byte_identical(self, tmp_path, monkeypatch):
         payload = dict(BASE_TAILS, times=[0.05, 0.1], thresholds=[0.005, 0.01, 0.02],
                        ensemble_size=400)
         cfg = write_config(tmp_path, "t.json", payload)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["tails", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["tails", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
+        assert main(["tails", "--config", cfg, "--out", str(out1)]) == 0
+        monkeypatch.setattr(tailprob, "_CHUNK", 333)  # a chunk edge mid-ensemble
+        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)
+        assert main(["tails", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "tails_results.csv").read_bytes() == (
             out2 / "tails_results.csv"
         ).read_bytes()
@@ -460,11 +469,13 @@ class TestDensityCommand:
             assert main(["density", "--config", cfg, "--out", str(out)]) == 0
             assert (out / "density_results.csv").read_text().splitlines()[2:] == [row]
 
-    def test_rerun_with_other_thread_count_is_byte_identical(self, tmp_path):
+    def test_rerun_with_other_draw_chunk_is_byte_identical(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "d.json", DENSITY)
         out1, out3 = tmp_path / "o1", tmp_path / "o3"
-        assert main(["density", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["density", "--config", cfg, "--out", str(out3), "--threads", "3"]) == 0
+        assert main(["density", "--config", cfg, "--out", str(out1)]) == 0
+        monkeypatch.setattr(tailprob, "_CHUNK", 333)
+        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)  # chunk edges mid-ensemble
+        assert main(["density", "--config", cfg, "--out", str(out3)]) == 0
         assert (out1 / "density_results.csv").read_bytes() == (
             out3 / "density_results.csv"
         ).read_bytes()

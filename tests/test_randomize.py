@@ -150,12 +150,6 @@ class TestKhintchineMoment:
         b = khintchine_moment(np.exp(1.23j) * c, 4.0, 5000, 77)
         assert abs(a - b) < 1e-12
 
-    def test_chunked_evaluation_matches_serial(self):
-        c = np.array([0.3, 0.4, -0.5j])
-        a = khintchine_moment(c, 2.0, 5000, 5, chunk=5000)
-        b = khintchine_moment(c, 2.0, 5000, 5, chunk=128)
-        assert a == b
-
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: f"{s.dim}d")
 def test_randomized_weights_bitwise_equal_block_loop(spec):
@@ -177,10 +171,17 @@ def test_khintchine_moments_share_one_draw_per_vector(monkeypatch):
 
     c = np.random.default_rng(4).standard_normal(16) + 0j
     ps = (2.0, 3.0, 8.0)
+    samples = 3 * randomize._MOMENT_BLOCK
     monkeypatch.setattr(randomize, "gaussian_matrix", counted)
-    moments = khintchine_moments(c, ps, 3000, 21, chunk=1024)
-    assert len(calls) == 3  # one per chunk, shared by every p
+    moments = khintchine_moments(c, ps, samples, 21)
+    assert len(calls) == 3  # one per block, shared by every p
     monkeypatch.undo()
-    assert moments == [khintchine_moment(c, p, 3000, 21, chunk=1024) for p in ps]
+    assert moments == [khintchine_moment(c, p, samples, 21) for p in ps]
+    # The blocks are fixed by the sample index, not by how rows are drawn.
+    vals = np.abs(gaussian_matrix(21, samples, c.size) @ c)
+    blocks = vals.reshape(3, -1)
+    assert moments == [
+        (sum(float(np.sum(b**p)) for b in blocks) / samples) ** (1.0 / p) for p in ps
+    ]
     with pytest.raises(ValueError):
         khintchine_moments(c, (2.0, 1.0), 3000, 21)

@@ -34,8 +34,9 @@ from dispersim.tailprob import (
     series_norm,
     theoretical_bound,
     threshold_schedule,
+    tail_rows,
     wilson_interval,
-    write_results_csv,
+    write_table,
 )
 
 SPEC = GridSpec(1, 128, 16.0)
@@ -124,9 +125,18 @@ class TestConfigValidation:
 
 class TestPointwiseDeviation:
     def test_zero_at_t0(self):
+        # Exactly 0, not round-off: S(0) - 1 is the zero multiplier.
         f, _ = single_mode()
-        d = draw(4, unit_lattice(SPEC))
-        assert pointwise_deviation(KDV, f, d, 0.0, ORIGIN) == 0.0
+        spec_2d = GridSpec(2, 32, 16.0)
+        cases = (
+            (KDV, f, ORIGIN),
+            (FlowKind.parse("schrodinger:+-"), parse_data({"recipe": "gaussian"}, spec_2d),
+             (17, 12)),
+        )
+        for flow, data, x in cases:
+            lattice = unit_lattice(data.spec)
+            for seed in range(40):
+                assert pointwise_deviation(flow, data, draw(seed, lattice), 0.0, x) == 0.0
 
     def test_zero_field(self):
         f = Field(SPEC, np.zeros(SPEC.shape))
@@ -594,8 +604,8 @@ class TestResultsCsv:
         bounds = [theoretical_bound(BoundParams(2.0, 5.0, "flow-deviation"), e.alpha, 0.1) for e in ests]
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_results_csv(p1, ests, bounds, config_hash="deadbeef")
-        write_results_csv(p2, ests, bounds, config_hash="deadbeef")
+        write_table(p1, tailprob.CSV_COLUMNS, tail_rows(ests, bounds), "deadbeef")
+        write_table(p2, tailprob.CSV_COLUMNS, tail_rows(ests, bounds), "deadbeef")
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         assert lines[0] == "# config=deadbeef"

@@ -292,7 +292,10 @@ def _print_checks(results: list[CheckResult]) -> int:
 
 def _grids_from_config(config) -> dict[int, GridSpec]:
     if "grids" in config:
-        specs = [parse_grid(g) for g in config["grids"]]
+        grids = config["grids"]
+        if not isinstance(grids, list) or not grids:
+            raise ConfigurationError("grids must be a non-empty list of grid objects")
+        specs = [parse_grid(g) for g in grids]
         by_dim = {}
         for s in specs:
             if s.dim in by_dim:

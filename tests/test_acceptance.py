@@ -114,7 +114,7 @@ def test_criterion_2_square_function_bounds():
     details = []
     ok = True
     for label, flow, spec in cases:
-        excess = square_bound_excess(spec, flow, times, 100, SEED)
+        (excess,) = square_bound_excess(spec, [flow], times, 100, SEED)
         ok = ok and excess <= 1.0 + 1e-9
         line = f"{label}: max ratio {excess:.4f} <= 1+1e-9"
         if spec.dim > 1:

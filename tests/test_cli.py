@@ -158,6 +158,16 @@ class TestExitCodes:
             assert f"unknown {name} field(s): bogus\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grids", [[], {}], ids=["empty-list", "empty-object"])
+    @pytest.mark.parametrize("name", ["check-wiener", "check-propagators"])
+    def test_check_without_grids_exits_one(self, tmp_path, capsys, name, grids):
+        # A check over no grid checks nothing; it must not pass as 0/0.
+        cfg = write_config(tmp_path, "grids.json", {"grids": grids})
+        assert main([name, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "grids" in captured.err
+        assert "checks passed" not in captured.out
+
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)
         del payload["times"]

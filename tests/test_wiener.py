@@ -1,4 +1,5 @@
 from functools import lru_cache
+import itertools
 
 import numpy as np
 import pytest
@@ -595,5 +596,152 @@ def test_square_bound_excess_equals_loop_over_fields(spec, flow, budget, monkeyp
     flow = flow and FlowKind.parse(flow)
     times = (0.0, 0.1, 1.0)
     expected = loop_square_bound_excess(spec, flow, times, 7, 11)
-    got = square_bound_excess(spec, flow, times, 7, 11)
+    (got,) = square_bound_excess(spec, [flow], times, 7, 11)
     assert abs(got - expected) <= 1e-13 * expected
+
+
+def per_flow_square_bound_excess(spec, flow, times, n_fields, seed):
+    """The bound for one flow in a pass of its own: the fields are drawn
+    and transformed for this flow alone, and its t = 0 row evaluates the
+    untouched spectrum again.  The one-pass bound must equal it bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    symbols = [None] if flow is None else [symbol(flow, spec, t) for t in times]
+
+    def spectra():
+        for _ in range(n_fields):
+            f = _random_field(spec, rng)
+            F = forward_transform(f).coeffs
+            norm = l2_norm(f)
+            for sym in symbols:
+                yield (F if sym is None else sym * F), norm
+
+    pending = spectra()
+    worst = 0.0
+    while group := list(itertools.islice(pending, wiener._gram_group(spec))):
+        sq = _square_function_from_coeffs(spec, np.stack([F for F, _ in group]))
+        peaks = np.max(sq.reshape(len(group), -1), axis=1)
+        worst = max(worst, float(np.max(peaks / [norm for _, norm in group])))
+    return worst
+
+
+ONE_PASS_CASES = [
+    (GridSpec(1, 64, 16.0), ["kdv", "schrodinger:-"]),
+    (GridSpec(2, 32, 16.0), ["wave-half", "schrodinger:+-"]),
+    (GridSpec(3, 16, 8.0), ["schrodinger:++-", "wave-half"]),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 4096], ids=["default", "small-budget"])
+@pytest.mark.parametrize(
+    "spec, names", ONE_PASS_CASES, ids=[_spec_id(s) for s, _ in ONE_PASS_CASES]
+)
+def test_one_pass_equals_per_flow_passes(spec, names, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(wiener, "_GRAM_BYTES", budget)
+    flows = [None] + [FlowKind.parse(name) for name in names]
+    times = (0.0, 0.1, 1.0)
+    n_fields = 4 if spec.dim == 3 else 7
+    expected = [per_flow_square_bound_excess(spec, f, times, n_fields, 11) for f in flows]
+    assert square_bound_excess(spec, flows, times, n_fields, 11) == expected
+
+
+def test_invariant_report_equals_per_flow_passes():
+    specs = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 32, 16.0)}
+    seed = 5
+    flows = {
+        "identity (dim 1)": (None, specs[1]),
+        "identity (dim 2)": (None, specs[2]),
+        "kdv": (FlowKind.parse("kdv"), specs[1]),
+        "wave-half": (FlowKind.parse("wave-half"), specs[2]),
+        "schrodinger +-": (FlowKind.parse("schrodinger:+-"), specs[2]),
+    }
+    observed = {
+        r.name: r.observed
+        for r in wiener.invariant_report(specs, seed=seed)
+        if r.name.startswith("square-function bound")
+    }
+    checked = 0
+    for label, (flow, spec) in flows.items():
+        expected = per_flow_square_bound_excess(spec, flow, (0.0, 0.1, 1.0), 100, seed + 100)
+        for name, value in observed.items():
+            if name.endswith(f"({label})"):
+                assert value == expected, name
+                checked += 1
+    assert checked == len(observed) == 8
+
+
+def test_invariant_suite_draws_each_grid_once(monkeypatch):
+    # Per grid, one square_bound_excess call that transforms each of its
+    # 100 fields once and sends 3 (1D: identity and kdv at 0.1 and 1) or
+    # 5 (2D: identity and two flows at 0.1 and 1) spectra per field
+    # through the Gram route.
+    specs = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 32, 16.0)}
+    counts = {"transforms": 0, "spectra": 0}
+    passes = []
+    transform = wiener.forward_transform
+    square = wiener._square_function_from_coeffs
+    bound = wiener.square_bound_excess
+
+    def counted_transform(f):
+        counts["transforms"] += 1
+        return transform(f)
+
+    def counted_square(spec, coeffs):
+        counts["spectra"] += coeffs.size // spec.size
+        return square(spec, coeffs)
+
+    def counted_bound(spec, *args):
+        before = dict(counts)
+        out = bound(spec, *args)
+        passes.append((spec.dim, *(counts[k] - before[k] for k in counts)))
+        return out
+
+    monkeypatch.setattr(wiener, "forward_transform", counted_transform)
+    monkeypatch.setattr(wiener, "_square_function_from_coeffs", counted_square)
+    monkeypatch.setattr(wiener, "square_bound_excess", counted_bound)
+    wiener.invariant_report(specs)
+    assert passes == [(1, 100, 300), (2, 100, 500)]
+
+
+def old_folded_gram(spec, coeffs):
+    """The fold with one real and one imaginary bincount per spectrum and
+    row block, and the windows scattered by (slot, column) pairs."""
+    slot, position, row, weight, width = _piece_entries(spec)
+    in_use = np.bincount(position, minlength=width**spec.dim) > 0
+    column = (np.cumsum(in_use) - 1)[position]
+    lag = wiener._window_lags(spec)[1]
+    values = coeffs.reshape(-1, spec.size)[:, row]
+    values *= weight
+    batch, used = values.shape[0], len(lag)
+    windows = np.zeros((batch, len(projection_blocks(spec)), used), dtype=np.complex128)
+    windows[:, slot, column] = values
+    conj = windows.conj()
+    real = np.zeros((batch, spec.size))
+    imag = np.zeros((batch, spec.size))
+    step = wiener._gram_rows(used)
+    for start in range(0, used, step):
+        gram = np.matmul(windows[:, :, start : start + step].transpose(0, 2, 1), conj)
+        part = lag[start : start + step].reshape(-1)
+        for b, m in enumerate(gram.reshape(batch, -1)):
+            real[b] += np.bincount(part, m.real, spec.size)
+            imag[b] += np.bincount(part, m.imag, spec.size)
+    return real + 1j * imag
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize(
+    "spec, budget",
+    [pytest.param(p.values[0], None, id=p.id) for p in SQUARE_SPECS]
+    + [pytest.param(WIDE_SPECS[1], 1 << 16, id="3d-16-w11-small-budget")],
+)
+def test_folded_gram_equals_old_fold(spec, budget, batch, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(wiener, "_GRAM_BYTES", budget)
+        # Four rows per block: 248 blocks of the 989-row Gram matrix.
+        assert wiener._gram_rows(len(wiener._window_lags(spec)[1])) == 4
+    rng = np.random.default_rng(70 + batch)
+    coeffs = np.stack(
+        [forward_transform(random_field(spec, rng)).coeffs for _ in range(batch)]
+    )
+    assert np.array_equal(wiener._folded_gram(spec, coeffs), old_folded_gram(spec, coeffs))

@@ -178,8 +178,15 @@ def parse_data(obj, spec: GridSpec) -> Field:
     )
 
 
+def _entries(config: dict, key: str, default=()) -> list:
+    """The config list ``key`` (``default`` when absent); it must not be empty."""
+    if values := list(config.get(key, default)):
+        return values
+    raise ConfigurationError(f"{key} must be a non-empty list")
+
+
 def parse_schedule(config) -> list[float]:
-    schedule = [float(e) for e in config["epsilon_schedule"]]
+    schedule = [float(e) for e in _entries(config, "epsilon_schedule")]
     if any(e <= 0 for e in schedule):
         raise ConfigurationError("epsilon_schedule entries must be positive")
     return schedule
@@ -206,14 +213,14 @@ def parse_pairs(config, spec: GridSpec) -> list[tuple]:
 def parse_flows(config) -> list[FlowKind]:
     if ("flow" in config) == ("flows" in config):
         raise ConfigurationError("exactly one of 'flow' or 'flows' is required")
-    names = [config["flow"]] if "flow" in config else list(config["flows"])
+    names = [config["flow"]] if "flow" in config else _entries(config, "flows")
     return [FlowKind.parse(str(n)) for n in names]
 
 
 def observation_points(config, spec: GridSpec, seed: int):
     """Configured points, or the origin plus 4 seeded random grid points."""
     if "observation_points" in config:
-        return tailprob.grid_points(spec, config["observation_points"])
+        return tailprob.grid_points(spec, _entries(config, "observation_points"))
     rng = np.random.default_rng(seed)
     pts = [spec.origin_index()]
     for _ in range(4):
@@ -319,7 +326,7 @@ def run_check_propagators(config, seed, out_dir) -> int:
 
 def run_khintchine(config, seed, out_dir) -> int:
     with _config_values("khintchine"):
-        p_values = [float(p) for p in config.get("p_values", (2, 4, 8, 16))]
+        p_values = [float(p) for p in _entries(config, "p_values", (2, 4, 8, 16))]
         length = _count(config, "vector_length", 32)
         n_vectors = _count(config, "n_vectors", 20)
         samples = int(config.get("samples", 10_000))
@@ -378,7 +385,7 @@ def _calibration(flow, data, times, coefficients, targets, ensemble, seed, x_ind
             fit_cells.extend(cells)
     fit = tailprob.fit_constants(fit_cells, "flow-deviation")
     dom = tailprob.dominate_constants(all_cells, fit.params)
-    return fit, dom, all_cells
+    return fit, dom
 
 
 _CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)
@@ -478,7 +485,7 @@ def run_convergence(config, seed, out_dir) -> int:
         times = tuple(e / 2.0 for e in schedule)
         # Each cell's series, computed once for calibration and curve alike.
         coeffs = [tailprob.deviation_coefficients(flow, data, t, x_index) for t in times]
-        fit, params, _ = _calibration(
+        fit, params = _calibration(
             flow, data, times, coeffs, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
         )
         curve = tailprob.convergence_curve(

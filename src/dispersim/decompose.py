@@ -14,7 +14,7 @@ increases the achieved remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .grid import (
     inverse_transform,
     l2_norm,
     monomial_weight,
-    sobolev_norm,
 )
 from .wiener import smooth_step
 
@@ -40,19 +39,15 @@ def multi_index(entries) -> tuple[int, ...]:
     return idx
 
 
-def index_order(idx) -> int:
-    return int(sum(idx))
-
-
 def spectral_derivative(f: Field, beta_idx) -> Field:
     """d^beta f via frequency multiplication by (i xi)^beta, |beta| <= 2."""
     beta_idx = multi_index(beta_idx)
     spec = f.spec
     if len(beta_idx) != spec.dim:
         raise ValueError("multi-index length must match grid dim")
-    if index_order(beta_idx) > 2:
+    if sum(beta_idx) > 2:
         raise ValueError("spectral derivatives are limited to order 2")
-    if index_order(beta_idx) == 0:
+    if sum(beta_idx) == 0:
         return f
     F = forward_transform(f)
     weight = monomial_weight(spec.frequency_grids(), beta_idx, imaginary=True)
@@ -70,20 +65,6 @@ def decay_seminorm(g: Field, alpha_idx, beta_idx) -> float:
     return float(np.max(np.abs(weight * der.values)))
 
 
-def _indices_up_to(dim: int, order: int):
-    out = []
-
-    def rec(prefix, remaining, axes_left):
-        if axes_left == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, axes_left - 1)
-
-    rec([], order, dim)
-    return sorted(set(out))
-
-
 def smooth_cutoff(spec: GridSpec, radius: float) -> np.ndarray:
     """Radial cutoff: 1 for |x| <= radius, 0 for |x| >= 2 radius, smooth."""
     r = np.sqrt(spec.coordinate_norm_squared())
@@ -92,7 +73,10 @@ def smooth_cutoff(spec: GridSpec, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchwartzSplit:
-    """Result of the density split: f = g + h with small remainder h."""
+    """The density split f = g + h on f's grid: the smooth decaying part ``g``,
+    the remainder ``h`` with ``achieved_h_norm`` = ||h||_L2 < ``epsilon``, and
+    the envelope width ``sigma`` and cutoff ``radius`` that made g (both 0
+    when ||f|| < epsilon, where g = 0)."""
 
     g: Field
     h: Field
@@ -100,12 +84,6 @@ class SchwartzSplit:
     sigma: float
     radius: float
     achieved_h_norm: float
-    decay_report: dict = field(repr=False)
-    h_sobolev_diagnostic: float = 0.0
-
-    @property
-    def max_decay_seminorm(self) -> float:
-        return max(self.decay_report.values()) if self.decay_report else 0.0
 
 
 def _candidate(f: Field, sigma: float, radius: float) -> Field:
@@ -133,7 +111,7 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
     norm_f = l2_norm(f)
     if norm_f < eps:
         zero = Field(spec, np.zeros(spec.shape, dtype=np.complex128))
-        return _finalize(f, zero, f, eps, sigma=0.0, radius=0.0)
+        return SchwartzSplit(zero, f, eps, 0.0, 0.0, norm_f)
 
     sigma0 = max(spec.axis_frequencies().max() / 4.0, spec.dxi)
     radius0 = max(2.0 * spec.dx, spec.extent / 16.0)
@@ -144,7 +122,7 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
         h = Field(spec, f.values - g.values)
         err = l2_norm(h)
         if err < eps:
-            return _finalize(f, g, h, eps, sigma=sigma, radius=radius)
+            return SchwartzSplit(g, h, eps, sigma, radius, err)
         if sigma == 0.0:
             raise SplitResolutionError(
                 f"split stalled at ||h|| = {err:.3e} >= eps = {eps:.3e},"
@@ -156,25 +134,3 @@ def schwartz_split(f: Field, eps: float) -> SchwartzSplit:
         else:
             sigma *= 0.5
             radius = min(radius * 1.5, radius_cap)
-
-
-def _finalize(f, g, h, eps, sigma, radius) -> SchwartzSplit:
-    spec = f.spec
-    indices = _indices_up_to(spec.dim, 2)
-    coords = spec.coordinate_grids()
-    report = {}
-    for b in indices:
-        der = spectral_derivative(g, b)
-        for a in indices:
-            weight = monomial_weight(coords, a)
-            report[(a, b)] = float(np.max(np.abs(weight * der.values)))
-    return SchwartzSplit(
-        g=g,
-        h=h,
-        epsilon=eps,
-        sigma=sigma,
-        radius=radius,
-        achieved_h_norm=l2_norm(h),
-        decay_report=report,
-        h_sobolev_diagnostic=sobolev_norm(h, 8.0 * eps),
-    )

@@ -111,9 +111,7 @@ def constant_draw(lattice: UnitLattice, value: complex = 1.0) -> RandomDraw:
     )
 
 
-def randomized_weights(
-    spec: GridSpec, lattice: UnitLattice, coefficients: np.ndarray
-) -> np.ndarray:
+def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
     from the neighbour table corner by corner in lattice order."""
     table = projection_blocks(spec)
@@ -141,7 +139,7 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
     if d.lattice.spec != spec:
         raise ConfigurationError("draw lattice does not match the field's grid")
     F = forward_transform(f)
-    weights = randomized_weights(spec, d.lattice, d.coefficients)
+    weights = randomized_weights(spec, d.coefficients)
     return inverse_transform(Spectrum(spec, weights * F.coeffs))
 
 

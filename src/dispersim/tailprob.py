@@ -82,13 +82,18 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def grid_points(spec: GridSpec, points) -> tuple:
-    """Observation points as tuples of grid indices, each inside the grid."""
-    pts = tuple(tuple(int(i) for i in p) for p in points)
+    """Observation points as tuples of grid indices, each inside the grid and
+    an integer (a float only when whole, never a bool)."""
     n = spec.samples_per_axis
-    for p in pts:
-        if len(p) != spec.dim or any(not (0 <= i < n) for i in p):
-            raise ConfigurationError(f"observation point {p} outside the grid")
-    return pts
+    pts = []
+    for p in points:
+        if any(isinstance(i, bool) or not isinstance(i, (int, float, np.integer)) or i % 1
+               for i in p):
+            raise ConfigurationError(f"observation point {p!r} must hold integer grid indices")
+        pts.append(tuple(int(i) for i in p))
+        if len(pts[-1]) != spec.dim or any(not 0 <= i < n for i in pts[-1]):
+            raise ConfigurationError(f"observation point {pts[-1]} outside the grid")
+    return tuple(pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +288,7 @@ def pointwise_deviation(
     spec = f.spec
     if d.lattice.spec != spec:
         raise ConfigurationError("draw lattice does not match the field's grid")
-    weights = randomized_weights(spec, d.lattice, d.coefficients)
+    weights = randomized_weights(spec, d.coefficients)
     shifted = (symbol(flow, spec, t) - 1.0) * (weights * forward_transform(f).coeffs)
     deviation = inverse_transform(Spectrum(spec, shifted))
     return float(np.abs(deviation.values[tuple(int(i) for i in x_index)]))
@@ -516,7 +521,6 @@ class ConvergencePoint:
     ci_low: float
     ci_high: float
     h_norm: float
-    h_sobolev_diagnostic: float
     split_sigma: float
     split_radius: float
 
@@ -564,7 +568,6 @@ def convergence_curve(
                 ci_low=lo,
                 ci_high=hi,
                 h_norm=split.achieved_h_norm,
-                h_sobolev_diagnostic=split.h_sobolev_diagnostic,
                 split_sigma=split.sigma,
                 split_radius=split.radius,
             )

@@ -70,6 +70,12 @@ KHINTCHINE = {"p_values": [2, 4], "vector_length": 8, "n_vectors": 4,
 
 
 class TestParsing:
+    def test_whole_number_points_accepted(self):
+        spec = GridSpec(2, 16, 8.0)
+        assert tailprob.grid_points(spec, [[3.0, np.int64(4)]]) == ((3, 4),)
+        with pytest.raises(ConfigurationError, match="outside the grid"):
+            tailprob.grid_points(spec, [[3, 16]])
+
     def test_seed_decimal_and_hex(self):
         assert parse_seed("123") == 123
         assert parse_seed("0xff") == 255
@@ -167,6 +173,40 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "grids" in captured.err
         assert "checks passed" not in captured.out
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("tails", "flows"),
+            ("tails", "observation_points"),
+            ("convergence", "flows"),
+            ("convergence", "epsilon_schedule"),
+            ("convergence", "observation_points"),
+            ("density", "epsilon_schedule"),
+            ("khintchine", "p_values"),
+        ],
+    )
+    def test_empty_list_exits_one(self, tmp_path, capsys, name, key):
+        # An empty list is a configuration error, not a crash (exit 4) or
+        # a header-only table (exit 0).
+        base = {"tails": BASE_TAILS, "convergence": CONVERGENCE,
+                "density": DENSITY, "khintchine": KHINTCHINE}[name]
+        payload = dict(base, **{key: []})
+        if key == "flows":
+            del payload["flow"]
+        cfg = write_config(tmp_path, "empty.json", payload)
+        assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"{key} must be a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("point", [["3"], [1.7], [True]], ids=["string", "float", "bool"])
+    def test_non_integer_point_exits_one(self, tmp_path, capsys, point):
+        # int() would read these as grid indices 3, 1 and 1.
+        payload = dict(BASE_TAILS, observation_points=[[64], point])
+        cfg = write_config(tmp_path, "points.json", payload)
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"observation point {point!r} must hold integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)

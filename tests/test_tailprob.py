@@ -649,7 +649,7 @@ def shifted_draw_statistics(split, pairs, n_samples, seed, sample_offset=0):
     ratios = np.zeros(n_samples)
     draws = gaussian_matrix(seed, n_samples, len(lattice), sample_offset)
     for m, coeffs in enumerate(draws):
-        W = randomized_weights(spec, lattice, coeffs)
+        W = randomized_weights(spec, coeffs)
         hnorms[m] = math.sqrt(
             spec.frequency_cell_volume * float(np.sum(np.abs(W * Fh) ** 2))
         )

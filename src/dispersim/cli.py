@@ -178,10 +178,14 @@ def parse_data(obj, spec: GridSpec) -> Field:
     )
 
 
-def _entries(config: dict, key: str, default=()) -> list:
-    """The config list ``key`` (``default`` when absent); it must not be empty."""
-    if values := list(config.get(key, default)):
-        return values
+def _entries(config: dict, key: str, default=(), empty=False) -> list:
+    """The config list ``key`` (``default`` when absent), non-empty unless
+    ``empty``.  A string there is an error, not one entry per character."""
+    values = config.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{key} must be a list, got {values!r}")
+    if values or empty:
+        return list(values)
     raise ConfigurationError(f"{key} must be a non-empty list")
 
 
@@ -200,7 +204,7 @@ def parse_pairs(config, spec: GridSpec) -> list[tuple]:
     first_two = [int(j < 2) for j in range(spec.dim)]
     default = [[[0] * spec.dim, [0] * spec.dim], [[1] * spec.dim, first_two]]
     pairs = []
-    for a, b in config.get("multi_indices", default):
+    for a, b in _entries(config, "multi_indices", default, empty=True):
         pair = (multi_index(a), multi_index(b))
         if any(len(m) != spec.dim for m in pair):
             raise ConfigurationError(f"multi-index pair {pair} needs {spec.dim} entries each")
@@ -272,17 +276,11 @@ def _write_results(
     return path
 
 
-def _split_records(results) -> list[dict]:
-    """Manifest records of the density splits behind convergence or density rows."""
-    return [
-        {
-            "epsilon": r.epsilon,
-            "sigma": r.split_sigma,
-            "radius": r.split_radius,
-            "achieved_h_norm": r.h_norm,
-        }
-        for r in results
-    ]
+def _split_records(splits) -> list[dict]:
+    """Manifest records of the density splits behind convergence or density
+    rows, each given as (epsilon, sigma, radius, achieved ||h||)."""
+    keys = ("epsilon", "sigma", "radius", "achieved_h_norm")
+    return [dict(zip(keys, split)) for split in splits]
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +362,14 @@ def run_khintchine(config, seed, out_dir) -> int:
     return 0
 
 
-def _calibration(flow, data, times, coefficients, targets, ensemble, seed, x_index):
+def _calibration(flow, data, times, stack, targets, ensemble, seed, x_index):
     """Fit tail constants at the largest |t| and inflate them to dominate
-    every (t, alpha) calibration cell; ``coefficients`` are the series
-    coefficients of each time's cell (t, x_index)."""
+    every (t, alpha) calibration cell; ``stack`` holds the series
+    coefficients of each time's cell (t, x_index), one row per time."""
     all_cells = []
     fit_cells = []
     t_fit = max(times, key=abs)
-    for t, a in zip(times, coefficients):
+    for t, a in zip(times, stack):
         norm_a = tailprob.series_norm(a)
         if norm_a == 0:
             continue
@@ -401,8 +399,8 @@ def run_tails(config, seed, out_dir) -> int:
             tailprob.TailExperimentConfig(
                 flow=flow,
                 data=data,
-                times=tuple(config["times"]),
-                thresholds=tuple(config["thresholds"]),
+                times=tuple(_entries(config, "times")),
+                thresholds=tuple(_entries(config, "thresholds")),
                 observation_points=points,
                 ensemble_size=int(config["ensemble_size"]),
                 seed=seed,
@@ -479,38 +477,35 @@ def run_convergence(config, seed, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
-    cells = []  # the curve rows as tail estimates, for the exact law
+    cells = []  # the curve's tail estimates, for the exact law
     manifest_fits = {}
+    times = tuple(e / 2.0 for e in schedule)
     for flow in flows:
-        times = tuple(e / 2.0 for e in schedule)
-        # Each cell's series, computed once for calibration and curve alike.
-        coeffs = [tailprob.deviation_coefficients(flow, data, t, x_index) for t in times]
+        # Every cell's series in one stack, shared by calibration and curve.
+        stack = tailprob._deviation_stack(flow, data, times, (x_index,))
         fit, params = _calibration(
-            flow, data, times, coeffs, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
+            flow, data, times, stack, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
         )
         curve = tailprob.convergence_curve(
-            flow, data, schedule, params, ensemble, seed, x_index, coefficients=coeffs
+            flow, data, schedule, params, ensemble, seed, x_index, stack=stack
         )
         manifest_fits[flow.label()] = {
             "C": params.C,
             "C1": params.C1,
             "r_squared": fit.r_squared,
-            "splits": _split_records(curve),
+            "splits": _split_records(
+                (s.epsilon, s.sigma, s.radius, s.achieved_h_norm) for _, s in curve
+            ),
         }
         # The chained bound 3 C1 exp(-(alpha / (C e eps))^2) of the schedule.
         chained = tailprob.BoundParams(params.C, 3.0 * params.C1, params.regime)
         rows.extend(
-            (flow.label(), r.epsilon, r.t, r.alpha, r.exceed_count, r.ensemble_size,
-             r.probability, r.ci_low, r.ci_high, r.h_norm,
-             tailprob.theoretical_bound(chained, r.alpha, r.epsilon))
-            for r in curve
+            (e.flow_label, s.epsilon, e.t, e.alpha, e.exceed_count, e.ensemble_size,
+             e.probability, e.ci_low, e.ci_high, s.achieved_h_norm,
+             tailprob.theoretical_bound(chained, e.alpha, s.epsilon))
+            for e, s in curve
         )
-        cells.extend(
-            tailprob.TailEstimate(flow.label(), r.t, r.alpha, x_index, r.exceed_count,
-                                  r.ensemble_size, r.probability, r.ci_low, r.ci_high,
-                                  tailprob.series_norm(a))
-            for r, a in zip(curve, coeffs)
-        )
+        cells.extend(e for e, _ in curve)
     path = _write_results(
         out_dir,
         "convergence",
@@ -556,7 +551,9 @@ def run_density(config, seed, out_dir) -> int:
         rows,
         spec=spec,
         fitted_constants=fits,
-        splits=_split_records(results),
+        splits=_split_records(
+            (r.epsilon, r.split_sigma, r.split_radius, r.h_norm) for r in results
+        ),
         multi_indices=[[list(a), list(b)] for a, b in pairs],
     )
     print(f"wrote {len(results)} density rows -> {path}")

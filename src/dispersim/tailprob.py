@@ -294,87 +294,74 @@ def pointwise_deviation(
     return float(np.abs(deviation.values[tuple(int(i) for i in x_index)]))
 
 
-def _draw_chunks(seed: int, n_samples: int, width: int, chunk: int, sample_offset: int = 0):
-    """Samples sample_offset .. sample_offset + n_samples - 1 of the
-    (seed, m) streams, ``width`` complex normals each, as successive
-    :func:`gaussian_matrix` blocks of at most ``chunk`` rows."""
+def _draw_chunks(seed: int, n_samples: int, width: int, chunk: int):
+    """Samples 0 .. n_samples - 1 of the (seed, m) streams, ``width``
+    complex normals each, as successive :func:`gaussian_matrix` blocks of
+    at most ``chunk`` rows."""
     for start in range(0, n_samples, chunk):
-        count = min(chunk, n_samples - start)
-        yield gaussian_matrix(seed, count, width, sample_offset + start)
+        yield gaussian_matrix(seed, min(chunk, n_samples - start), width, start)
 
 
 def deviation_samples(
-    flow: FlowKind,
-    f: Field,
-    t: float,
-    x_index,
-    n_samples: int,
-    seed: int,
-    coefficients: np.ndarray | None = None,
+    flow: FlowKind, f: Field, t: float, x_index, n_samples: int, seed: int
 ) -> np.ndarray:
     """Ensemble of pointwise deviations |sum_k g_k a_k| for n_samples draws,
-    each drawn as one complex normal through :func:`observable_factor`.
-    ``coefficients`` are the cell's a_k when the caller already has them."""
-    if coefficients is None:
-        coefficients = deviation_coefficients(flow, f, t, x_index)
-    factor = observable_factor(coefficients[:, None])
+    each drawn as one complex normal through :func:`observable_factor`."""
+    factor = observable_factor(deviation_coefficients(flow, f, t, x_index)[:, None])
     chunks = _draw_chunks(seed, n_samples, 1, _CHUNK)
     return np.concatenate([np.empty(0), *(np.abs(z @ factor)[:, 0] for z in chunks)])
+
+
+def _count_cells(label: str, cells, stack, thresholds, m_total: int, seed: int):
+    """Tail estimates of every (t, alpha, x), cells (t, x) major: the one
+    exceedance count behind ``tails``, its calibration and every
+    convergence row.  ``stack`` holds the cells' series coefficients, one
+    row per cell.  Sample m draws one complex normal per cell, keyed by
+    (seed, m), and maps them through :func:`observable_factor`, so every
+    cell's deviation has its exact joint law; each (cell, alpha) gets the
+    integer count of |z @ factor| > alpha over the draws, its Wilson
+    interval and the cell's series norm."""
+    factor = observable_factor(stack.T)
+    alphas = np.asarray(thresholds)
+    counts = sum(
+        np.sum(np.abs(z @ factor)[:, :, None] > alphas, axis=0)
+        for z in _draw_chunks(seed, m_total, len(cells), _CHUNK)
+    )
+    estimates = []
+    for (t, x), a, row in zip(cells, stack, counts):
+        norm = series_norm(a)
+        for alpha, k in zip(thresholds, row.tolist()):
+            lo, hi = wilson_interval(k, m_total)
+            estimates.append(
+                TailEstimate(label, t, alpha, x, k, m_total, k / m_total, lo, hi, norm)
+            )
+    return estimates
 
 
 def estimate_tail(
     config: TailExperimentConfig, *, stack: np.ndarray | None = None, threads: int = 1
 ) -> list[TailEstimate]:
     """Exceedance frequencies with Wilson intervals for every
-    (t, alpha, x) cell, all cells sharing one ensemble of draws.
-    ``stack`` holds the cells' series coefficients, t major, when the
-    caller already has them.
-
-    Sample m draws one complex normal per cell, keyed by (seed, m), and
-    maps them through :func:`observable_factor`, so every cell's
-    deviation has its exact joint law.  Deterministic for a given seed:
-    exceedances are integer counts, so chunking cannot change the result.
+    (t, alpha, x) cell, all cells sharing one ensemble of draws
+    (:func:`_count_cells`).  ``stack`` holds the cells' series
+    coefficients, t major, when the caller already has them.
+    Deterministic for a given seed: exceedances are integer counts, so
+    chunking cannot change the result.
 
     ``threads`` is ignored: ensembles run serially, and no other part of
     dispersim reads a thread count.  The keyword stays only because the
     benchmark's ``layertrace.py --speedup`` probe passes it; it goes
     together with that probe and its ``tailprob.thread_speedup`` metric.
     """
-    cells = [(t, x) for t in config.times for x in config.observation_points]
     if stack is None:
         stack = _deviation_stack(
             config.flow, config.data, config.times, config.observation_points
         )
-    factor = observable_factor(stack.T)
-    norms = [series_norm(a) for a in stack]
-    alphas = np.asarray(config.thresholds)
-    m_total = config.ensemble_size
-    counts = sum(
-        np.sum(np.abs(z @ factor)[:, :, None] > alphas, axis=0)
-        for z in _draw_chunks(config.seed, m_total, len(cells), _CHUNK)
+    cells = [(t, x) for t in config.times for x in config.observation_points]
+    return _count_cells(
+        config.flow.label(), cells, stack, config.thresholds, config.ensemble_size,
+        config.seed,
     )
-
-    label = config.flow.label()
-    estimates = []
-    for ci, (t, x) in enumerate(cells):
-        for ai, alpha in enumerate(config.thresholds):
-            k = int(counts[ci, ai])
-            lo, hi = wilson_interval(k, m_total)
-            estimates.append(
-                TailEstimate(
-                    flow_label=label,
-                    t=t,
-                    alpha=alpha,
-                    x_index=x,
-                    exceed_count=k,
-                    ensemble_size=m_total,
-                    probability=k / m_total,
-                    ci_low=lo,
-                    ci_high=hi,
-                    series_norm=norms[ci],
-                )
-            )
-    return estimates
 
 
 def binomial_z(k: int, m: int, p: float) -> float:
@@ -510,21 +497,6 @@ def dominate_constants(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    epsilon: float
-    t: float
-    alpha: float
-    exceed_count: int
-    ensemble_size: int
-    probability: float
-    ci_low: float
-    ci_high: float
-    h_norm: float
-    split_sigma: float
-    split_radius: float
-
-
 def threshold_schedule(params: BoundParams, eps: float) -> float:
     """alpha(eps) = C e eps sqrt(ln(3 C1 / eps))."""
     return params.C * _E * eps * math.sqrt(math.log(3.0 * params.C1 / eps))
@@ -538,40 +510,26 @@ def convergence_curve(
     ensemble_size: int,
     seed: int,
     observation_point=None,
-    coefficients=None,
-) -> list[ConvergencePoint]:
-    """For each eps: split the data, set t = eps/2 and
-    alpha = C e eps sqrt(ln(3 C1/eps)) from previously fitted constants,
-    and measure P(|S(t)f^omega - f^omega| > alpha) empirically.
-    ``coefficients``, one per eps, are the series coefficients of the
-    cells (eps/2, x) when the caller already has them."""
-    spec = f.spec
-    x = tuple(observation_point) if observation_point else spec.origin_index()
-    if coefficients is None:
-        coefficients = [None] * len(eps_schedule)
+    stack=None,
+) -> list[tuple[TailEstimate, SchwartzSplit]]:
+    """(estimate, split) for each eps: the split f = g + h at eps, and the
+    tails cell (t, alpha, x) with t = eps/2 and alpha = C e eps
+    sqrt(ln(3 C1/eps)) from previously fitted constants, counted alone by
+    :func:`_count_cells` over ``ensemble_size`` draws of ``seed``.
+    ``stack`` holds the series coefficients of the cells (eps/2, x), one
+    row per eps, when the caller already has them."""
+    x = tuple(observation_point) if observation_point else f.spec.origin_index()
+    times = [eps / 2.0 for eps in eps_schedule]
+    if stack is None:
+        stack = _deviation_stack(flow, f, times, (x,))
     rows = []
-    for eps, a in zip(eps_schedule, coefficients):
+    for eps, t, a in zip(eps_schedule, times, stack):
         split = schwartz_split(f, eps)
-        t = eps / 2.0
         alpha = threshold_schedule(params, eps)
-        devs = deviation_samples(flow, f, t, x, ensemble_size, seed, coefficients=a)
-        k = int(np.sum(devs > alpha))
-        lo, hi = wilson_interval(k, ensemble_size)
-        rows.append(
-            ConvergencePoint(
-                epsilon=float(eps),
-                t=t,
-                alpha=alpha,
-                exceed_count=k,
-                ensemble_size=ensemble_size,
-                probability=k / ensemble_size,
-                ci_low=lo,
-                ci_high=hi,
-                h_norm=split.achieved_h_norm,
-                split_sigma=split.sigma,
-                split_radius=split.radius,
-            )
+        (est,) = _count_cells(
+            flow.label(), [(t, x)], a[None, :], (alpha,), ensemble_size, seed
         )
+        rows.append((est, split))
     return rows
 
 
@@ -596,7 +554,7 @@ class DensityResult:
     split_radius: float
 
 
-def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_offset=0):
+def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split.
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
@@ -622,7 +580,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed, sample_
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
     # One gaussian_matrix call per chunk: the same stream as per-draw
     # coefficient_block calls, without building a generator per draw.
-    chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK, sample_offset)
+    chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK)
     draws = (coeffs for block in chunks for coeffs in block)
     # Degenerate split (g = 0): every randomized piece vanishes too, so
     # the decay event holds trivially and only the h-norm event remains.
@@ -673,17 +631,8 @@ def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
             k = int(np.sum(samples > q))
             lo, hi = wilson_interval(k, samples.size)
             ests.append(
-                TailEstimate(
-                    flow_label="pilot",
-                    t=0.0,
-                    alpha=float(q),
-                    x_index=(),
-                    exceed_count=k,
-                    ensemble_size=samples.size,
-                    probability=k / samples.size,
-                    ci_low=lo,
-                    ci_high=hi,
-                )
+                TailEstimate("pilot", 0.0, float(q), (), k, samples.size, k / samples.size,
+                             lo, hi)
             )
         fit = fit_constants(ests, "data-size", scale=scale)
         return dominate_constants(ests, fit.params, scale=scale)

@@ -291,13 +291,14 @@ def test_criterion_7_convergence_curves(fitted_constants):
             FlowKind.parse(label), data, schedule, dom, 4000, SEED + 70
         )
         under = all(
-            r.probability <= r.epsilon + (r.ci_high - r.ci_low) / 2 for r in rows
+            est.probability <= split.epsilon + (est.ci_high - est.ci_low) / 2
+            for est, split in rows
         )
-        ratios = [r.alpha / math.sqrt(r.epsilon) for r in rows]
+        ratios = [est.alpha / math.sqrt(split.epsilon) for est, split in rows]
         shrinking = all(a > b for a, b in zip(ratios, ratios[1:]))
         ok = ok and under and shrinking
         details.append(
-            f"{label}: P = {[r.probability for r in rows]} vs eps {list(schedule)},"
+            f"{label}: P = {[est.probability for est, _ in rows]} vs eps {list(schedule)},"
             f" alpha/sqrt(eps) decreasing={shrinking}"
         )
     _report("criterion 7 (convergence-in-probability schedule)", ok, "; ".join(details))

@@ -199,6 +199,32 @@ class TestExitCodes:
         assert f"{key} must be a non-empty list" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("tails", "times", "5"),
+            ("tails", "thresholds", "12"),
+            ("tails", "flows", "kdv"),
+            ("tails", "observation_points", "12"),
+            ("convergence", "epsilon_schedule", "2"),
+            ("density", "epsilon_schedule", "2"),
+            ("khintchine", "p_values", "24"),
+            ("density", "multi_indices", "00"),
+        ],
+    )
+    def test_string_for_list_exits_one(self, tmp_path, capsys, name, key, value):
+        # A string is not read one character at a time: "5" is no t = 5.0,
+        # and "kdv" no flow 'k'.  The error names the key, before any output.
+        base = {"tails": BASE_TAILS, "convergence": CONVERGENCE,
+                "density": DENSITY, "khintchine": KHINTCHINE}[name]
+        payload = dict(base, **{key: value})
+        if key == "flows":
+            del payload["flow"]
+        cfg = write_config(tmp_path, "string.json", payload)
+        assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"{key} must be a list, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("point", [["3"], [1.7], [True]], ids=["string", "float", "bool"])
     def test_non_integer_point_exits_one(self, tmp_path, capsys, point):
         # int() would read these as grid indices 3, 1 and 1.
@@ -418,7 +444,7 @@ class TestConvergenceCommand:
 
     def test_series_computed_once_per_time(self, tmp_path, monkeypatch):
         # Calibration thresholds, calibration ensembles and the curve all
-        # use one series stack per time t = eps / 2.
+        # read one series stack per flow, one row per time t = eps / 2.
         payload = dict(CONVERGENCE, epsilon_schedule=[0.4, 0.2, 0.1])
         calls = []
         inner = dispersim.tailprob._deviation_stack
@@ -430,7 +456,17 @@ class TestConvergenceCommand:
         monkeypatch.setattr(dispersim.tailprob, "_deviation_stack", counted)
         cfg = write_config(tmp_path, "c.json", payload)
         assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert calls == [(0.2,), (0.1,), (0.05,)]
+        assert calls == [(0.2, 0.1, 0.05)]
+
+    def test_curve_below_the_tails_ensemble_floor(self, tmp_path):
+        # Only the calibration is a tails experiment with its floor of 100
+        # draws; the curve counts any ensemble_size of at least 1.
+        cfg = write_config(tmp_path, "c.json", dict(CONVERGENCE, ensemble_size=50))
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "convergence_results.csv", newline="") as fh:
+            table = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert [row["M"] for row in table] == ["50"]
 
     def test_split_falls_back_to_cutoff_only(self, tmp_path):
         # The sigma schedule stalls at ||h|| = 0.075 on this data; the

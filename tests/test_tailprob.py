@@ -511,7 +511,8 @@ class TestConvergenceCurve:
     def test_zero_field_never_exceeds(self):
         f = Field(SPEC, np.zeros(SPEC.shape))
         rows = convergence_curve(KDV, f, (0.4, 0.2), self.PARAMS, 200, 3)
-        assert all(r.probability == 0.0 for r in rows)
+        assert [split.epsilon for _, split in rows] == [0.4, 0.2]
+        assert all(est.probability == 0.0 for est, _ in rows)
 
     def test_threshold_shrinks_faster_than_sqrt_eps(self):
         schedule = (0.4, 0.2, 0.1)
@@ -521,11 +522,29 @@ class TestConvergenceCurve:
     def test_gaussian_curve_stays_under_eps(self):
         f = split_gaussian()
         rows = convergence_curve(KDV, f, (0.4, 0.2, 0.1), self.PARAMS, 500, 7)
-        for r in rows:
-            halfwidth = (r.ci_high - r.ci_low) / 2
-            assert r.probability <= r.epsilon + halfwidth
-        probs = [r.probability for r in rows]
+        for est, split in rows:
+            halfwidth = (est.ci_high - est.ci_low) / 2
+            assert est.probability <= split.epsilon + halfwidth
+        probs = [est.probability for est, _ in rows]
         assert all(a >= b - 0.05 for a, b in zip(probs, probs[1:]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_count_as_raw_samples(self, dim):
+        # Each row is the one-cell tails count at (eps/2, alpha(eps), x):
+        # the same draws and comparison as the raw deviation samples.
+        if dim == 1:
+            flow, f, x = KDV, split_gaussian(), SPLIT_ORIGIN
+        else:
+            flow, x = FlowKind.parse("schrodinger:+-"), (33, 30)
+            f = parse_data({"recipe": "gaussian", "width": 2.0}, GridSpec(2, 64, 32.0))
+        schedule = (0.4, 0.2, 0.1)
+        rows = convergence_curve(flow, f, schedule, self.PARAMS, 3000, 11, x)
+        for eps, (est, split) in zip(schedule, rows):
+            assert (split.epsilon, est.t, est.x_index) == (eps, eps / 2, x)
+            assert est.alpha == threshold_schedule(self.PARAMS, eps)
+            devs = deviation_samples(flow, f, eps / 2, x, 3000, 11)
+            assert est.exceed_count == int(np.sum(devs > est.alpha))
+            assert est.ensemble_size == 3000
 
 
 class TestMomentGrowth:
@@ -628,7 +647,7 @@ def test_point_coefficients_second_moment_identity():
     assert abs(np.mean(devs**2) - series_norm(b) ** 2) < 0.1 * series_norm(b) ** 2
 
 
-def shifted_draw_statistics(split, pairs, n_samples, seed, sample_offset=0):
+def shifted_draw_statistics(split, pairs, n_samples, seed):
     """The density draw loop as it was before it kept draws in FFT order:
     every mesh array in natural order, an ifftshift and an fftshift per
     draw and beta.  The reference the FFT-order loop matches bit for bit."""
@@ -647,7 +666,7 @@ def shifted_draw_statistics(split, pairs, n_samples, seed, sample_offset=0):
     axes = tuple(range(spec.dim))
     hnorms = np.empty(n_samples)
     ratios = np.zeros(n_samples)
-    draws = gaussian_matrix(seed, n_samples, len(lattice), sample_offset)
+    draws = gaussian_matrix(seed, n_samples, len(lattice))
     for m, coeffs in enumerate(draws):
         W = randomized_weights(spec, coeffs)
         hnorms[m] = math.sqrt(
@@ -700,8 +719,8 @@ class TestSplitDrawStatistics:
         assert (kind == "degenerate") == (not np.any(split.g.values))
         pairs = pair_sets["default" if kind == "degenerate" else kind]
         monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)  # chunk edges mid-ensemble
-        got = tailprob._split_draw_statistics(split, pairs, 40, 77, sample_offset=3)
-        expected = shifted_draw_statistics(split, pairs, 40, 77, sample_offset=3)
+        got = tailprob._split_draw_statistics(split, pairs, 40, 77)
+        expected = shifted_draw_statistics(split, pairs, 40, 77)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .checks import CheckResult
-from .decompose import multi_index
+from .decompose import multi_index, whole_number
 from .errors import ConfigurationError, FitError, SplitResolutionError
 from .grid import Field, GridSpec, read_binary
 from .propagators import FlowKind
@@ -39,8 +39,6 @@ from .randomize import khintchine_moments
 from .wiener import invariant_report as wiener_checks
 from .wiener import unit_lattice
 from . import tailprob
-
-_ENV_PREFIX = "DISPERSIM_"
 
 
 def _fail(message: str) -> int:
@@ -62,11 +60,12 @@ def _config_values(where: str):
 
 
 def _count(config: dict, key: str, default=None, minimum: int = 1) -> int:
-    """The integer config field ``key`` (required when ``default`` is None),
-    at least ``minimum``."""
-    value = int(config[key] if default is None else config.get(key, default))
-    if value < minimum:
-        raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
+    """The config field ``key`` (required when ``default`` is None), a
+    :func:`whole_number` of at least ``minimum``."""
+    raw = config[key] if default is None else config.get(key, default)
+    value = whole_number(raw)
+    if value is None or value < minimum:
+        raise ConfigurationError(f"{key} must be a whole number >= {minimum}, got {raw!r}")
     return value
 
 
@@ -115,8 +114,8 @@ def parse_grid(obj) -> GridSpec:
     _require(obj, ("dim", "samples_per_axis", "extent"), "grid")
     _reject_unknown(obj, ("dim", "samples_per_axis", "extent"), "grid")
     return GridSpec(
-        dim=int(obj["dim"]),
-        samples_per_axis=int(obj["samples_per_axis"]),
+        dim=_count(obj, "dim"),
+        samples_per_axis=_count(obj, "samples_per_axis"),
         extent=float(obj["extent"]),
     )
 
@@ -198,27 +197,33 @@ def parse_schedule(config) -> list[float]:
 
 def parse_pairs(config, spec: GridSpec) -> list[tuple]:
     """The density event's (alpha, beta) multi-index pairs: one nonnegative
-    entry per axis each, and |beta| <= 2, the spectral derivative's limit.
+    whole number per axis each, and |beta| <= 2, the spectral derivative's limit.
     The default pairs are (0, 0) and (1, beta) with beta one on the first
     two axes, which is (1, 1) in one and two dimensions."""
     first_two = [int(j < 2) for j in range(spec.dim)]
     default = [[[0] * spec.dim, [0] * spec.dim], [[1] * spec.dim, first_two]]
     pairs = []
-    for a, b in _entries(config, "multi_indices", default, empty=True):
-        pair = (multi_index(a), multi_index(b))
-        if any(len(m) != spec.dim for m in pair):
-            raise ConfigurationError(f"multi-index pair {pair} needs {spec.dim} entries each")
-        if sum(pair[1]) > 2:
-            raise ConfigurationError(f"derivative order of {pair[1]} exceeds 2")
-        pairs.append(pair)
+    with _config_values("multi_indices"):
+        for a, b in _entries(config, "multi_indices", default, empty=True):
+            pair = (multi_index(a), multi_index(b))
+            if any(len(m) != spec.dim for m in pair):
+                raise ConfigurationError(f"multi_indices: {pair} needs {spec.dim} entries each")
+            if sum(pair[1]) > 2:
+                raise ConfigurationError(f"multi_indices: derivative order of {pair[1]} exceeds 2")
+            pairs.append(pair)
     return pairs
 
 
-def parse_flows(config) -> list[FlowKind]:
+def parse_flows(config, spec: GridSpec | None = None) -> list[FlowKind]:
+    """The configured flows, each checked against ``spec`` when given."""
     if ("flow" in config) == ("flows" in config):
         raise ConfigurationError("exactly one of 'flow' or 'flows' is required")
     names = [config["flow"]] if "flow" in config else _entries(config, "flows")
-    return [FlowKind.parse(str(n)) for n in names]
+    flows = [FlowKind.parse(str(n)) for n in names]
+    if spec is not None:
+        for flow in flows:
+            flow.validate_for(spec)
+    return flows
 
 
 def observation_points(config, spec: GridSpec, seed: int):
@@ -327,7 +332,7 @@ def run_khintchine(config, seed, out_dir) -> int:
         p_values = [float(p) for p in _entries(config, "p_values", (2, 4, 8, 16))]
         length = _count(config, "vector_length", 32)
         n_vectors = _count(config, "n_vectors", 20)
-        samples = int(config.get("samples", 10_000))
+        samples = _count(config, "samples", 10_000)
     derived_seed(seed, n_vectors - 1)  # vector i draws with seed + i
     rng = np.random.default_rng(seed)
     vectors = []
@@ -362,7 +367,7 @@ def run_khintchine(config, seed, out_dir) -> int:
     return 0
 
 
-def _calibration(flow, data, times, stack, targets, ensemble, seed, x_index):
+def _calibration(label, times, stack, targets, ensemble, seed, x_index):
     """Fit tail constants at the largest |t| and inflate them to dominate
     every (t, alpha) calibration cell; ``stack`` holds the series
     coefficients of each time's cell (t, x_index), one row per time."""
@@ -374,10 +379,9 @@ def _calibration(flow, data, times, stack, targets, ensemble, seed, x_index):
         if norm_a == 0:
             continue
         alphas = tuple(sorted(norm_a * math.sqrt(-math.log(p)) for p in targets))
-        cfg = tailprob.TailExperimentConfig(
-            flow, data, (t,), alphas, (x_index,), ensemble, seed
+        cells = tailprob._count_cells(
+            label, [(t, x_index)], a[None, :], alphas, ensemble, seed
         )
-        cells = tailprob.estimate_tail(cfg, stack=a[None, :])
         all_cells.extend(cells)
         if t == t_fit:
             fit_cells.extend(cells)
@@ -394,7 +398,7 @@ def run_tails(config, seed, out_dir) -> int:
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
         points = observation_points(config, spec, seed)
-        width = config.get("max_ci_width")
+        ensemble = _count(config, "ensemble_size")
         configs = [
             tailprob.TailExperimentConfig(
                 flow=flow,
@@ -402,9 +406,8 @@ def run_tails(config, seed, out_dir) -> int:
                 times=tuple(_entries(config, "times")),
                 thresholds=tuple(_entries(config, "thresholds")),
                 observation_points=points,
-                ensemble_size=int(config["ensemble_size"]),
+                ensemble_size=ensemble,
                 seed=seed,
-                max_ci_width=None if width is None else float(width),
             )
             for flow in parse_flows(config)
         ]
@@ -437,15 +440,6 @@ def run_tails(config, seed, out_dir) -> int:
                 if params is None
                 else tailprob.theoretical_bound(params, est.alpha, abs(est.t))
             )
-        if cfg.max_ci_width is not None:
-            wide = [
-                e for e in cells if (e.ci_high - e.ci_low) > cfg.max_ci_width
-            ]
-            if wide:
-                warnings.append(
-                    f"{flow.label()}: {len(wide)} cell(s) wider than the requested"
-                    f" CI width {cfg.max_ci_width}"
-                )
 
     path = _write_results(
         out_dir,
@@ -456,7 +450,7 @@ def run_tails(config, seed, out_dir) -> int:
         tailprob.tail_rows(estimates, bounds),
         spec=spec,
         fitted_constants=manifest_fits,
-        ensemble_size=int(config["ensemble_size"]),
+        ensemble_size=ensemble,
         warnings=warnings,
         exact_law=tailprob.exact_law(estimates),
     )
@@ -468,11 +462,18 @@ def run_convergence(config, seed, out_dir) -> int:
     with _config_values("convergence"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
-        flows = parse_flows(config)
+        flows = parse_flows(config, spec)
         schedule = parse_schedule(config)
         ensemble = _count(config, "ensemble_size")
-        cal_ensemble = _count(config, "calibration_ensemble", max(2000, ensemble // 2))
-        x_index = observation_points(config, spec, seed)[0]
+        cal_ensemble = _count(
+            config, "calibration_ensemble", max(2000, ensemble // 2), minimum=100
+        )
+        points = _entries(config, "observation_points", [spec.origin_index()])
+        if len(points) > 1:
+            raise ConfigurationError(
+                f"observation_points: convergence takes one point, got {len(points)}"
+            )
+        (x_index,) = tailprob.grid_points(spec, points)
     cal_seed = derived_seed(seed, 1)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -484,7 +485,7 @@ def run_convergence(config, seed, out_dir) -> int:
         # Every cell's series in one stack, shared by calibration and curve.
         stack = tailprob._deviation_stack(flow, data, times, (x_index,))
         fit, params = _calibration(
-            flow, data, times, stack, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
+            flow.label(), times, stack, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
         )
         curve = tailprob.convergence_curve(
             flow, data, schedule, params, ensemble, seed, x_index, stack=stack
@@ -665,7 +666,7 @@ _SUBCOMMANDS = {
     "tails": (
         run_tails,
         ("grid", "data", "times", "thresholds", "ensemble_size"),
-        ("flow", "flows", "observation_points", "max_ci_width"),
+        ("flow", "flows", "observation_points"),
     ),
     "convergence": (
         run_convergence,
@@ -679,10 +680,6 @@ _SUBCOMMANDS = {
     ),
     "report": (run_report, (), ()),
 }
-
-
-def _env(name: str):
-    return os.environ.get(_ENV_PREFIX + name)
 
 
 def main(argv=None) -> int:
@@ -701,11 +698,10 @@ def main(argv=None) -> int:
         # bad command line is a configuration error.  --help exits 0.
         return 0 if exc.code == 0 else 1
 
-    config_path = args.config or _env("CONFIG")
     config = {}
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as fh:
+            with open(args.config) as fh:
                 config = json.load(fh)
         except OSError as exc:
             return _fail(f"cannot read config: {exc}")
@@ -715,12 +711,11 @@ def main(argv=None) -> int:
             return _fail("config must be a JSON object")
 
     try:
-        seed_raw = args.seed or _env("SEED") or config.get("seed", 0)
-        seed = parse_seed(seed_raw)
+        seed = parse_seed(args.seed or config.get("seed", 0))
         run, required, optional = _SUBCOMMANDS[args.subcommand]
         _reject_unknown(config, _COMMON_KEYS + required + optional, args.subcommand)
         _require(config, required, args.subcommand)
-        out_dir = args.out or _env("OUT") or config.get("output_dir", "results")
+        out_dir = args.out or config.get("output_dir", "results")
         return run(config, seed, out_dir)
     except (ConfigurationError, FitError) as exc:
         return _fail(str(exc))

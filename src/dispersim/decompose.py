@@ -31,11 +31,20 @@ from .grid import (
 from .wiener import smooth_step
 
 
+def whole_number(value) -> int | None:
+    """``value`` as an int when it is a whole number, a number with no
+    fractional part (3.0 reads as 3); None for anything else: a bool, a
+    string, a fraction, an infinity or a NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        return None
+    return int(value) if value % 1 == 0 else None
+
+
 def multi_index(entries) -> tuple[int, ...]:
-    """Validated multi-index: one nonnegative integer per axis."""
-    idx = tuple(int(e) for e in entries)
-    if any(e < 0 for e in idx):
-        raise ValueError(f"multi-index entries must be nonnegative, got {idx}")
+    """Validated multi-index: one nonnegative whole number per axis."""
+    idx = tuple(whole_number(e) for e in entries)
+    if any(e is None or e < 0 for e in idx):
+        raise ValueError(f"multi-index entries must be whole numbers >= 0, got {entries!r}")
     return idx
 
 

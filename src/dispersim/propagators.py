@@ -246,42 +246,19 @@ def invariant_report(specs_by_dim, seed: int = 20240902):
             CheckResult(f"identity at t=0 ({kind.label()})", dev < 1e-12, dev, 1e-12)
         )
 
-    # Small-time symbol deviations stay below their polynomial envelopes.
+    # Small-time deviations |symbol(t) - 1| of the flows' own symbols stay
+    # below their envelopes t |xi|^3 (kdv), t |xi| (wave-half) and t |xi|^2.
     t_small = 0.01
-    if 1 in specs_by_dim:
-        spec = specs_by_dim[1]
-        xi = spec.axis_frequencies()
-        nz = xi != 0
-        ratio = np.abs(np.exp(1j * t_small * xi[nz] ** 3) - 1.0) / np.abs(
-            t_small * xi[nz] ** 3
-        )
-        worst = float(np.max(ratio))
+    for dim, name, order in ((1, "kdv", 3), (2, "wave-half", 1), (2, "schrodinger:+-", 2)):
+        if dim not in specs_by_dim:
+            continue
+        spec = specs_by_dim[dim]
+        norm2 = spec.frequency_norm_squared()
+        envelope = t_small * (norm2 if order == 2 else np.sqrt(norm2) ** order)
+        nz = envelope != 0
+        deviation = np.abs(symbol(FlowKind.parse(name), spec, t_small) - 1.0)
+        worst = float(np.max(deviation[nz] / envelope[nz]))
         results.append(
-            CheckResult("small-t symbol bound (kdv)", worst <= 1.0 + 1e-12, worst, 1.0)
-        )
-    if 2 in specs_by_dim:
-        spec = specs_by_dim[2]
-        mag = np.sqrt(spec.frequency_norm_squared())
-        nz = mag != 0
-        ratio = np.abs(np.cos(t_small * mag[nz]) - 1.0) / (t_small * mag[nz])
-        worst = float(np.max(ratio))
-        results.append(
-            CheckResult(
-                "small-t symbol bound (wave-half)", worst <= 1.0 + 1e-12, worst, 1.0
-            )
-        )
-        kind = FlowKind.parse("schrodinger:+-")
-        phase = dispersion(kind, spec)
-        m2 = spec.frequency_norm_squared()
-        nz = m2 != 0
-        ratio = np.abs(np.exp(1j * t_small * phase[nz]) - 1.0) / (t_small * m2[nz])
-        worst = float(np.max(ratio))
-        results.append(
-            CheckResult(
-                "small-t symbol bound (schrodinger:+-)",
-                worst <= 1.0 + 1e-12,
-                worst,
-                1.0,
-            )
+            CheckResult(f"small-t symbol bound ({name})", worst <= 1.0 + 1e-12, worst, 1.0)
         )
     return results

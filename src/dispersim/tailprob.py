@@ -32,6 +32,7 @@ from .decompose import (
     multi_index,
     schwartz_split,
     spectral_derivative,
+    whole_number,
 )
 from .errors import ConfigurationError, FitError
 from .grid import (
@@ -83,14 +84,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def grid_points(spec: GridSpec, points) -> tuple:
     """Observation points as tuples of grid indices, each inside the grid and
-    an integer (a float only when whole, never a bool)."""
+    a :func:`~dispersim.decompose.whole_number`."""
     n = spec.samples_per_axis
     pts = []
     for p in points:
-        if any(isinstance(i, bool) or not isinstance(i, (int, float, np.integer)) or i % 1
-               for i in p):
+        pts.append(tuple(whole_number(i) for i in p))
+        if None in pts[-1]:
             raise ConfigurationError(f"observation point {p!r} must hold integer grid indices")
-        pts.append(tuple(int(i) for i in p))
         if len(pts[-1]) != spec.dim or any(not 0 <= i < n for i in pts[-1]):
             raise ConfigurationError(f"observation point {pts[-1]} outside the grid")
     return tuple(pts)
@@ -105,7 +105,6 @@ class TailExperimentConfig:
     observation_points: tuple
     ensemble_size: int
     seed: int
-    max_ci_width: float | None = None
 
     def __post_init__(self):
         spec = self.data.spec

@@ -234,6 +234,40 @@ class TestExitCodes:
         assert f"observation point {point!r} must hold integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "name, change, key",
+        [
+            ("convergence", {"ensemble_size": 150.7}, "ensemble_size"),
+            ("convergence", {"ensemble_size": True}, "ensemble_size"),
+            ("tails", {"ensemble_size": "200"}, "ensemble_size"),
+            ("tails", {"grid": {"dim": 1, "samples_per_axis": 64.5, "extent": 16.0}},
+             "samples_per_axis"),
+            ("tails", {"grid": {"dim": True, "samples_per_axis": 128, "extent": 16.0}},
+             "dim"),
+            ("khintchine", {"samples": 1000.5}, "samples"),
+            ("khintchine", {"n_vectors": 2.9}, "n_vectors"),
+            ("khintchine", {"vector_length": True}, "vector_length"),
+            ("tails", {"max_ci_width": 0.1}, "max_ci_width"),
+            ("convergence", {"calibration_ensemble": 50}, "calibration_ensemble"),
+            ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
+                             "observation_points": [[16, 16]]}, "kdv"),
+            ("convergence", {"observation_points": [[128], [7]]}, "observation_points"),
+        ],
+        ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
+             "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width", "calibration-floor", "kdv-on-2d", "two-points"],
+    )
+    def test_setting_checked_before_output(self, tmp_path, capsys, name, change, key):
+        # Each of these ran before (a fraction or a bool truncated to an
+        # integer, a second point ignored) or failed after the output
+        # directory existed; now each exits 1 naming the key, leaving nothing.
+        base = {"tails": BASE_TAILS, "convergence": CONVERGENCE,
+                "density": DENSITY, "khintchine": KHINTCHINE}[name]
+        cfg = write_config(tmp_path, "c.json", dict(base, **change))
+        out = tmp_path / "o"
+        assert main([name, "--config", cfg, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)
         del payload["times"]
@@ -318,13 +352,15 @@ class TestExitCodes:
         assert "config error: samples: need at least 1000, got 500" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "pairs", [[[[0], [3]]], [[[-1], [0]]], [[[0, 0], [0]]], [[[0], ["x"]]], [[[0]]]]
+        "pairs",
+        [[[[0], [3]]], [[[-1], [0]]], [[[0, 0], [0]]], [[[0], ["x"]]], [[[0]]], [[[1.7], [0]]]],
     )
     def test_bad_multi_index_exits_one(self, tmp_path, capsys, pairs):
+        # int() read the entry 1.7 as 1; a fraction is no multi-index entry.
         cfg = write_config(tmp_path, "d.json", dict(DENSITY, multi_indices=pairs))
         out = tmp_path / "o"
         assert main(["density", "--config", cfg, "--out", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert "config error: multi_indices: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_field_exits_one(self, tmp_path, capsys):
@@ -403,16 +439,36 @@ class TestTailsCommand:
             out2 / "tails_results.csv"
         ).read_bytes()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # Flags and the config file are the only sources: DISPERSIM_SEED,
+        # DISPERSIM_OUT and DISPERSIM_CONFIG change neither the rows nor
+        # where they go.
         cfg = write_config(tmp_path, "t.json", BASE_TAILS)
-        out1, out2 = tmp_path / "e1", tmp_path / "e2"
+        other = write_config(tmp_path, "other.json", dict(BASE_TAILS, thresholds=[0.02]))
+        unset, with_env, env_out = tmp_path / "unset", tmp_path / "env", tmp_path / "env_out"
+        assert main(["tails", "--config", cfg, "--out", str(unset)]) == 0
         monkeypatch.setenv("DISPERSIM_SEED", "99")
-        assert main(["tails", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.delenv("DISPERSIM_SEED")
-        assert main(["tails", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
-        body1 = (out1 / "tails_results.csv").read_bytes()
-        body2 = (out2 / "tails_results.csv").read_bytes()
-        assert body1 == body2
+        monkeypatch.setenv("DISPERSIM_OUT", str(env_out))
+        monkeypatch.setenv("DISPERSIM_CONFIG", other)
+        assert main(["tails", "--config", cfg, "--out", str(with_env)]) == 0
+        assert (unset / "tails_results.csv").read_bytes() == (
+            with_env / "tails_results.csv"
+        ).read_bytes()
+        manifest = json.loads((with_env / "tails_manifest.json").read_text())
+        assert manifest["seed"] == 7 and manifest["config"] == BASE_TAILS
+        # Without --config there is no config: tails misses its keys.
+        assert main(["tails", "--out", str(tmp_path / "no_config")]) == 1
+        assert not env_out.exists() and not (tmp_path / "no_config").exists()
+
+    def test_whole_float_ensemble_runs_as_its_integer(self, tmp_path):
+        payload = dict(BASE_TAILS, ensemble_size=200.0)
+        cfg = write_config(tmp_path, "t.json", payload)
+        out = tmp_path / "out"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "tails_results.csv", newline="") as fh:
+            (row,) = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+        assert row["M"] == "200"
+        assert json.loads((out / "tails_manifest.json").read_text())["ensemble_size"] == 200
 
 
 class TestConvergenceCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dispersim import propagators
 from dispersim.errors import ConfigurationError, SingularMultiplierError
 from dispersim.grid import Field, GridSpec, l2_norm
 from dispersim.propagators import (
@@ -156,6 +157,18 @@ class TestInvariants:
         specs = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 16, 8.0)}
         results = invariant_report(specs, seed=5)
         assert results and all(r.passed for r in results)
+
+    def test_small_t_rows_read_the_flows_symbol(self, monkeypatch):
+        # The small-t rows bound |symbol(t) - 1| of propagators.symbol itself:
+        # a symbol with twice the phase deviates ~2 t |xi|^3 near xi = 0.
+        def doubled(kind, spec, t):
+            return symbol(kind, spec, 2.0 * t)
+
+        specs = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 16, 8.0)}
+        monkeypatch.setattr(propagators, "symbol", doubled)
+        rows = {r.name: r for r in invariant_report(specs, seed=5)}
+        kdv = rows["small-t symbol bound (kdv)"]
+        assert not kdv.passed and kdv.observed > 1.9
 
 
 class TestFractionalMultiplier:

@@ -7,7 +7,6 @@ from .errors import (
     ConfigurationError,
     FitError,
     ShapeError,
-    SingularMultiplierError,
     SplitResolutionError,
 )
 from .grid import (
@@ -18,27 +17,19 @@ from .grid import (
     inverse_transform,
     l2_norm,
     read_binary,
-    sobolev_norm,
     write_binary,
 )
-from .propagators import FlowKind, evolve, fractional_multiplier
+from .propagators import FlowKind, evolve
 from .wiener import (
     UnitLattice,
     bump_derivative,
     bump_value,
-    project,
     square_function,
     square_function_evolved,
     unit_lattice,
     weighted_tail_sum,
 )
-from .randomize import (
-    RandomDraw,
-    constant_draw,
-    draw,
-    khintchine_moment,
-    randomize_field,
-)
+from .randomize import RandomDraw, draw, randomize_field
 from .decompose import SchwartzSplit, decay_seminorm, schwartz_split
 from .tailprob import (
     BoundParams,
@@ -57,7 +48,6 @@ __all__ = [
     "ConfigurationError",
     "FitError",
     "ShapeError",
-    "SingularMultiplierError",
     "SplitResolutionError",
     "Field",
     "GridSpec",
@@ -66,23 +56,18 @@ __all__ = [
     "inverse_transform",
     "l2_norm",
     "read_binary",
-    "sobolev_norm",
     "write_binary",
     "FlowKind",
     "evolve",
-    "fractional_multiplier",
     "UnitLattice",
     "bump_derivative",
     "bump_value",
-    "project",
     "square_function",
     "square_function_evolved",
     "unit_lattice",
     "weighted_tail_sum",
     "RandomDraw",
-    "constant_draw",
     "draw",
-    "khintchine_moment",
     "randomize_field",
     "SchwartzSplit",
     "decay_seminorm",

@@ -82,20 +82,19 @@ def _require(obj: dict, keys, where: str) -> None:
 
 
 def parse_seed(value) -> int:
-    """Seed as an integer in [0, 2^64), the key space of the Philox streams;
-    a seed outside it would alias another seed's stream."""
-    if isinstance(value, bool):
-        raise ConfigurationError("seed must be an integer")
+    """Seed as a :func:`whole_number` in [0, 2^64), the key space of the
+    Philox streams; a seed outside it would alias another seed's stream."""
     if isinstance(value, str):
         try:
             value = int(value, 0)  # accepts decimal and 0x-prefixed hex
         except ValueError:
             raise ConfigurationError(f"seed {value!r} is not a valid integer") from None
-    if not isinstance(value, int):
-        raise ConfigurationError(f"seed must be an integer, got {type(value).__name__}")
-    if not 0 <= value < 2**64:
-        raise ConfigurationError(f"seed must lie in [0, 2^64), got {value}")
-    return value
+    seed = whole_number(value)
+    if seed is None:
+        raise ConfigurationError(f"seed must be a whole number, got {value!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def derived_seed(seed: int, offset: int) -> int:
@@ -260,10 +259,17 @@ DENSITY_COLUMNS = ("epsilon", "lambda", "m_threshold", "hit_count", "M", "prob",
 def _write_results(
     out_dir, stem, config, seed, columns, rows, spec=None, **fields
 ) -> str:
-    """Write ``<stem>_results.csv`` and ``<stem>_manifest.json``; the manifest
-    carries the keys every run shares (config and its hash, seed, version,
-    coefficient normalization, the lattice hash when a grid is given) plus
-    the subcommand's own ``fields``.  Returns the table's path."""
+    """Write ``<stem>_results.csv`` and ``<stem>_manifest.json``, creating
+    ``out_dir`` first, so a run that fails earlier leaves no directory; the
+    manifest carries the keys every run shares (config and its hash, seed,
+    version, coefficient normalization, the lattice hash when a grid is
+    given) plus the subcommand's own ``fields``.  Returns the table's path."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {out_dir!r}: {exc.strerror}"
+        ) from exc
     chash = config_hash(config)
     path = os.path.join(out_dir, f"{stem}_results.csv")
     tailprob.write_table(path, columns, rows, chash)
@@ -358,7 +364,6 @@ def run_khintchine(config, seed, out_dir) -> int:
             law = norm_c * math.gamma(1.0 + p / 2.0) ** (1.0 / p)
             exact.append({"vector_id": vid, "p": p, "exact_moment": law,
                           "relative_error": (moment - law) / law})
-    os.makedirs(out_dir, exist_ok=True)
     path = _write_results(
         out_dir, "khintchine", config, seed, KHINTCHINE_COLUMNS, rows, worst_ratio=worst,
         exact_moments=exact,
@@ -411,7 +416,6 @@ def run_tails(config, seed, out_dir) -> int:
             )
             for flow in parse_flows(config)
         ]
-    os.makedirs(out_dir, exist_ok=True)
 
     estimates = []
     bounds = []
@@ -475,7 +479,6 @@ def run_convergence(config, seed, out_dir) -> int:
             )
         (x_index,) = tailprob.grid_points(spec, points)
     cal_seed = derived_seed(seed, 1)
-    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     cells = []  # the curve's tail estimates, for the exact law
@@ -531,7 +534,6 @@ def run_density(config, seed, out_dir) -> int:
         ensemble = _count(config, "ensemble_size")
         cal_ensemble = _count(config, "calibration_ensemble", ensemble)
     cal_seed = derived_seed(seed, 1)
-    os.makedirs(out_dir, exist_ok=True)
 
     density = tailprob.density_rows(
         data, schedule, pairs, ensemble, seed, cal_ensemble, cal_seed

@@ -9,10 +9,6 @@ class ConfigurationError(ValueError):
     """Incompatible grid/flow/lattice combination or invalid run configuration."""
 
 
-class SingularMultiplierError(ValueError):
-    """Negative-order multiplier applied to data with mass at a singular frequency."""
-
-
 class SplitResolutionError(RuntimeError):
     """Adaptive density split exhausted the grid resolution.
 

@@ -191,14 +191,6 @@ def l2_norm(obj: Field | Spectrum) -> float:
     return float(np.sqrt(weight * np.sum(np.abs(data) ** 2)))
 
 
-def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete H^s norm: (sum over xi of (1+|xi|^2)^s |F(xi)|^2 dxi^dim)^(1/2)."""
-    F = forward_transform(f)
-    weight = (1.0 + f.spec.frequency_norm_squared()) ** s
-    total = f.spec.frequency_cell_volume * np.sum(weight * np.abs(F.coeffs) ** 2)
-    return float(np.sqrt(total))
-
-
 _MAGIC = b"DGF1"
 _HEADER = struct.Struct("<4sBBId")
 _TAGS = {Field: 0, Spectrum: 1}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckResult
-from .errors import ConfigurationError, SingularMultiplierError
+from .errors import ConfigurationError
 from .grid import (
     Field,
     GridSpec,
@@ -123,61 +123,6 @@ def evolve(f: Field, kind: FlowKind, t: float) -> Field:
     """Apply the free flow at time t; t = 0 is the identity."""
     F = forward_transform(f)
     return inverse_transform(Spectrum(f.spec, symbol(kind, f.spec, t) * F.coeffs))
-
-
-_FRACTIONAL_KINDS = ("space", "time-kdv", "time-wave", "time-schrodinger")
-
-
-def fractional_multiplier(
-    f: Field, a: float, kind: str, signature: tuple[int, ...] | None = None
-) -> Field:
-    """Coefficientwise fractional weight:
-
-    space            |xi|^a
-    time-kdv         |xi|^(3a)
-    time-wave        |xi|^a
-    time-schrodinger |sum_j eps_j xi_j^2|^(2a)
-
-    No time evolution is applied; compose with :func:`evolve` for the
-    evolved fractional operators.  a = 0 is exactly the identity.  For
-    a < 0 every coefficient sitting on a zero of the weight base must
-    vanish, otherwise a :class:`SingularMultiplierError` is raised.
-    """
-    if kind not in _FRACTIONAL_KINDS:
-        raise ConfigurationError(f"unknown fractional multiplier kind {kind!r}")
-    if a == 0:
-        return f
-    spec = f.spec
-    if kind == "time-schrodinger":
-        if signature is None:
-            signature = (1,) * spec.dim
-        if len(signature) != spec.dim or any(s not in (-1, 1) for s in signature):
-            raise ConfigurationError("time-schrodinger needs a +-1 signature per axis")
-        base = np.zeros(spec.shape)
-        for s, g in zip(signature, spec.frequency_grids()):
-            base = base + s * g**2
-        base = np.abs(base)
-        exponent = 2.0 * a
-    else:
-        base = np.sqrt(spec.frequency_norm_squared())
-        exponent = {"space": a, "time-kdv": 3.0 * a, "time-wave": a}[kind]
-    F = forward_transform(f)
-    zero = base == 0.0
-    # Rounding noise from the transform does not count as spectral mass.
-    tol = 1e-12 * float(np.max(np.abs(F.coeffs), initial=0.0))
-    if exponent < 0 and np.any(np.abs(F.coeffs[zero]) > tol):
-        raise SingularMultiplierError(
-            "negative-order multiplier with nonzero coefficient at a zero of the symbol"
-        )
-    if exponent < 0:
-        coeffs = F.coeffs.copy()
-        coeffs[zero] = 0.0
-        F = Spectrum(spec, coeffs)
-    weight = np.zeros(spec.shape)
-    np.power(base, exponent, out=weight, where=~zero)
-    if exponent > 0:
-        weight[zero] = 0.0
-    return inverse_transform(Spectrum(spec, weight * F.coeffs))
 
 
 # ---------------------------------------------------------------------------

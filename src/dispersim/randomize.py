@@ -101,16 +101,6 @@ def draw(seed: int, lattice: UnitLattice, sample_index: int = 0) -> RandomDraw:
     )
 
 
-def constant_draw(lattice: UnitLattice, value: complex = 1.0) -> RandomDraw:
-    """Test hook: every coefficient forced to ``value`` (value 1 turns the
-    randomization into plain reconstruction)."""
-    return RandomDraw(
-        seed=0,
-        lattice=lattice,
-        coefficients=np.full(len(lattice), value, dtype=np.complex128),
-    )
-
-
 def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
     from the neighbour table corner by corner in lattice order."""
@@ -168,11 +158,6 @@ def khintchine_moments(c, p_values, samples: int, seed: int) -> list[float]:
         for i, p in enumerate(p_values):
             totals[i] += float(np.sum(vals**p))
     return [float((t / samples) ** (1.0 / p)) for t, p in zip(totals, p_values)]
-
-
-def khintchine_moment(c, p: float, samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the L^p norm over draws of sum_k g_k c_k."""
-    return khintchine_moments(c, (p,), samples, seed)[0]
 
 
 def expected_randomized_norm_squared(f: Field) -> float:

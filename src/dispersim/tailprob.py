@@ -31,7 +31,6 @@ from .decompose import (
     decay_seminorm,
     multi_index,
     schwartz_split,
-    spectral_derivative,
     whole_number,
 )
 from .errors import ConfigurationError, FitError
@@ -47,7 +46,6 @@ from .propagators import FlowKind, symbol
 from .randomize import (
     _gather_weights,
     gaussian_matrix,
-    khintchine_moments,
     randomized_weights,
     RandomDraw,
 )
@@ -262,18 +260,6 @@ def observable_factor(A: np.ndarray) -> np.ndarray:
     t = 0 cell, a repeated point) needs no special case."""
     lam, vecs = np.linalg.eigh(A.T @ A.conj())
     return (vecs * np.sqrt(np.maximum(lam, 0.0))).T
-
-
-def point_coefficients(f: Field, x_index, beta_idx=None) -> np.ndarray:
-    """Series coefficients b_k of (d^beta f^omega)(x) = sum_k g_k b_k."""
-    spec = f.spec
-    F = forward_transform(f).coeffs
-    weighted = _mesh_from_axes(_point_phase(spec, x_index)) * F
-    if beta_idx is not None:
-        weighted = monomial_weight(
-            spec.frequency_grids(), multi_index(beta_idx), base=weighted, imaginary=True
-        )
-    return _windowed_series(spec, weighted)
 
 
 def pointwise_deviation(
@@ -735,24 +721,6 @@ def density_rows(
         params, stats = shared[key]
         rows.append((params, _density_result(split, eps, params, *stats)))
     return rows
-
-
-def moment_growth_check(
-    g: Field, alpha_idx, beta_idx, p_list, n_samples: int, seed: int
-) -> list[tuple[float, float]]:
-    """Empirical L^p norms over draws of x^alpha d^beta g^omega at the
-    grid point maximizing the deterministic |x^alpha d^beta g|."""
-    alpha_idx = multi_index(alpha_idx)
-    beta_idx = multi_index(beta_idx)
-    spec = g.spec
-    der = spectral_derivative(g, beta_idx)
-    weight = monomial_weight(spec.coordinate_grids(), alpha_idx)
-    field_abs = np.abs(weight * der.values)
-    flat = int(np.argmax(field_abs))
-    x_star = np.unravel_index(flat, spec.shape)
-    b = weight[x_star] * point_coefficients(g, x_star, beta_idx)
-    p_list = [float(p) for p in p_list]
-    return list(zip(p_list, khintchine_moments(b, p_list, n_samples, seed)))
 
 
 def series_norm(coefficients: np.ndarray) -> float:

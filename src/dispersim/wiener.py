@@ -232,12 +232,6 @@ class UnitLattice:
             raise KeyError(f"lattice point {tuple(k)} not in unit lattice")
         return int(hits[0])
 
-    def __contains__(self, k) -> bool:
-        k = np.asarray(k, dtype=np.int64).reshape(-1)
-        if k.shape[0] != self.spec.dim:
-            return False
-        return bool(np.any(np.all(self.points == k, axis=1)))
-
     def digest(self) -> str:
         """Stable content hash for result manifests."""
         h = hashlib.sha256()
@@ -343,29 +337,6 @@ def projection_blocks(spec: GridSpec) -> NeighbourTable:
     for arr in (table.index, table.weight, table.pieces):
         arr.flags.writeable = False
     return table
-
-
-def project(f: Field, k) -> Field:
-    """Unit-scale piece of f at lattice point k: multiply the spectrum by
-    psi(xi - k) and transform back.
-
-    Lattice points with no support overlap on this grid yield the zero
-    field rather than an error.
-    """
-    spec = f.spec
-    k = tuple(int(c) for c in np.atleast_1d(np.asarray(k, dtype=np.int64)))
-    if len(k) != spec.dim:
-        raise ConfigurationError(
-            f"lattice point of length {len(k)} on a dim-{spec.dim} grid"
-        )
-    F = forward_transform(f)
-    lattice = unit_lattice(spec)
-    weight = 0.0
-    if k in lattice:
-        table = projection_blocks(spec)
-        hit = table.index == lattice.index_of(k)
-        weight = np.where(hit, table.weight, 0.0).sum(axis=1).reshape(spec.shape)
-    return inverse_transform(Spectrum(spec, weight * F.coeffs))
 
 
 def reconstruct(f: Field) -> Field:

@@ -80,6 +80,7 @@ class TestParsing:
         assert parse_seed("123") == 123
         assert parse_seed("0xff") == 255
         assert parse_seed(7) == 7
+        assert parse_seed(7.0) == 7
         with pytest.raises(ConfigurationError):
             parse_seed("seven")
 
@@ -344,7 +345,30 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
         assert "split" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_unfittable_density_calibration_leaves_nothing(self, tmp_path, capsys):
+        # One calibration draw cannot be fitted: exit 1, and since the
+        # output directory is made only to write results, none is left.
+        payload = dict(DENSITY, grid={"dim": 1, "samples_per_axis": 64, "extent": 16.0},
+                       calibration_ensemble=1)
+        cfg = write_config(tmp_path, "d.json", payload)
+        out = tmp_path / "o"
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_output_directory_that_cannot_be_made_exits_one(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / below if below else blocker
+        cfg = write_config(tmp_path, "k.json", KHINTCHINE)
+        assert main(["khintchine", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: cannot create output directory {str(out)!r}" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
 
     def test_khintchine_sample_floor_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "k.json", dict(KHINTCHINE, samples=500))
@@ -379,7 +403,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" in err and "injected internal fault" in err
         assert "config error" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -469,6 +493,25 @@ class TestTailsCommand:
             (row,) = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
         assert row["M"] == "200"
         assert json.loads((out / "tails_manifest.json").read_text())["ensemble_size"] == 200
+
+
+    def test_whole_float_seed_runs_as_its_integer(self, tmp_path, capsys):
+        bodies = []
+        for seed in (7, 7.0):
+            out = tmp_path / f"out{len(bodies)}"
+            cfg = write_config(tmp_path, "t.json", dict(BASE_TAILS, seed=seed))
+            assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+            hash_line, body = (out / "tails_results.csv").read_text().split("\n", 1)
+            assert hash_line.startswith("# config=")
+            bodies.append(body)
+            assert json.loads((out / "tails_manifest.json").read_text())["seed"] == 7
+        assert bodies[0] == bodies[1]
+        for seed in (7.5, True, "7.5"):
+            cfg = write_config(tmp_path, "t.json", dict(BASE_TAILS, seed=seed))
+            out = tmp_path / "bad"
+            assert main(["tails", "--config", cfg, "--out", str(out)]) == 1
+            assert "seed" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestConvergenceCommand:
@@ -773,3 +816,15 @@ def test_result_files_share_one_layout(tmp_path, capsys, subcommand, payload):
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().out.count(f"{subcommand}_results.csv") == len(rows)
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README quick tour", "exec"), {})
+
+
+def test_public_names_exist():
+    missing = [name for name in dispersim.__all__ if not hasattr(dispersim, name)]
+    assert missing == []

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dispersim.errors import ShapeError
 from dispersim.grid import (
@@ -12,7 +11,6 @@ from dispersim.grid import (
     l2_norm,
     monomial_weight,
     read_binary,
-    sobolev_norm,
     write_binary,
 )
 
@@ -144,40 +142,6 @@ class TestNorms:
             a = l2_norm(f)
             b = l2_norm(forward_transform(f))
             assert abs(a - b) / a < 1e-10
-
-    def test_sobolev_s0_equals_l2(self):
-        rng = np.random.default_rng(4)
-        spec = GridSpec(1, 128, 20.0)
-        f = random_field(spec, rng)
-        assert abs(sobolev_norm(f, 0.0) - l2_norm(f)) < 1e-12 * l2_norm(f)
-
-    def test_sobolev_single_mode(self):
-        spec = GridSpec(1, 64, 16.0)
-        xi0 = 4 * spec.dxi
-        f = Field(spec, np.exp(1j * xi0 * spec.axis_coordinates()))
-        for s in (0.5, 1.0, 3.0):
-            expected = (1 + xi0**2) ** (s / 2) * l2_norm(f)
-            assert abs(sobolev_norm(f, s) - expected) < 1e-10 * expected
-
-    def test_sobolev_gaussian_against_quadrature_oracle(self):
-        # Oracle: integral of (1+xi^2)^3 exp(-xi^2), evaluated by adaptive
-        # quadrature independent of the transform pipeline; frozen value
-        # 3.426734124826296 (= sqrt(53 sqrt(pi) / 8)).
-        oracle_sq, _ = quad(lambda xi: (1 + xi**2) ** 3 * np.exp(-(xi**2)), -np.inf, np.inf)
-        oracle = np.sqrt(oracle_sq)
-        assert abs(oracle - 3.426734124826296) < 1e-12
-        spec = GridSpec(1, 256, 40.0)
-        x = spec.axis_coordinates()
-        f = Field(spec, np.exp(-(x**2) / 2))
-        assert abs(sobolev_norm(f, 3.0) - oracle) < 1e-6
-
-    def test_sobolev_monotone_in_s(self):
-        rng = np.random.default_rng(8)
-        spec = GridSpec(1, 128, 20.0)
-        f = random_field(spec, rng)
-        values = [sobolev_norm(f, s) for s in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)]
-        assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
-
 
 class TestSerialization:
     def test_field_round_trip_bit_exact(self, tmp_path):

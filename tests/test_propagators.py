@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from dispersim import propagators
-from dispersim.errors import ConfigurationError, SingularMultiplierError
+from dispersim.errors import ConfigurationError
 from dispersim.grid import Field, GridSpec, l2_norm
 from dispersim.propagators import (
     FlowKind,
     dispersion,
     evolve,
-    fractional_multiplier,
     invariant_report,
     symbol,
 )
@@ -169,57 +168,6 @@ class TestInvariants:
         rows = {r.name: r for r in invariant_report(specs, seed=5)}
         kdv = rows["small-t symbol bound (kdv)"]
         assert not kdv.passed and kdv.observed > 1.9
-
-
-class TestFractionalMultiplier:
-    def test_zero_order_is_identity(self):
-        spec = GridSpec(1, 64, 16.0)
-        rng = np.random.default_rng(2)
-        f = random_field(spec, rng)
-        out = fractional_multiplier(f, 0.0, "space")
-        assert out is f
-
-    def test_space_weight_on_mode(self):
-        spec = GridSpec(1, 64, 16.0)
-        xi0 = 4 * spec.dxi
-        f = Field(spec, np.exp(1j * xi0 * spec.axis_coordinates()))
-        out = fractional_multiplier(f, 1.0, "space")
-        assert np.max(np.abs(out.values - xi0 * f.values)) < 1e-10
-
-    def test_time_kdv_exponent_arithmetic(self):
-        # |xi|^(3a) with a = 1/3 reduces to |xi| exactly.
-        spec = GridSpec(1, 64, 16.0)
-        xi0 = 5 * spec.dxi
-        f = Field(spec, np.exp(1j * xi0 * spec.axis_coordinates()))
-        out = fractional_multiplier(f, 1.0 / 3.0, "time-kdv")
-        assert np.max(np.abs(out.values - xi0 * f.values)) < 1e-10
-
-    def test_time_schrodinger_mixed_signature(self):
-        spec = GridSpec(2, 16, 8.0)
-        xx, yy = spec.coordinate_grids()
-        xi0 = (2 * spec.dxi, spec.dxi)
-        f = Field(spec, np.exp(1j * (xi0[0] * xx + xi0[1] * yy)))
-        out = fractional_multiplier(f, 0.5, "time-schrodinger", signature=(1, -1))
-        weight = abs(xi0[0] ** 2 - xi0[1] ** 2)  # |sum eps xi^2|^(2a), a = 1/2
-        assert np.max(np.abs(out.values - weight * f.values)) < 1e-10
-
-    def test_negative_order_with_dc_mass_raises(self):
-        spec = GridSpec(1, 64, 16.0)
-        f = Field(spec, np.ones(64))
-        with pytest.raises(SingularMultiplierError):
-            fractional_multiplier(f, -0.5, "space")
-
-    def test_negative_order_without_dc_mass_works(self):
-        spec = GridSpec(1, 64, 16.0)
-        xi0 = 4 * spec.dxi
-        f = Field(spec, np.exp(1j * xi0 * spec.axis_coordinates()))
-        out = fractional_multiplier(f, -1.0, "space")
-        assert np.max(np.abs(out.values - f.values / xi0)) < 1e-10
-
-    def test_unknown_kind_rejected(self):
-        spec = GridSpec(1, 64, 16.0)
-        with pytest.raises(ConfigurationError):
-            fractional_multiplier(Field(spec, np.zeros(64)), 1.0, "time-heat")
 
 
 def test_symbol_magnitudes():

@@ -27,9 +27,7 @@ from dispersim.tailprob import (
     dominate_constants,
     estimate_tail,
     fit_constants,
-    moment_growth_check,
     observable_factor,
-    point_coefficients,
     pointwise_deviation,
     series_norm,
     theoretical_bound,
@@ -547,38 +545,6 @@ class TestConvergenceCurve:
             assert est.ensemble_size == 3000
 
 
-class TestMomentGrowth:
-    def test_zero_field(self):
-        f = Field(SPEC, np.zeros(SPEC.shape))
-        rows = moment_growth_check(f, (1,), (1,), [2, 4], 2000, 1)
-        assert all(v == 0.0 for _, v in rows)
-
-    def test_second_moment_matches_projection_sum(self):
-        # Oracle: E|v|^2 = sum_k |x^alpha d^beta piece_k(x*)|^2, assembled
-        # here from explicit per-piece projections.
-        from dispersim.decompose import spectral_derivative
-        from dispersim.wiener import project
-
-        g = gaussian()
-        rows = moment_growth_check(g, (1,), (1,), [2], 10_000, 44)
-        p2 = rows[0][1]
-
-        field = spectral_derivative(g, (1,))
-        weighted = np.abs(X * field.values)
-        x_star = int(np.argmax(weighted))
-        total = 0.0
-        for k in unit_lattice(SPEC).points:
-            piece = spectral_derivative(project(g, k), (1,))
-            total += abs(X[x_star] * piece.values[x_star]) ** 2
-        assert abs(p2 - math.sqrt(total)) < 0.05 * math.sqrt(total)
-
-    def test_sqrt_p_growth(self):
-        g = gaussian()
-        rows = moment_growth_check(g, (1,), (1,), [2, 4, 8, 16], 10_000, 45)
-        ratios = [v / math.sqrt(p) for p, v in rows]
-        assert all(r <= 3 * ratios[0] for r in ratios)
-
-
 class TestDensityEvent:
     PAIRS = [((0,), (0,)), ((1,), (0,)), ((0,), (1,)), ((1,), (1,))]
 
@@ -630,21 +596,6 @@ class TestResultsCsv:
         assert lines[0] == "# config=deadbeef"
         assert lines[1].split(",") == list(tailprob.CSV_COLUMNS)
         assert len(lines) == 2 + len(ests)
-
-
-def test_point_coefficients_second_moment_identity():
-    # ||b||^2 equals the exact mean square of the randomized point value.
-    g = gaussian()
-    b = point_coefficients(g, ORIGIN)
-    devs = np.abs(
-        np.array(
-            [
-                np.dot(draw(71, unit_lattice(SPEC), m).coefficients, b)
-                for m in range(4000)
-            ]
-        )
-    )
-    assert abs(np.mean(devs**2) - series_norm(b) ** 2) < 0.1 * series_norm(b) ** 2
 
 
 def shifted_draw_statistics(split, pairs, n_samples, seed):

@@ -15,6 +15,7 @@ from dispersim.grid import (
 )
 from dispersim import wiener
 from dispersim.propagators import FlowKind, _random_field, symbol
+from dispersim.randomize import RandomDraw, randomize_field
 from dispersim.tailprob import _windowed_series
 from dispersim.wiener import (
     _piece_entries,
@@ -22,7 +23,6 @@ from dispersim.wiener import (
     bump_derivative,
     bump_value,
     partition_deviation,
-    project,
     projection_blocks,
     reconstruct,
     smooth_step,
@@ -37,6 +37,15 @@ from dispersim.wiener import (
 
 def random_field(spec, rng):
     return Field(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+
+
+def piece(f, k):
+    """The unit-scale piece psi(D - k) f, as the randomization of f whose
+    coefficient is 1 at k and 0 elsewhere."""
+    lattice = unit_lattice(f.spec)
+    one_hot = np.zeros(len(lattice))
+    one_hot[lattice.index_of(k)] = 1.0
+    return randomize_field(f, RandomDraw(0, lattice, one_hot))
 
 
 class TestBump:
@@ -133,9 +142,10 @@ class TestUnitLattice:
     def test_membership_and_index(self):
         spec = GridSpec(1, 64, 16.0)
         lattice = unit_lattice(spec)
-        assert (0,) in lattice
+        assert lattice.points[lattice.index_of((0,))].tolist() == [0]
         assert lattice.points[lattice.index_of((3,))].tolist() == [3]
-        assert (10**6,) not in lattice
+        with pytest.raises(KeyError):
+            lattice.index_of((10**6,))
 
     def test_digest_stable(self):
         spec = GridSpec(1, 64, 16.0)
@@ -150,19 +160,12 @@ class TestProject:
         xi0 = spec.dxi  # exactly 0.2
         assert abs(xi0 - 0.2) < 1e-15
         f = Field(spec, np.exp(1j * xi0 * spec.axis_coordinates()))
-        p0 = project(f, (0,))
-        p1 = project(f, (1,))
+        p0 = piece(f, (0,))
+        p1 = piece(f, (1,))
         recombined = p0.values + p1.values
         assert np.max(np.abs(recombined - f.values)) < 1e-10
         for k in (-2, -1, 2, 3):
-            assert np.max(np.abs(project(f, (k,)).values)) < 1e-12
-
-    def test_far_lattice_point_gives_zero(self):
-        spec = GridSpec(1, 64, 16.0)
-        rng = np.random.default_rng(0)
-        f = random_field(spec, rng)
-        out = project(f, (10**5,))
-        assert np.all(out.values == 0)
+            assert np.max(np.abs(piece(f, (k,)).values)) < 1e-12
 
     @pytest.mark.parametrize("dim,n,L", [(1, 64, 16.0), (2, 16, 8.0), (3, 16, 8.0)])
     def test_reconstruction_random_fields(self, dim, n, L):
@@ -180,7 +183,7 @@ class TestProject:
         f = random_field(spec, rng)
         total = np.zeros(spec.shape, dtype=complex)
         for k in unit_lattice(spec).points:
-            total += project(f, k).values
+            total += piece(f, k).values
         assert np.max(np.abs(total - reconstruct(f).values)) < 1e-12
 
 
@@ -380,14 +383,14 @@ class TestNeighbourTable:
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
     def test_project_matches_block_loop(self, spec):
+        # The one-hot randomization is the unit-scale projection psi(D - k) f.
         f = random_field(spec, np.random.default_rng(20 + spec.dim))
         F = forward_transform(f)
         for idx, windows, block in reference_blocks(spec)[::7]:
             masked = np.zeros(spec.shape, dtype=np.complex128)
             masked[windows] = block * F.coeffs[windows]
             expected = inverse_transform(Spectrum(spec, masked)).values
-            piece = project(f, unit_lattice(spec).points[idx]).values
-            assert np.array_equal(piece, expected)
+            assert np.array_equal(piece(f, unit_lattice(spec).points[idx]).values, expected)
 
     def test_windowed_series_matches_block_loop(self, spec):
         f = random_field(spec, np.random.default_rng(30 + spec.dim))

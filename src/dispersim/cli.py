@@ -236,10 +236,12 @@ def observation_points(config, spec: GridSpec, seed: int):
     return tuple(pts)
 
 
-def config_hash(config: dict) -> str:
-    """Hash of the scientific configuration; output_dir, which only says
-    where results go, is excluded so it cannot change result bytes."""
+def config_hash(config: dict, seed: int) -> str:
+    """Hash of the scientific configuration run with ``seed``, the parsed
+    seed in effect; output_dir, which only says where results go, is
+    excluded so it cannot change result bytes."""
     body = {k: v for k, v in config.items() if k != "output_dir"}
+    body["seed"] = seed
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -270,7 +272,7 @@ def _write_results(
         raise ConfigurationError(
             f"cannot create output directory {out_dir!r}: {exc.strerror}"
         ) from exc
-    chash = config_hash(config)
+    chash = config_hash(config, seed)
     path = os.path.join(out_dir, f"{stem}_results.csv")
     tailprob.write_table(path, columns, rows, chash)
     manifest = {
@@ -532,7 +534,7 @@ def run_density(config, seed, out_dir) -> int:
         schedule = parse_schedule(config)
         pairs = parse_pairs(config, spec)
         ensemble = _count(config, "ensemble_size")
-        cal_ensemble = _count(config, "calibration_ensemble", ensemble)
+        cal_ensemble = _count(config, "calibration_ensemble", ensemble, minimum=100)
     cal_seed = derived_seed(seed, 1)
 
     density = tailprob.density_rows(

@@ -5,10 +5,13 @@ g_k = (X + iY)/sqrt(2) with X, Y independent standard normals, so
 E|g_k|^2 = 1 and each real component, having variance 1/2, satisfies the
 moment-generating bound E exp(gamma X/sqrt(2)) = exp(gamma^2 / 4).
 
-Generation is counter based: the Philox stream for ensemble member m is
-keyed by the pair (seed, m), and coefficients are read off in the fixed
-canonical (lexicographic) lattice order.  Ensembles are therefore
-reproducible, whatever the chunks their samples are drawn in.
+Generation is counter based (Salmon et al., SC'11): samples come in
+blocks of 256, and the Philox stream of block b is keyed by the pair
+(seed, b).  It fills the block's rows in order, sample after sample, each
+row in the fixed canonical (lexicographic) lattice order, so ensemble
+member m is row m mod 256 of block m // 256.  A range of samples that
+starts mid-block draws the block's earlier rows and drops them.  Ensembles
+are therefore reproducible, whatever the chunks their samples are drawn in.
 """
 
 from __future__ import annotations
@@ -23,47 +26,30 @@ from .wiener import UnitLattice, projection_blocks
 
 _MASK64 = (1 << 64) - 1
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_BLOCK = 256  # samples per Philox key
 
 
-def _key(seed: int, sample_index: int) -> np.ndarray:
-    return np.array(
-        [int(seed) & _MASK64, int(sample_index) & _MASK64], dtype=np.uint64
-    )
-
-
-def coefficient_block(seed: int, n_coeffs: int, sample_index: int = 0) -> np.ndarray:
-    """The n_coeffs complex Gaussians of ensemble member ``sample_index``.
-
-    Pure in (seed, sample_index, position): re-running with the same
-    arguments reproduces the same values bit for bit.
-    """
-    gen = np.random.Generator(np.random.Philox(key=_key(seed, sample_index)))
-    z = gen.standard_normal(2 * n_coeffs)
-    return _SQRT_HALF * (z[0::2] + 1j * z[1::2])
+def _key(seed: int, block: int) -> np.ndarray:
+    return np.array([int(seed) & _MASK64, int(block) & _MASK64], dtype=np.uint64)
 
 
 def gaussian_matrix(
     seed: int, n_samples: int, n_coeffs: int, sample_offset: int = 0
 ) -> np.ndarray:
-    """Stack of coefficient blocks for samples [offset, offset + n_samples).
-
-    Identical to stacking :func:`coefficient_block` calls; the bit
-    generator pair and its state record are created once per call, and
-    per sample only the key's sample word changes before the generator
-    fills that sample's row of normals in place.
-    """
+    """The n_coeffs complex Gaussians of each sample in [offset, offset +
+    n_samples), one row per sample: sample m is row m mod 256 of block
+    m // 256 of the stream above, so any split of a range gives the same
+    rows."""
     out = np.empty((n_samples, n_coeffs), dtype=np.complex128)
     parts = out.view(np.float64)  # row m: Re, Im of each coefficient, interleaved
-    bg = np.random.Philox(key=_key(seed, sample_offset))
-    gen = np.random.Generator(bg)
-    key = _key(seed, sample_offset)
-    # A fresh stream: counter 0, empty output buffer.
-    state = dict(bg.state, buffer_pos=4, has_uint32=0, uinteger=0)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
-    for m in range(n_samples):
-        key[1] = (sample_offset + m) & _MASK64
-        bg.state = state
-        gen.standard_normal(out=parts[m])
+    end = sample_offset + n_samples
+    for block in range(sample_offset // _BLOCK, -(-end // _BLOCK)):
+        first = block * _BLOCK
+        row, stop = max(sample_offset - first, 0), min(end - first, _BLOCK)
+        at = first - sample_offset  # the row of ``out`` that holds block row 0
+        gen = np.random.Generator(np.random.Philox(key=_key(seed, block)))
+        gen.standard_normal((row, 2 * n_coeffs))  # the block's rows before the range
+        gen.standard_normal(out=parts[at + row : at + stop])
     out *= _SQRT_HALF
     return out
 
@@ -96,7 +82,7 @@ def draw(seed: int, lattice: UnitLattice, sample_index: int = 0) -> RandomDraw:
     return RandomDraw(
         seed=seed,
         lattice=lattice,
-        coefficients=coefficient_block(seed, len(lattice), sample_index),
+        coefficients=gaussian_matrix(seed, 1, len(lattice), sample_index)[0],
         sample_index=sample_index,
     )
 
@@ -105,17 +91,10 @@ def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
     from the neighbour table corner by corner in lattice order."""
     table = projection_blocks(spec)
-    return _gather_weights(table.index, table.weight, coefficients).reshape(spec.shape)
-
-
-def _gather_weights(index, weight, coefficients) -> np.ndarray:
-    """Flat sum_k g_k psi(xi - k) over the rows of neighbour-table arrays
-    ``index`` and ``weight`` (any row order), adding the corners in
-    lattice order."""
-    weights = np.zeros(index.shape[0], dtype=np.complex128)
-    for idx, w in zip(index.T, weight.T):
+    weights = np.zeros(spec.size, dtype=np.complex128)
+    for idx, w in zip(table.index.T, table.weight.T):
         weights += coefficients[idx] * w
-    return weights
+    return weights.reshape(spec.shape)
 
 
 def randomize_field(f: Field, d: RandomDraw) -> Field:

@@ -43,12 +43,7 @@ from .grid import (
     monomial_weight,
 )
 from .propagators import FlowKind, symbol
-from .randomize import (
-    _gather_weights,
-    gaussian_matrix,
-    randomized_weights,
-    RandomDraw,
-)
+from .randomize import RandomDraw, gaussian_matrix, randomized_weights
 from .wiener import projection_blocks, unit_lattice
 
 _TWO_PI = 2.0 * np.pi
@@ -280,8 +275,8 @@ def pointwise_deviation(
 
 
 def _draw_chunks(seed: int, n_samples: int, width: int, chunk: int):
-    """Samples 0 .. n_samples - 1 of the (seed, m) streams, ``width``
-    complex normals each, as successive :func:`gaussian_matrix` blocks of
+    """Samples 0 .. n_samples - 1 of seed's stream, ``width`` complex
+    normals each, as successive :func:`gaussian_matrix` calls of
     at most ``chunk`` rows."""
     for start in range(0, n_samples, chunk):
         yield gaussian_matrix(seed, min(chunk, n_samples - start), width, start)
@@ -301,11 +296,12 @@ def _count_cells(label: str, cells, stack, thresholds, m_total: int, seed: int):
     """Tail estimates of every (t, alpha, x), cells (t, x) major: the one
     exceedance count behind ``tails``, its calibration and every
     convergence row.  ``stack`` holds the cells' series coefficients, one
-    row per cell.  Sample m draws one complex normal per cell, keyed by
-    (seed, m), and maps them through :func:`observable_factor`, so every
-    cell's deviation has its exact joint law; each (cell, alpha) gets the
-    integer count of |z @ factor| > alpha over the draws, its Wilson
-    interval and the cell's series norm."""
+    row per cell.  Sample m draws one complex normal per cell, row m of
+    :func:`gaussian_matrix`, and maps them through
+    :func:`observable_factor`, so every cell's deviation has its exact
+    joint law; each (cell, alpha) gets the integer count of
+    |z @ factor| > alpha over the draws, its Wilson interval and the
+    cell's series norm."""
     factor = observable_factor(stack.T)
     alphas = np.asarray(thresholds)
     counts = sum(
@@ -545,26 +541,14 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
     over the requested (alpha, beta) pairs.
 
-    Every mesh array is kept in FFT order: the neighbour-table rows, the
-    beta weights, Fh and the alpha weights are permuted once per call, so
-    each draw's weight is gathered in the order ``np.fft.ifftn`` takes and
-    its result is used unshifted (the maximum does not depend on order).
-    Each entry gets the same arithmetic as in natural order, so the ratios
-    are bitwise those of shifting every draw.  The h-norm terms are summed
-    back in natural order, because a sum in another order rounds
-    differently.
+    Each draw's weight stays in natural order and is transformed without
+    the usual index shifts: the modulus of the result equals that of the
+    shifted transform, with x in FFT order, so only the alpha weights are
+    shifted, once per call.
     """
     spec = split.g.spec
     n_lattice = len(unit_lattice(spec))
-    # Entry j of a flat FFT-ordered mesh array is entry order[j] of the
-    # natural one; samples_per_axis is a power of two, so fftshift and
-    # ifftshift are both this permutation, and it is its own inverse.
-    order = np.fft.ifftshift(np.arange(spec.size).reshape(spec.shape)).reshape(-1)
-    table = projection_blocks(spec)
-    index, weight = table.index[order], table.weight[order]
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
-    # One gaussian_matrix call per chunk: the same stream as per-draw
-    # coefficient_block calls, without building a generator per draw.
     chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK)
     draws = (coeffs for block in chunks for coeffs in block)
     # Degenerate split (g = 0): every randomized piece vanishes too, so
@@ -576,24 +560,22 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
                 f"decay seminorm of the smooth part vanishes for indices {pair}"
             )
     Fg = forward_transform(split.g).coeffs
-    Fh = np.fft.ifftshift(forward_transform(split.h).coeffs)
+    Fh = forward_transform(split.h).coeffs
     freqs = spec.frequency_grids()
     coords = spec.coordinate_grids()
     # Per beta: (i xi)^beta Fg, and (x^alpha, seminorm of g) of each of its pairs.
     by_beta = {}
     for (a, b), val in base.items():
         if b not in by_beta:
-            beta_weight = monomial_weight(freqs, b, imaginary=True) * Fg
-            by_beta[b] = (np.fft.ifftshift(beta_weight), [])
+            by_beta[b] = (monomial_weight(freqs, b, imaginary=True) * Fg, [])
         by_beta[b][1].append((np.fft.ifftshift(monomial_weight(coords, a)), val))
     inv_scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     hnorms = np.empty(n_samples)
     ratios = np.zeros(n_samples)
     dxi_vol = spec.frequency_cell_volume
     for m, coeffs in enumerate(draws):
-        W = _gather_weights(index, weight, coeffs).reshape(spec.shape)
-        terms = (np.abs(W * Fh) ** 2).reshape(-1)[order]
-        hnorms[m] = math.sqrt(dxi_vol * float(np.sum(terms)))
+        W = randomized_weights(spec, coeffs)
+        hnorms[m] = math.sqrt(dxi_vol * float(np.sum(np.abs(W * Fh) ** 2)))
         if degenerate:
             continue
         worst = 0.0

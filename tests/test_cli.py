@@ -148,8 +148,28 @@ class TestParsing:
 
     def test_config_hash_ignores_execution_knobs(self):
         base = dict(BASE_TAILS)
-        assert config_hash(base) == config_hash(dict(base, output_dir="elsewhere"))
-        assert config_hash(base) != config_hash(dict(base, seed=8))
+        assert config_hash(base, 7) == config_hash(dict(base, output_dir="elsewhere"), 7)
+        assert config_hash(base, 7) != config_hash(base, 8)
+
+    def test_config_hash_names_the_effective_seed(self, tmp_path, capsys):
+        # --seed 8 over a config without a seed hashes like {"seed": 8};
+        # --seed 9 over the same config does not.
+        unseeded = {k: v for k, v in KHINTCHINE.items() if k != "seed"}
+        runs = {
+            "flag8": (unseeded, ["--seed", "8"]),
+            "key8": (dict(unseeded, seed=8), []),
+            "flag9": (unseeded, ["--seed", "9"]),
+        }
+        hashes = {}
+        for name, (payload, flags) in runs.items():
+            cfg = write_config(tmp_path, f"{name}.json", payload)
+            out = tmp_path / name
+            assert main(["khintchine", "--config", cfg, "--out", str(out), *flags]) == 0
+            manifest = json.loads((out / "khintchine_manifest.json").read_text())
+            first = (out / "khintchine_results.csv").read_text().splitlines()[0]
+            assert first == f"# config={manifest['config_hash']}"
+            hashes[name] = manifest["config_hash"]
+        assert hashes["flag8"] == hashes["key8"] != hashes["flag9"]
 
 
 class TestExitCodes:
@@ -250,12 +270,14 @@ class TestExitCodes:
             ("khintchine", {"vector_length": True}, "vector_length"),
             ("tails", {"max_ci_width": 0.1}, "max_ci_width"),
             ("convergence", {"calibration_ensemble": 50}, "calibration_ensemble"),
+            ("density", {"calibration_ensemble": 99}, "calibration_ensemble"),
             ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
                              "observation_points": [[16, 16]]}, "kdv"),
             ("convergence", {"observation_points": [[128], [7]]}, "observation_points"),
         ],
         ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
-             "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width", "calibration-floor", "kdv-on-2d", "two-points"],
+             "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width",
+             "calibration-floor", "density-calibration-floor", "kdv-on-2d", "two-points"],
     )
     def test_setting_checked_before_output(self, tmp_path, capsys, name, change, key):
         # Each of these ran before (a fraction or a bool truncated to an
@@ -348,10 +370,11 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unfittable_density_calibration_leaves_nothing(self, tmp_path, capsys):
-        # One calibration draw cannot be fitted: exit 1, and since the
-        # output directory is made only to write results, none is left.
+        # Zero data gives all-zero h-norms, whose tails cannot be fitted:
+        # exit 1, and since the output directory is made only to write
+        # results, none is left.
         payload = dict(DENSITY, grid={"dim": 1, "samples_per_axis": 64, "extent": 16.0},
-                       calibration_ensemble=1)
+                       data={"recipe": "gaussian", "width": 2.0, "amplitude": 0.0})
         cfg = write_config(tmp_path, "d.json", payload)
         out = tmp_path / "o"
         assert main(["density", "--config", cfg, "--out", str(out)]) == 1
@@ -770,6 +793,21 @@ class TestKhintchineCommand:
             moment = float(row["moment"])
             assert entry["relative_error"] == pytest.approx((moment - law) / law, rel=1e-9)
             assert abs(entry["relative_error"]) < 0.1
+
+    def test_default_moments_within_five_standard_errors(self, tmp_path, capsys):
+        # Over M samples of CN(0, 1) the estimate (mean |Y|^p)^(1/p) has
+        # relative standard error sqrt(Gamma(1+p) / Gamma(1+p/2)^2 - 1) / (p sqrt M).
+        out = tmp_path / "out"
+        assert main(["khintchine", "--seed", "7", "--out", str(out)]) == 0
+        exact = json.loads((out / "khintchine_manifest.json").read_text())["exact_moments"]
+        samples = 10_000
+        checked = [entry for entry in exact if entry["p"] in (2.0, 4.0, 8.0)]
+        assert len(checked) == 3 * 20
+        for entry in checked:
+            p = entry["p"]
+            ratio = math.gamma(1.0 + p) / math.gamma(1.0 + p / 2.0) ** 2
+            se = math.sqrt(ratio - 1.0) / (p * math.sqrt(samples))
+            assert abs(entry["relative_error"]) < 5.0 * se, entry
 
 
 # The columns README.md documents for each result table.

@@ -5,7 +5,6 @@ from dispersim.errors import ConfigurationError
 from dispersim.grid import Field, GridSpec, l2_norm
 from dispersim.randomize import (
     RandomDraw,
-    coefficient_block,
     draw,
     expected_randomized_norm_squared,
     gaussian_matrix,
@@ -65,15 +64,32 @@ class TestDraw:
             mgf = np.mean(np.exp(gamma * comp))
             assert abs(mgf - np.exp(gamma**2 / 4)) < 0.01
 
-    def test_block_prefix_stable_in_lattice_order(self):
-        long = coefficient_block(55, 32)
-        short = coefficient_block(55, 16)
-        assert np.array_equal(long[:16], short)
+    def test_draw_equals_matrix_row(self):
+        g = gaussian_matrix(321, 600, len(LATTICE))
+        for m in (0, 1, 5, 255, 256, 257, 599):
+            assert np.array_equal(draw(321, LATTICE, m).coefficients, g[m])
 
-    def test_matrix_equals_stacked_blocks(self):
-        g = gaussian_matrix(321, 40, 8, sample_offset=5)
-        for m in range(40):
-            assert np.array_equal(g[m], coefficient_block(321, 8, 5 + m))
+    def test_matrix_split_anywhere_equals_one_call(self):
+        # Splits that are not multiples of the 256-sample block, so two of
+        # the pieces start mid-block.
+        whole = gaussian_matrix(8, 1000, 3)
+        pieces = ((0, 300), (300, 333), (633, 367))
+        parts = [gaussian_matrix(8, n, 3, start) for start, n in pieces]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(gaussian_matrix(8, 2, 3, 255), whole[255:257])
+        assert gaussian_matrix(8, 0, 3, 300).shape == (0, 3)
+
+    def test_rows_across_a_block_edge_uncorrelated(self):
+        # Row 256 starts a new key: correlation with row 255 (the end of the
+        # previous block) or row 0 (the start of its stream) would show a
+        # shared stream.  The normalized inner product of two independent
+        # rows of n coefficients has standard deviation 1/sqrt(n).
+        n = 4000
+        g = gaussian_matrix(17, 257, n)
+        assert np.array_equal(g[255:], gaussian_matrix(17, 2, n, 255))
+        for a, b in ((g[255], g[256]), (g[0], g[256])):
+            r = np.vdot(a, b) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+            assert abs(r) < 5 / np.sqrt(n)
 
 
 class TestRandomizeField:
@@ -154,7 +170,7 @@ class TestKhintchineMoment:
 def test_randomized_weights_bitwise_equal_block_loop(spec):
     lattice = unit_lattice(spec)
     for m in range(3):
-        g = coefficient_block(3, len(lattice), m)
+        g = gaussian_matrix(3, 1, len(lattice), m)[0]
         expected = reference_randomized_weights(spec, g)
         assert np.array_equal(randomized_weights(spec, g), expected)
 

@@ -599,9 +599,9 @@ class TestResultsCsv:
 
 
 def shifted_draw_statistics(split, pairs, n_samples, seed):
-    """The density draw loop as it was before it kept draws in FFT order:
-    every mesh array in natural order, an ifftshift and an fftshift per
-    draw and beta.  The reference the FFT-order loop matches bit for bit."""
+    """The density draw loop with the usual index shifts: every mesh array
+    in natural order, an ifftshift and an fftshift per draw and beta.  The
+    reference the shift-free loop matches bit for bit."""
     spec = split.g.spec
     lattice = unit_lattice(spec)
     Fg = forward_transform(split.g).coeffs

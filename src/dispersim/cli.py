@@ -159,8 +159,12 @@ def parse_data(obj, spec: GridSpec) -> Field:
     if recipe == "custom-file":
         _reject_unknown(obj, ("recipe", "path"), "data")
         _require(obj, ("path",), "data")
+        path = obj["path"]
+        # A number would open as a file descriptor (0 is stdin, true is 1).
+        if not isinstance(path, str) or not path:
+            raise ConfigurationError(f"custom-file path must be a non-empty string, got {path!r}")
         try:
-            loaded = read_binary(obj["path"])
+            loaded = read_binary(path)
         except OSError as exc:
             raise ConfigurationError(f"cannot read custom-file: {exc}") from exc
         if not isinstance(loaded, Field):
@@ -720,6 +724,8 @@ def main(argv=None) -> int:
         _reject_unknown(config, _COMMON_KEYS + required + optional, args.subcommand)
         _require(config, required, args.subcommand)
         out_dir = args.out or config.get("output_dir", "results")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigurationError(f"output_dir must be a non-empty string, got {out_dir!r}")
         return run(config, seed, out_dir)
     except (ConfigurationError, FitError) as exc:
         return _fail(str(exc))

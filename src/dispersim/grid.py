@@ -105,15 +105,14 @@ class GridSpec:
         return (self.samples_per_axis // 2,) * self.dim
 
 
-def monomial_weight(grids, powers, base=None, imaginary=False) -> np.ndarray:
+def monomial_weight(grids, powers, imaginary=False) -> np.ndarray:
     """x^alpha, xi^alpha or (i xi)^beta (``imaginary``) on the given mesh
-    grids, multiplied axis by axis onto ``base`` (ones by default)."""
-    if base is None:
-        base = np.ones(grids[0].shape, dtype=np.complex128 if imaginary else float)
+    grids, multiplied axis by axis onto ones."""
+    out = np.ones(grids[0].shape, dtype=np.complex128 if imaginary else float)
     for g, p in zip(grids, powers):
         if p:
-            base = base * ((1j * g) ** p if imaginary else g**p)
-    return base
+            out = out * ((1j * g) ** p if imaginary else g**p)
+    return out
 
 
 def _validated(spec: GridSpec, values, what: str) -> np.ndarray:

@@ -87,10 +87,6 @@ class FlowKind:
                 f" does not match grid dim {spec.dim}"
             )
 
-    @property
-    def unimodular(self) -> bool:
-        return self.family != "wave-half"
-
 
 def dispersion(kind: FlowKind, spec: GridSpec) -> np.ndarray:
     """Phase function phi(xi) on the frequency mesh (wave-half excluded,

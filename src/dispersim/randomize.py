@@ -58,10 +58,8 @@ def gaussian_matrix(
 class RandomDraw:
     """One realization of the coefficient family over a unit lattice."""
 
-    seed: int
     lattice: UnitLattice
     coefficients: np.ndarray  # aligned with lattice.points
-    sample_index: int = 0
 
     def __post_init__(self):
         if self.coefficients.shape != (len(self.lattice),):
@@ -73,18 +71,13 @@ class RandomDraw:
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
-    def coefficient(self, k) -> complex:
-        return complex(self.coefficients[self.lattice.index_of(k)])
-
 
 def draw(seed: int, lattice: UnitLattice, sample_index: int = 0) -> RandomDraw:
-    """Draw the coefficient family; same seed gives identical coefficients."""
-    return RandomDraw(
-        seed=seed,
-        lattice=lattice,
-        coefficients=gaussian_matrix(seed, 1, len(lattice), sample_index)[0],
-        sample_index=sample_index,
-    )
+    """Draw one sample of the coefficient family, row ``sample_index`` of
+    :func:`gaussian_matrix`; same seed gives identical coefficients.  Each
+    call draws the earlier rows of its block, so a loop over samples
+    takes rows of one :func:`gaussian_matrix` call instead."""
+    return RandomDraw(lattice, gaussian_matrix(seed, 1, len(lattice), sample_index)[0])
 
 
 def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:

@@ -319,25 +319,20 @@ def _count_cells(label: str, cells, stack, thresholds, m_total: int, seed: int):
     return estimates
 
 
-def estimate_tail(
-    config: TailExperimentConfig, *, stack: np.ndarray | None = None, threads: int = 1
-) -> list[TailEstimate]:
+def estimate_tail(config: TailExperimentConfig, *, threads: int = 1) -> list[TailEstimate]:
     """Exceedance frequencies with Wilson intervals for every
     (t, alpha, x) cell, all cells sharing one ensemble of draws
-    (:func:`_count_cells`).  ``stack`` holds the cells' series
-    coefficients, t major, when the caller already has them.
-    Deterministic for a given seed: exceedances are integer counts, so
-    chunking cannot change the result.
+    (:func:`_count_cells`).  Deterministic for a given seed: exceedances
+    are integer counts, so chunking cannot change the result.
 
     ``threads`` is ignored: ensembles run serially, and no other part of
     dispersim reads a thread count.  The keyword stays only because the
     benchmark's ``layertrace.py --speedup`` probe passes it; it goes
     together with that probe and its ``tailprob.thread_speedup`` metric.
     """
-    if stack is None:
-        stack = _deviation_stack(
-            config.flow, config.data, config.times, config.observation_points
-        )
+    stack = _deviation_stack(
+        config.flow, config.data, config.times, config.observation_points
+    )
     cells = [(t, x) for t in config.times for x in config.observation_points]
     return _count_cells(
         config.flow.label(), cells, stack, config.thresholds, config.ensemble_size,
@@ -754,25 +749,24 @@ def atomic_open(path):
             os.remove(tmp)
 
 
-def write_table(path, columns, rows, config_hash: str = "") -> None:
-    """The one writer of result tables: a ``# config=`` line (when a hash
-    is given), the header, then one line per row with floats as ``repr``
-    and every other cell as ``str``."""
+def write_table(path, columns, rows, config_hash: str) -> None:
+    """The one writer of result tables: a ``# config=`` line, the header,
+    then one line per row with floats as ``repr`` and every other cell as
+    ``str``."""
     with atomic_open(path) as fh:
-        if config_hash:
-            fh.write(f"# config={config_hash}\n")
+        fh.write(f"# config={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def tail_rows(estimates, bounds=None) -> list[tuple]:
+def tail_rows(estimates, bounds) -> list[tuple]:
     """Rows of tail estimates in the ``CSV_COLUMNS`` layout; ``bounds`` maps
-    row position to the theoretical bound value (blank when absent)."""
+    row position to the theoretical bound value (blank when None)."""
     return [
         (est.flow_label, est.t, est.alpha, format_x_index(est.x_index),
          est.exceed_count, est.ensemble_size, est.probability, est.ci_low, est.ci_high,
-         "" if bounds is None or bounds[i] is None else bounds[i])
+         "" if bounds[i] is None else bounds[i])
         for i, est in enumerate(estimates)
     ]
 

@@ -225,13 +225,6 @@ class UnitLattice:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def index_of(self, k) -> int:
-        k = np.asarray(k, dtype=np.int64).reshape(-1)
-        hits = np.nonzero(np.all(self.points == k, axis=1))[0]
-        if hits.size == 0:
-            raise KeyError(f"lattice point {tuple(k)} not in unit lattice")
-        return int(hits[0])
-
     def digest(self) -> str:
         """Stable content hash for result manifests."""
         h = hashlib.sha256()

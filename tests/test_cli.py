@@ -291,6 +291,37 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [5, None, ["a"], ""], ids=["int", "null", "list", "empty"])
+    def test_bad_output_dir_exits_one_before_the_run(self, tmp_path, monkeypatch, capsys, value):
+        # Without --out the config key is the output directory; a value that
+        # is no non-empty string was an internal error after the whole run.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "k.json", dict(KHINTCHINE, output_dir=value))
+        assert main(["khintchine", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "output_dir" in captured.err
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["k.json"]
+
+    def test_custom_file_path_must_be_a_string(self, tmp_path, capfd):
+        # A number is no path: open() would read it as a file descriptor
+        # (true is fd 1) and close it afterwards.  capfd stands in for fd 1.
+        spec = parse_grid(BASE_TAILS["grid"])
+        write_binary(Field(spec, np.ones(spec.shape)), tmp_path / "f.bin")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (tmp_path / "f.bin").read_bytes())
+            os.close(write_end)
+            for path in (read_end, True):
+                data = {"recipe": "custom-file", "path": path}
+                cfg = write_config(tmp_path, "c.json", dict(BASE_TAILS, data=data))
+                assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+                assert "path" in capfd.readouterr().err
+            os.fstat(read_end)  # still open
+        finally:
+            os.close(read_end)
+        assert not (tmp_path / "o").exists()
+
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)
         del payload["times"]
@@ -856,13 +887,20 @@ def test_result_files_share_one_layout(tmp_path, capsys, subcommand, payload):
     assert capsys.readouterr().out.count(f"{subcommand}_results.csv") == len(rows)
 
 
-def test_readme_quick_tour_runs():
+def quick_tour() -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     tour = readme.split("## Library quick tour", 1)[1]
-    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README quick tour", "exec"), {})
+    return tour.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_runs():
+    exec(compile(quick_tour(), "README quick tour", "exec"), {})
 
 
 def test_public_names_exist():
     missing = [name for name in dispersim.__all__ if not hasattr(dispersim, name)]
     assert missing == []
+    # The root exports exactly the quick tour's names, plus __version__.
+    block = quick_tour().split("from dispersim import (", 1)[1].split(")", 1)[0]
+    tour = {name.strip() for name in block.split(",")} - {""}
+    assert set(dispersim.__all__) == tour | {"__version__"}

@@ -185,6 +185,3 @@ class TestMonomialWeight:
         w = monomial_weight((xi, eta), (1, 2), imaginary=True)
         assert w.dtype == np.complex128
         assert np.array_equal(w, np.ones(spec.shape, dtype=complex) * (1j * xi) * (1j * eta) ** 2)
-        base = np.full(spec.shape, 2.0 + 1.0j)
-        got = monomial_weight((xi, eta), (0, 1), base=base, imaginary=True)
-        assert np.array_equal(got, base * (1j * eta))

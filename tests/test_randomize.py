@@ -38,15 +38,9 @@ class TestDraw:
             draw(1, LATTICE, 0).coefficients, draw(1, LATTICE, 1).coefficients
         )
 
-    def test_coefficient_lookup_matches_order(self):
-        d = draw(9, LATTICE)
-        k = tuple(LATTICE.points[3])
-        assert d.coefficient(k) == complex(d.coefficients[3])
-
     def test_second_moment_near_one(self):
         # Oracle: E|g|^2 = 1 for the standard complex Gaussian.
         g = gaussian_matrix(777, 100_000, 1).ravel()
-        assert abs(np.mean(np.abs(g)) ** 0) == 1.0  # sanity: shape only
         assert abs(np.abs(np.mean(g))) < 0.01
         assert 0.99 < np.mean(np.abs(g) ** 2) < 1.01
 
@@ -101,7 +95,7 @@ class TestRandomizeField:
     def test_unit_coefficients_reconstruct(self):
         rng = np.random.default_rng(11)
         f = random_field(SPEC, rng)
-        out = randomize_field(f, RandomDraw(0, LATTICE, np.ones(len(LATTICE))))
+        out = randomize_field(f, RandomDraw(LATTICE, np.ones(len(LATTICE))))
         assert l2_norm(Field(SPEC, out.values - f.values)) < 1e-10 * l2_norm(f)
 
     def test_lattice_grid_mismatch(self):
@@ -118,8 +112,8 @@ class TestRandomizeField:
         target = expected_randomized_norm_squared(f)
         total = 0.0
         n = 2000
-        for m in range(n):
-            total += l2_norm(randomize_field(f, draw(314, LATTICE, m))) ** 2
+        for g in gaussian_matrix(314, n, len(LATTICE)):
+            total += l2_norm(randomize_field(f, RandomDraw(LATTICE, g))) ** 2
         assert 0.95 * target < total / n < 1.05 * target
 
 

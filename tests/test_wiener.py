@@ -44,8 +44,10 @@ def piece(f, k):
     coefficient is 1 at k and 0 elsewhere."""
     lattice = unit_lattice(f.spec)
     one_hot = np.zeros(len(lattice))
-    one_hot[lattice.index_of(k)] = 1.0
-    return randomize_field(f, RandomDraw(0, lattice, one_hot))
+    row = np.all(lattice.points == k, axis=1)
+    assert np.count_nonzero(row) == 1
+    one_hot[row] = 1.0
+    return randomize_field(f, RandomDraw(lattice, one_hot))
 
 
 class TestBump:
@@ -138,14 +140,6 @@ class TestUnitLattice:
             for k in lattice.points:
                 total += bump_value(mesh - k.astype(float))
             assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_membership_and_index(self):
-        spec = GridSpec(1, 64, 16.0)
-        lattice = unit_lattice(spec)
-        assert lattice.points[lattice.index_of((0,))].tolist() == [0]
-        assert lattice.points[lattice.index_of((3,))].tolist() == [3]
-        with pytest.raises(KeyError):
-            lattice.index_of((10**6,))
 
     def test_digest_stable(self):
         spec = GridSpec(1, 64, 16.0)

@@ -396,8 +396,8 @@ def _calibration(label, times, stack, targets, ensemble, seed, x_index):
         all_cells.extend(cells)
         if t == t_fit:
             fit_cells.extend(cells)
-    fit = tailprob.fit_constants(fit_cells, "flow-deviation")
-    dom = tailprob.dominate_constants(all_cells, fit.params)
+    fit = tailprob.fit_constants(fit_cells, [abs(e.t) for e in fit_cells])
+    dom = tailprob.dominate_constants(all_cells, fit.params, [abs(e.t) for e in all_cells])
     return fit, dom
 
 
@@ -433,12 +433,13 @@ def run_tails(config, seed, out_dir) -> int:
         cells = tailprob.estimate_tail(cfg)
         params = None
         try:
-            fit = tailprob.fit_constants(cells, "flow-deviation")
-            params = tailprob.dominate_constants(cells, fit.params)
+            scales = [abs(e.t) for e in cells]
+            fit = tailprob.fit_constants(cells, scales)
+            params = tailprob.dominate_constants(cells, fit.params, scales)
             manifest_fits[flow.label()] = {
                 "C": params.C,
                 "C1": params.C1,
-                "regime": params.regime,
+                "regime": "flow-deviation",
                 "r_squared": fit.r_squared,
             }
         except FitError as exc:
@@ -508,7 +509,7 @@ def run_convergence(config, seed, out_dir) -> int:
             ),
         }
         # The chained bound 3 C1 exp(-(alpha / (C e eps))^2) of the schedule.
-        chained = tailprob.BoundParams(params.C, 3.0 * params.C1, params.regime)
+        chained = tailprob.BoundParams(params.C, 3.0 * params.C1)
         rows.extend(
             (e.flow_label, s.epsilon, e.t, e.alpha, e.exceed_count, e.ensemble_size,
              e.probability, e.ci_low, e.ci_high, s.achieved_h_norm,
@@ -719,11 +720,11 @@ def main(argv=None) -> int:
             return _fail("config must be a JSON object")
 
     try:
-        seed = parse_seed(args.seed or config.get("seed", 0))
+        seed = parse_seed(config.get("seed", 0) if args.seed is None else args.seed)
         run, required, optional = _SUBCOMMANDS[args.subcommand]
         _reject_unknown(config, _COMMON_KEYS + required + optional, args.subcommand)
         _require(config, required, args.subcommand)
-        out_dir = args.out or config.get("output_dir", "results")
+        out_dir = config.get("output_dir", "results") if args.out is None else args.out
         if not isinstance(out_dir, str) or not out_dir:
             raise ConfigurationError(f"output_dir must be a non-empty string, got {out_dir!r}")
         return run(config, seed, out_dir)

@@ -144,13 +144,10 @@ class BoundParams:
 
     C: float
     C1: float
-    regime: str  # 'flow-deviation' (scale = |t|) or 'data-size' (scale = ||h||)
 
     def __post_init__(self):
         if self.C <= 0 or self.C1 <= 0:
             raise ValueError("bound constants must be positive")
-        if self.regime not in ("flow-deviation", "data-size"):
-            raise ValueError(f"unknown regime {self.regime!r}")
 
 
 @dataclass(frozen=True)
@@ -408,29 +405,19 @@ def theoretical_bound(params: BoundParams, alpha: float, scale: float) -> float:
     return float(min(1.0, params.C1 * math.exp(-min(exponent, 700.0))))
 
 
-def _estimate_scale(est: TailEstimate, regime: str, scale):
-    if regime == "flow-deviation":
-        return abs(est.t)
-    if scale is None:
-        raise ValueError("data-size regime requires an explicit scale")
-    return float(scale)
-
-
-def fit_constants(
-    estimates, regime: str, scale: float | None = None
-) -> FitResult:
-    """Least-squares fit of -log(probability) against (alpha/scale)^2.
+def fit_constants(estimates, scales) -> FitResult:
+    """Least-squares fit of -log(probability) against (alpha/scale)^2,
+    ``scales`` holding one scale per estimate: |t| for a flow deviation,
+    ||h|| for the density remainder.
 
     The slope is 1/(C e)^2 and the intercept -log C1.  Only cells with
-    probability strictly inside (0, 1) participate; fewer than 6 such
-    cells, or all-0/all-1 probabilities, raise :class:`FitError`.
+    probability strictly inside (0, 1) and a positive scale participate;
+    fewer than 6 such cells, or all-0/all-1 probabilities, raise
+    :class:`FitError`.
     """
     xs, ys = [], []
-    for est in estimates:
-        if 0.0 < est.probability < 1.0:
-            s = _estimate_scale(est, regime, scale)
-            if s <= 0:
-                continue
+    for est, s in zip(estimates, scales, strict=True):
+        if 0.0 < est.probability < 1.0 and s > 0:
             xs.append((est.alpha / s) ** 2)
             ys.append(-math.log(est.probability))
     if len(xs) < 6:
@@ -445,27 +432,23 @@ def fit_constants(
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    params = BoundParams(
-        C=1.0 / (_E * math.sqrt(slope)), C1=math.exp(-intercept), regime=regime
-    )
+    params = BoundParams(C=1.0 / (_E * math.sqrt(slope)), C1=math.exp(-intercept))
     return FitResult(params=params, r_squared=r2, n_points=len(xs))
 
 
-def dominate_constants(
-    estimates, params: BoundParams, scale: float | None = None
-) -> BoundParams:
-    """Minimal inflation of C1 so the bound sits above every cell's
-    Wilson upper limit (the clamp at 1 makes saturated cells trivial)."""
+def dominate_constants(estimates, params: BoundParams, scales) -> BoundParams:
+    """Minimal inflation of C1 so the bound, on each estimate's scale in
+    ``scales``, sits above every cell's Wilson upper limit (the clamp at 1
+    makes saturated cells trivial)."""
     c1 = max(params.C1, 1.0)
-    for est in estimates:
-        s = _estimate_scale(est, params.regime, scale)
+    for est, s in zip(estimates, scales, strict=True):
         if s <= 0 or est.ci_high <= 0:
             continue
         # Same exponent cap as theoretical_bound so domination is consistent.
         exponent = min((est.alpha / (params.C * _E * s)) ** 2, 700.0)
         c1 = max(c1, est.ci_high * math.exp(exponent))
     # Nudge above rounding of the exp round trip so the bound check is safe.
-    return BoundParams(C=params.C, C1=c1 * (1.0 + 1e-9), regime=params.regime)
+    return BoundParams(C=params.C, C1=c1 * (1.0 + 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +579,14 @@ def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
                 TailEstimate("pilot", 0.0, float(q), (), k, samples.size, k / samples.size,
                              lo, hi)
             )
-        fit = fit_constants(ests, "data-size", scale=scale)
-        return dominate_constants(ests, fit.params, scale=scale)
+        scales = [scale] * len(ests)
+        return dominate_constants(ests, fit_constants(ests, scales).params, scales)
 
     h_params = fitted(hnorms, split.achieved_h_norm)
     if not np.any(ratios > 0):
-        return BoundParams(C=h_params.C, C1=max(h_params.C1, 1.0), regime="data-size")
+        return BoundParams(C=h_params.C, C1=max(h_params.C1, 1.0))
     g_params = fitted(ratios, 1.0)
-    return BoundParams(
-        C=max(h_params.C, g_params.C),
-        C1=max(h_params.C1, g_params.C1, 1.0),
-        regime="data-size",
-    )
+    return BoundParams(C=max(h_params.C, g_params.C), C1=max(h_params.C1, g_params.C1, 1.0))
 
 
 def _density_result(

@@ -30,9 +30,9 @@ some piece uses enter M.
 
 The invariant suite checks the square-function bound once per grid, over
 all of that grid's flows: each field is drawn and transformed once, each
-(flow, t) symbol built once, and each distinct spectrum folded once; a
-symbol equal to 1 everywhere (every flow at t = 0) reuses the untouched
-spectrum's square function.
+(flow, t != 0) symbol built once, and each spectrum folded once; every flow
+at t = 0, whose symbol is exactly 1, reuses the untouched spectrum's square
+function.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .grid import (
 
 _TWO_PI = 2.0 * np.pi
 
-# Beyond this |xi|^2 the mollifier and all its first and second derivative
-# terms underflow to exactly zero in float64, so they are masked out before
-# any power of 1/(1-|xi|^2) can overflow.
+# Beyond this |xi|^2 the mollifier (below 1e-289) and its first derivative
+# are set to exactly zero, before any power of 1/(1-|xi|^2) can overflow.
+# Every partition weight depends on this value.
 _SUPPORT_CAP = 0.9985
 
 
@@ -83,33 +83,21 @@ def mollifier_value(xi) -> np.ndarray:
 
 
 def _mollifier_jet(xi: np.ndarray):
-    """Value, gradient and Hessian of the base bump, vectorized.
+    """Value and gradient of the base bump, vectorized.
 
-    Returns (phi, grad, hess) with shapes (...,), (..., d), (..., d, d).
+    Returns (phi, grad) with shapes (...,) and (..., d).
     """
     xi = np.asarray(xi, dtype=float)
-    d = xi.shape[-1]
     u = _radius_squared(xi)
-    base = u.shape
-    phi = np.zeros(base)
-    grad = np.zeros(base + (d,))
-    hess = np.zeros(base + (d, d))
+    phi = np.zeros(u.shape)
+    grad = np.zeros(xi.shape)
     inside = u < _SUPPORT_CAP
-    if not np.any(inside):
-        return phi, grad, hess
     w = 1.0 / (1.0 - u[inside])
     p = np.exp(-w)
-    x = xi[inside]
     phi[inside] = p
     # d_j phi = -2 xi_j w^2 phi
-    grad[inside] = -2.0 * x * (w**2 * p)[..., None]
-    # d_i d_j phi = phi [ (4 w^4 - 8 w^3) xi_i xi_j - 2 w^2 delta_ij ]
-    outer = x[..., :, None] * x[..., None, :]
-    h = outer * ((4.0 * w**4 - 8.0 * w**3) * p)[..., None, None]
-    idx = np.arange(d)
-    h[..., idx, idx] += (-2.0 * w**2 * p)[..., None]
-    hess[inside] = h
-    return phi, grad, hess
+    grad[inside] = -2.0 * xi[inside] * (w**2 * p)[..., None]
+    return phi, grad
 
 
 def _neighbor_offsets(dim: int):
@@ -117,29 +105,25 @@ def _neighbor_offsets(dim: int):
 
 
 def _lattice_jet(xi: np.ndarray, order: int):
-    """Value (and derivatives up to ``order``) of S(xi) = sum_k phi(xi - k).
+    """Value (and, for ``order`` 1, gradient) of S(xi) = sum_k phi(xi - k).
 
     Only the 2^dim lattice points nearest to xi can contribute, because the
     mollifier support has radius one.
     """
     xi = np.asarray(xi, dtype=float)
     d = xi.shape[-1]
-    base = xi.shape[:-1]
     lo = np.floor(xi)
-    s = np.zeros(base)
-    sg = np.zeros(base + (d,)) if order >= 1 else None
-    sh = np.zeros(base + (d, d)) if order >= 2 else None
+    s = np.zeros(xi.shape[:-1])
+    sg = np.zeros(xi.shape) if order == 1 else None
     for off in _neighbor_offsets(d):
         shifted = xi - (lo + np.asarray(off, dtype=float))
         if order == 0:
             s += mollifier_value(shifted)
         else:
-            p, g, h = _mollifier_jet(shifted)
+            p, g = _mollifier_jet(shifted)
             s += p
             sg += g
-            if order >= 2:
-                sh += h
-    return s, sg, sh
+    return s, sg
 
 
 def bump_value(xi) -> np.ndarray:
@@ -150,12 +134,12 @@ def bump_value(xi) -> np.ndarray:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     phi = mollifier_value(xi)
-    s, _, _ = _lattice_jet(xi, order=0)
+    s, _ = _lattice_jet(xi, order=0)
     return phi / s
 
 
 def bump_derivative(xi, beta) -> np.ndarray:
-    """Partial derivative of psi of multi-index ``beta``, |beta| <= 2.
+    """Partial derivative of psi of multi-index ``beta``, |beta| <= 1.
 
     Computed analytically through the quotient rule on the normalized bump,
     which keeps the values accurate up to the support boundary.
@@ -167,23 +151,14 @@ def bump_derivative(xi, beta) -> np.ndarray:
         raise ValueError(f"multi-index length {len(beta)} does not match dim {d}")
     if any(b < 0 for b in beta):
         raise ValueError("multi-index entries must be nonnegative")
-    order = sum(beta)
-    if order > 2:
-        raise ValueError("analytic bump derivatives are limited to order 2")
-    if order == 0:
+    if sum(beta) > 1:
+        raise ValueError("analytic bump derivatives are limited to order 1")
+    if sum(beta) == 0:
         return bump_value(xi)
-    phi, grad, hess = _mollifier_jet(xi)
-    s, sg, sh = _lattice_jet(xi, order=order)
-    axes = [j for j, b in enumerate(beta) for _ in range(b)]
-    if order == 1:
-        (j,) = axes
-        return grad[..., j] / s - phi * sg[..., j] / s**2
-    i, j = axes
-    term = hess[..., i, j] / s
-    term -= (grad[..., i] * sg[..., j] + grad[..., j] * sg[..., i]) / s**2
-    term -= phi * sh[..., i, j] / s**2
-    term += 2.0 * phi * sg[..., i] * sg[..., j] / s**3
-    return term
+    phi, grad = _mollifier_jet(xi)
+    s, sg = _lattice_jet(xi, order=1)
+    j = beta.index(1)
+    return grad[..., j] / s - phi * sg[..., j] / s**2
 
 
 def smooth_step(s) -> np.ndarray:
@@ -553,24 +528,23 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     max_x square function / ||f||_L2, all flows in one pass over the
     fields.
 
-    Each field is drawn and transformed once and each (flow, t) symbol
-    built once.  Each distinct spectrum of a field goes through the square
-    function once, :func:`_gram_group` spectra at a time, and its peak
-    enters every flow that produces it: a symbol equal to 1 at every mesh
-    point, as every flow's at t = 0, shares the untouched spectrum's."""
+    Each field is drawn and transformed once and each (flow, t != 0)
+    symbol built once.  Each spectrum of a field goes through the square function
+    once, :func:`_gram_group` spectra at a time, and its peak enters every
+    flow that produces it: every flow at t = 0, whose symbol is exactly 1,
+    shares the untouched spectrum's."""
     rng = np.random.default_rng(seed)
-    # Each distinct spectrum by its symbol (None: untouched), with the
-    # flows whose excess its peak enters.
-    rows = [(None, [i for i, flow in enumerate(flows) if flow is None])]
-    for i, flow in enumerate(flows):
-        for t in () if flow is None else times:
-            sym = propagators.symbol(flow, spec, t)
-            for known, owners in rows:
-                if np.all(sym == (1.0 if known is None else known)):
-                    owners.append(i)
-                    break
-            else:
-                rows.append((sym, [i]))
+    # Each spectrum by its symbol (None: untouched), with the flows whose
+    # excess its peak enters.
+    at_zero = any(t == 0 for t in times)
+    rows = [(None, [i for i, flow in enumerate(flows) if flow is None or at_zero])]
+    rows += [
+        (propagators.symbol(flow, spec, t), [i])
+        for i, flow in enumerate(flows)
+        if flow is not None
+        for t in times
+        if t != 0
+    ]
     rows = [row for row in rows if row[1]]
 
     def spectra():

@@ -79,8 +79,8 @@ def fitted_flow_constants(flow, data, times, ensemble, seed):
     for t in times:
         if t != t_fit:
             all_cells.extend(tail_cells(flow, data, t, targets, ensemble, seed))
-    fit = tailprob.fit_constants(fit_cells_, "flow-deviation")
-    dom = tailprob.dominate_constants(all_cells, fit.params)
+    fit = tailprob.fit_constants(fit_cells_, [abs(e.t) for e in fit_cells_])
+    dom = tailprob.dominate_constants(all_cells, fit.params, [abs(e.t) for e in all_cells])
     return fit, dom, all_cells
 
 

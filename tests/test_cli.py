@@ -303,6 +303,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["k.json"]
 
+    @pytest.mark.parametrize("flag, setting", [("--out", "output_dir"), ("--seed", "seed")],
+                             ids=["out", "seed"])
+    def test_empty_flag_exits_one(self, tmp_path, monkeypatch, capsys, flag, setting):
+        # A flag beats the config even when empty: it is rejected, not
+        # taken as absent (the config's seed 5, or the default ./results).
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "k.json", dict(KHINTCHINE, seed=5))
+        assert main(["khintchine", "--config", cfg, flag, ""]) == 1
+        assert setting in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["k.json"]
+
     def test_custom_file_path_must_be_a_string(self, tmp_path, capfd):
         # A number is no path: open() would read it as a file descriptor
         # (true is fd 1) and close it afterwards.  capfd stands in for fd 1.
@@ -491,7 +502,9 @@ class TestTailsCommand:
         assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "tails_results.csv", newline="") as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
-        law = json.loads((out / "tails_manifest.json").read_text())["exact_law"]
+        manifest = json.loads((out / "tails_manifest.json").read_text())
+        assert manifest["fitted_constants"]["kdv"]["regime"] == "flow-deviation"
+        law = manifest["exact_law"]
         assert len(law["rows"]) == len(rows) == 12
         misses = 0
         for row, entry in zip(rows, law["rows"]):

@@ -422,7 +422,7 @@ def scipy_binomial_z(k, m, p):
 
 
 class TestTheoreticalBound:
-    PARAMS = BoundParams(C=2.0, C1=5.0, regime="flow-deviation")
+    PARAMS = BoundParams(C=2.0, C1=5.0)
 
     def test_decreasing_to_zero(self):
         vals = [theoretical_bound(self.PARAMS, a, 0.1) for a in (0.5, 1.0, 2.0, 5.0, 50.0)]
@@ -454,7 +454,7 @@ def synthetic_estimates(C, C1, times, targets, n=100_000):
 class TestFitConstants:
     def test_exact_model_round_trip(self):
         ests = synthetic_estimates(2.0, 5.0, (0.1, 0.05, 0.02), (0.35, 0.2, 0.08, 0.02))
-        fit = fit_constants(ests, "flow-deviation")
+        fit = fit_constants(ests, [abs(e.t) for e in ests])
         assert abs(fit.params.C - 2.0) < 0.02
         assert abs(fit.params.C1 - 5.0) < 0.05
         assert fit.r_squared > 0.999
@@ -465,19 +465,21 @@ class TestFitConstants:
             for a in np.linspace(0.1, 1.0, 8)
         ]
         with pytest.raises(FitError):
-            fit_constants(ests, "flow-deviation")
+            fit_constants(ests, [0.1] * len(ests))
 
     def test_too_few_cells_unfittable(self):
         ests = synthetic_estimates(2.0, 5.0, (0.1,), (0.35, 0.2))
         with pytest.raises(FitError):
-            fit_constants(ests, "flow-deviation")
+            fit_constants(ests, [0.1] * len(ests))
 
-    def test_data_size_regime_requires_scale(self):
+    def test_uses_each_estimates_scale(self):
+        # Cells at t = 1: on scale 1.0 the fit gives back C = 2; on scale
+        # 2.0 the same alphas give C = 1, so the scale is the given one.
         ests = synthetic_estimates(2.0, 5.0, (1.0,), (0.4, 0.3, 0.2, 0.1, 0.05, 0.02))
-        with pytest.raises(ValueError):
-            fit_constants(ests, "data-size")
-        fit = fit_constants(ests, "data-size", scale=1.0)
+        fit = fit_constants(ests, [1.0] * len(ests))
         assert abs(fit.params.C - 2.0) < 0.02
+        fit = fit_constants(ests, [2.0] * len(ests))
+        assert abs(fit.params.C - 1.0) < 0.01
 
     def test_single_mode_ensemble_fit(self):
         # The single-mode tail is exactly Gaussian in alpha^2, so the fit
@@ -487,7 +489,8 @@ class TestFitConstants:
         scale = mode_deviation_scale(xi0, t)
         alphas = tuple(scale * math.sqrt(-math.log(p)) for p in (0.45, 0.3, 0.2, 0.12, 0.06, 0.02))
         cfg = TailExperimentConfig(KDV, f, (t,), alphas, (ORIGIN,), 10_000, 97)
-        fit = fit_constants(estimate_tail(cfg), "flow-deviation")
+        cells = estimate_tail(cfg)
+        fit = fit_constants(cells, [abs(e.t) for e in cells])
         assert fit.r_squared > 0.9
 
     def test_domination_after_inflation(self):
@@ -496,15 +499,16 @@ class TestFitConstants:
         alphas = tuple(norm_a * math.sqrt(-math.log(p)) for p in (0.4, 0.25, 0.12, 0.05, 0.02, 0.008))
         cfg = TailExperimentConfig(KDV, f, (0.1,), alphas, (ORIGIN,), 10_000, 98)
         cells = estimate_tail(cfg)
-        fit = fit_constants(cells, "flow-deviation")
-        dom = dominate_constants(cells, fit.params)
+        scales = [abs(e.t) for e in cells]
+        fit = fit_constants(cells, scales)
+        dom = dominate_constants(cells, fit.params, scales)
         assert all(
             theoretical_bound(dom, est.alpha, abs(est.t)) >= est.ci_high for est in cells
         )
 
 
 class TestConvergenceCurve:
-    PARAMS = BoundParams(C=0.05, C1=2.0, regime="flow-deviation")
+    PARAMS = BoundParams(C=0.05, C1=2.0)
 
     def test_zero_field_never_exceeds(self):
         f = Field(SPEC, np.zeros(SPEC.shape))
@@ -571,7 +575,7 @@ class TestDensityEvent:
         # eps above ||f|| forces g = 0, so only the h-norm part can fail.
         f = gaussian(width=1.0)
         eps = 1.05 * l2_norm(f)
-        params = BoundParams(C=1.0, C1=2.0, regime="data-size")
+        params = BoundParams(C=1.0, C1=2.0)
         res = density_event_probability(f, eps, self.PAIRS, 300, 10, params)
 
         from dispersim.decompose import schwartz_split
@@ -586,7 +590,7 @@ class TestDensityEvent:
 class TestResultsCsv:
     def test_layout_and_rerun_bytes(self, tmp_path):
         ests = synthetic_estimates(2.0, 5.0, (0.1,), (0.3, 0.1))
-        bounds = [theoretical_bound(BoundParams(2.0, 5.0, "flow-deviation"), e.alpha, 0.1) for e in ests]
+        bounds = [theoretical_bound(BoundParams(2.0, 5.0), e.alpha, 0.1) for e in ests]
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         write_table(p1, tailprob.CSV_COLUMNS, tail_rows(ests, bounds), "deadbeef")

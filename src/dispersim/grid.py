@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -154,23 +155,36 @@ class Spectrum:
         )
 
 
+@lru_cache(maxsize=8)
+def _checkerboard(spec: GridSpec) -> np.ndarray:
+    """The signs (-1)^(j_1 + ... + j_dim) on the mesh, read-only int8."""
+    axis = (1 - 2 * (np.arange(spec.samples_per_axis) % 2)).astype(np.int8)
+    signs = reduce(np.multiply.outer, [axis] * spec.dim)
+    signs.flags.writeable = False
+    return signs
+
+
 def forward_transform(f: Field) -> Spectrum:
     """Quadrature-weighted discrete Fourier transform approximating
     (2*pi)^(-dim/2) * integral of exp(-i x.xi) f(x) dx.
     """
     spec = f.spec
-    # N is even, so ifftshift is the exact inverse of fftshift.
-    raw = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    scale = spec.cell_volume * _TWO_PI ** (-spec.dim / 2.0)
-    return Spectrum(spec, scale * raw)
+    # The index shifts by N/2 around the FFT equal multiplying its input and
+    # output by the checkerboard c, times the global sign (-1)^(dim N/2).
+    # N is a power of two >= 16, so N/2 is even and that sign is +1.
+    c = _checkerboard(spec)
+    raw = np.fft.fftn(c * f.values)
+    raw *= spec.cell_volume * _TWO_PI ** (-spec.dim / 2.0) * c
+    return Spectrum(spec, raw)
 
 
 def inverse_transform(F: Spectrum) -> Field:
     """Exact inverse of :func:`forward_transform`."""
     spec = F.spec
-    raw = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.coeffs)))
-    scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
-    return Field(spec, scale * raw)
+    c = _checkerboard(spec)
+    raw = np.fft.ifftn(c * F.coeffs)
+    raw *= _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume * c
+    return Field(spec, raw)
 
 
 def l2_norm(obj: Field | Spectrum) -> float:

@@ -32,7 +32,9 @@ The invariant suite checks the square-function bound once per grid, over
 all of that grid's flows: each field is drawn and transformed once, each
 (flow, t != 0) symbol built once, and each spectrum folded once; every flow
 at t = 0, whose symbol is exactly 1, reuses the untouched spectrum's square
-function.
+function.  The pass fills one workspace of Gram buffers for every group of
+spectra and drops it on return, instead of faulting in fresh ~1 MB buffers
+on every call.
 """
 
 from __future__ import annotations
@@ -411,46 +413,63 @@ def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
         yield stack.reshape((count,) + spec.shape)
 
 
-def _folded_gram(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def _gram_workspace(spec: GridSpec, batch: int):
+    """Buffers for up to ``batch`` spectra of :func:`_folded_gram`: values,
+    windows, their conjugate, a flat Gram row block and the values' places."""
+    values = np.empty((batch, _piece_entries(spec)[2].size), dtype=np.complex128)
+    scatter, lag = _window_lags(spec)
+    used = len(lag)
+    windows = np.zeros((batch, len(projection_blocks(spec)), used), dtype=np.complex128)
+    gram = np.empty(batch * min(used, _gram_rows(used)) * used, dtype=np.complex128)
+    places = (windows[0].size * np.arange(batch)[:, None] + scatter).reshape(-1)
+    return values, windows, np.empty_like(windows), gram, places
+
+
+def _folded_gram(spec: GridSpec, coeffs: np.ndarray, work=None) -> np.ndarray:
     """The lag sums R_delta of each spectrum's window Gram matrix, folded
     onto the mesh: shape (batch, N^dim) for coefficients of shape
     batch + spec.shape.
 
-    The windows are scattered in one assignment through the cached flat
-    index.  Each block of the Gram matrix's rows is folded by one bincount
-    over the interleaved float64 view of the whole batch's block, binned by
-    2 (b N^dim + lag) + part; each bin adds the same terms in the same order
-    as a bincount per spectrum and part would."""
+    The windows are scattered in one flat assignment, into ``work``
+    (:func:`_gram_workspace`) or fresh buffers.  Each block of the Gram
+    matrix's rows is folded by one bincount over the interleaved float64
+    view of the whole batch's block, binned by 2 (b N^dim + lag) + part;
+    each bin adds the same terms in the same order as a bincount per
+    spectrum and part would."""
     _, _, row, weight, _ = _piece_entries(spec)
-    scatter, lag = _window_lags(spec)
-    values = coeffs.reshape(-1, spec.size)[:, row]
+    lag = _window_lags(spec)[1]
+    flat = coeffs.reshape(-1, spec.size)
+    batch, used = flat.shape[0], len(lag)
+    values, windows, conj, gram, places = work or _gram_workspace(spec, batch)
+    values, windows, conj = values[:batch], windows[:batch], conj[:batch]
+    np.take(flat, row, axis=1, out=values, mode="clip")
     values *= weight
-    batch, used = values.shape[0], len(lag)
-    windows = np.zeros((batch, len(projection_blocks(spec)) * used), dtype=np.complex128)
-    windows[:, scatter] = values
-    windows = windows.reshape(batch, -1, used)
-    conj = windows.conj()
+    # Every call fills the same window positions; the others stay zero.
+    windows.reshape(-1)[places[: values.size]] = values.reshape(-1)
+    np.conjugate(windows, out=conj)
     offsets = 2 * spec.size * np.arange(batch)[:, None, None, None]
     out = np.zeros(2 * batch * spec.size)
     step = _gram_rows(used)
     for start in range(0, used, step):
+        lags = lag[start : start + step]
+        part = gram[: batch * lags.size].reshape(batch, *lags.shape)
         # gram[b, i, j] = sum_k w_k[i] conj(w_k[j]) over the pieces k.
-        gram = np.matmul(windows[:, :, start : start + step].transpose(0, 2, 1), conj)
-        bins = offsets + 2 * lag[start : start + step, :, None] + np.arange(2)
-        out += np.bincount(bins.reshape(-1), gram.view(np.float64).reshape(-1), out.size)
+        np.matmul(windows[:, :, start : start + step].transpose(0, 2, 1), conj, out=part)
+        bins = offsets + 2 * lags[:, :, None] + np.arange(2)
+        out += np.bincount(bins.reshape(-1), part.view(np.float64).reshape(-1), out.size)
     return out.view(np.complex128).reshape(batch, spec.size)
 
 
-def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray, work=None):
     """Pointwise (sum_k |piece_k(x)|^2)^(1/2) for coefficients of shape
     batch + spec.shape, one result per spectrum, from the windows' Gram
-    matrix (module docstring).
+    matrix (module docstring); ``work`` as for :func:`_folded_gram`.
 
     Transforming the natural-order spectrum without the usual index shift
     only multiplies each piece by a unimodular (-1)^j checkerboard, which
     the modulus removes; one final shift restores natural x order.
     """
-    folded = _folded_gram(spec, coeffs).reshape((-1,) + spec.shape)
+    folded = _folded_gram(spec, coeffs, work).reshape((-1,) + spec.shape)
     axes = tuple(range(1, spec.dim + 1))
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume / spec.size
     total = scale**2 * np.fft.ifftn(folded, axes=axes, norm="forward").real
@@ -557,8 +576,10 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
 
     pending = spectra()
     worst = [0.0] * len(flows)
-    while group := list(itertools.islice(pending, _gram_group(spec))):
-        sq = _square_function_from_coeffs(spec, np.stack([F for F, _, _ in group]))
+    size = _gram_group(spec)
+    work = _gram_workspace(spec, size)
+    while group := list(itertools.islice(pending, size)):
+        sq = _square_function_from_coeffs(spec, np.stack([F for F, _, _ in group]), work)
         peaks = np.max(sq.reshape(len(group), -1), axis=1)
         for peak, (_, norm, owners) in zip(peaks, group):
             for i in owners:

@@ -122,6 +122,41 @@ class TestInverseTransform:
         assert np.max(np.abs(f.values - expected)) < 1e-14
 
 
+def rolled_forward(f):
+    """The forward transform with index shifts by N/2 around fftn."""
+    spec = f.spec
+    raw = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+    return spec.cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0) * raw
+
+
+def rolled_inverse(F):
+    """The inverse transform with index shifts by N/2 around ifftn."""
+    spec = F.spec
+    raw = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.coeffs)))
+    return (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume * raw
+
+
+PAIR_SPECS = (
+    [GridSpec(1, 2**k, 12.0) for k in range(4, 13)]
+    + [GridSpec(2, n, 8.0) for n in (16, 32, 64, 128)]
+    + [GridSpec(3, n, 8.0) for n in (16, 32)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec", PAIR_SPECS, ids=lambda s: f"{s.dim}d-{s.samples_per_axis}"
+)
+def test_checkerboard_pair_equals_rolled_pair_bitwise(spec):
+    rng = np.random.default_rng(spec.size + spec.dim)
+    f = random_field(spec, rng)
+    F = forward_transform(f)
+    assert F.coeffs.tobytes() == rolled_forward(f).tobytes()
+    G = Spectrum(spec, random_field(spec, rng).values)
+    assert inverse_transform(G).values.tobytes() == rolled_inverse(G).tobytes()
+    g = inverse_transform(F)
+    assert np.max(np.abs(g.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+
+
 class TestNorms:
     def test_zero_field(self):
         spec = GridSpec(1, 16, 4.0)

@@ -1,5 +1,7 @@
 from functools import lru_cache
 import itertools
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -661,9 +663,9 @@ def test_invariant_suite_draws_each_grid_once(monkeypatch):
         counts["transforms"] += 1
         return transform(f)
 
-    def counted_square(spec, coeffs):
+    def counted_square(spec, coeffs, *work):
         counts["spectra"] += coeffs.size // spec.size
-        return square(spec, coeffs)
+        return square(spec, coeffs, *work)
 
     def counted_bound(spec, *args):
         before = dict(counts)
@@ -719,3 +721,56 @@ def test_folded_gram_equals_old_fold(spec, budget, batch, monkeypatch):
         [forward_transform(random_field(spec, rng)).coeffs for _ in range(batch)]
     )
     assert np.array_equal(wiener._folded_gram(spec, coeffs), old_folded_gram(spec, coeffs))
+
+
+def test_pass_workspaces_equal_fresh_buffers_across_grids(monkeypatch):
+    # 1D, then 2D, then 1D again in one process, each with a short last
+    # group of spectra: every pass equals the route through fresh buffers
+    # bit for bit, and none of its buffers outlives it.
+    made = []
+    workspace = wiener._gram_workspace
+
+    def tracked_workspace(spec, batch):
+        buffers = workspace(spec, batch)
+        made.extend(weakref.ref(b) for b in buffers)
+        return buffers
+
+    def fresh_fold(spec, coeffs, work=None):
+        return old_folded_gram(spec, coeffs)
+
+    times = (0.0, 0.1, 1.0)
+    n_fields = 7
+    cases = [
+        (GridSpec(1, 64, 16.0), "kdv", 1 << 16),
+        (GridSpec(2, 32, 16.0), "schrodinger:+-", 1 << 20),
+        (GridSpec(1, 64, 16.0), "kdv", 1 << 16),
+    ]
+    for spec, name, budget in cases:
+        monkeypatch.setattr(wiener, "_GRAM_BYTES", budget)
+        group = wiener._gram_group(spec)
+        # The untouched spectrum and the flow at t = 0.1 and 1, per field.
+        assert group > 1 and (3 * n_fields) % group != 0
+        flows = [None, FlowKind.parse(name)]
+        with monkeypatch.context() as m:
+            m.setattr(wiener, "_gram_workspace", tracked_workspace)
+            got = square_bound_excess(spec, flows, times, n_fields, 11)
+        assert made and all(ref() is None for ref in made)
+        made.clear()
+        with monkeypatch.context() as m:
+            m.setattr(wiener, "_folded_gram", fresh_fold)
+            assert got == square_bound_excess(spec, flows, times, n_fields, 11)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_square_pass_faults_in_few_pages():
+    # Fresh Gram buffers of about 1 MB per group fault their pages in on
+    # every call (over 20 000 faults for this pass); one workspace per
+    # pass faults them in once.
+    resource = pytest.importorskip("resource")
+    spec = GridSpec(2, 32, 16.0)
+    flows = [None] + [FlowKind.parse(name) for name in ("wave-half", "schrodinger:+-")]
+    times = (0.0, 0.1, 1.0)
+    square_bound_excess(spec, flows, times, 2, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    square_bound_excess(spec, flows, times, 100, 1)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000

@@ -69,6 +69,20 @@ def _count(config: dict, key: str, default=None, minimum: int = 1) -> int:
     return value
 
 
+def _reject_non_finite(value, where: str) -> None:
+    """A NaN or infinite number anywhere in the config value ``value`` is a
+    configuration error naming its key; JSON reads NaN, Infinity and
+    numbers beyond the float range (1e309) as such floats."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+
+
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -112,14 +126,30 @@ def parse_grid(obj) -> GridSpec:
         raise ConfigurationError("grid must be an object")
     _require(obj, ("dim", "samples_per_axis", "extent"), "grid")
     _reject_unknown(obj, ("dim", "samples_per_axis", "extent"), "grid")
-    return GridSpec(
+    spec = GridSpec(
         dim=_count(obj, "dim"),
         samples_per_axis=_count(obj, "samples_per_axis"),
         extent=float(obj["extent"]),
     )
+    # The kdv phase is xi^3: past this |xi| no symbol or time limit is finite.
+    xi_max = math.sqrt(spec.dim) * spec.samples_per_axis / 2 * spec.dxi
+    if not xi_max < sys.float_info.max ** (1.0 / 3.0):
+        raise ConfigurationError(
+            f"grid extent {spec.extent!r} is too small: the largest |xi|^3 overflows"
+        )
+    return spec
 
 
 def parse_data(obj, spec: GridSpec) -> Field:
+    """The configured data field, whose samples must all be finite."""
+    with np.errstate(all="ignore"):  # the check below reports the outcome
+        data = _data_field(obj, spec)
+    if not np.all(np.isfinite(data.values)):
+        raise ConfigurationError(f"data {obj!r} has non-finite samples")
+    return data
+
+
+def _data_field(obj, spec: GridSpec) -> Field:
     if not isinstance(obj, dict) or "recipe" not in obj:
         raise ConfigurationError("data must be an object with a 'recipe' field")
     recipe = obj["recipe"]
@@ -167,8 +197,6 @@ def parse_data(obj, spec: GridSpec) -> Field:
             loaded = read_binary(path)
         except OSError as exc:
             raise ConfigurationError(f"cannot read custom-file: {exc}") from exc
-        if not isinstance(loaded, Field):
-            raise ConfigurationError("custom-file must hold a physical-space field")
         if loaded.spec != spec:
             raise ConfigurationError(
                 "custom-file grid does not match the configured grid"
@@ -720,6 +748,8 @@ def main(argv=None) -> int:
             return _fail("config must be a JSON object")
 
     try:
+        for key, value in config.items():
+            _reject_non_finite(value, key)
         seed = parse_seed(config.get("seed", 0) if args.seed is None else args.seed)
         run, required, optional = _SUBCOMMANDS[args.subcommand]
         _reject_unknown(config, _COMMON_KEYS + required + optional, args.subcommand)

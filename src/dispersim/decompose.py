@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SplitResolutionError
-from .grid import (
-    Field,
-    GridSpec,
-    Spectrum,
-    forward_transform,
-    inverse_transform,
-    l2_norm,
-    monomial_weight,
-)
+from .grid import Field, GridSpec, _apply_multiplier, l2_norm, monomial_weight
 from .wiener import smooth_step
 
 
@@ -58,9 +50,9 @@ def spectral_derivative(f: Field, beta_idx) -> Field:
         raise ValueError("spectral derivatives are limited to order 2")
     if sum(beta_idx) == 0:
         return f
-    F = forward_transform(f)
-    weight = monomial_weight(spec.frequency_grids(), beta_idx, imaginary=True)
-    return inverse_transform(Spectrum(spec, weight * F.coeffs))
+    return _apply_multiplier(
+        f, monomial_weight(spec.frequency_grids(), beta_idx, imaginary=True)
+    )
 
 
 def decay_seminorm(g: Field, alpha_idx, beta_idx) -> float:

@@ -187,43 +187,36 @@ def inverse_transform(F: Spectrum) -> Field:
     return Field(spec, raw)
 
 
-def l2_norm(obj: Field | Spectrum) -> float:
-    """Quadrature-weighted discrete L2 norm.
+def _apply_multiplier(f: Field, multiplier) -> Field:
+    """The field whose spectrum is ``multiplier`` times f's: one forward and
+    one inverse transform around a frequency-side multiplication."""
+    return inverse_transform(Spectrum(f.spec, multiplier * forward_transform(f).coeffs))
 
-    Accepts either representation; by Plancherel the two sides agree to
-    rounding for transform pairs.
-    """
-    if isinstance(obj, Field):
-        weight = obj.spec.cell_volume
-        data = obj.values
-    elif isinstance(obj, Spectrum):
-        weight = obj.spec.frequency_cell_volume
-        data = obj.coeffs
-    else:
-        raise TypeError(f"expected Field or Spectrum, got {type(obj).__name__}")
-    return float(np.sqrt(weight * np.sum(np.abs(data) ** 2)))
+
+def l2_norm(f: Field) -> float:
+    """Quadrature-weighted discrete L2 norm of a field."""
+    return float(np.sqrt(f.spec.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
 _MAGIC = b"DGF1"
 _HEADER = struct.Struct("<4sBBId")
-_TAGS = {Field: 0, Spectrum: 1}
+_FIELD_TAG = 0
 
 
-def write_binary(obj: Field | Spectrum, path) -> None:
-    """Serialize to the flat binary layout: header (tag, dim, N, L) then
-    row-major complex pairs.  Round trips are bit exact."""
-    tag = _TAGS[type(obj)]
-    spec = obj.spec
-    data = obj.values if isinstance(obj, Field) else obj.coeffs
+def write_binary(f: Field, path) -> None:
+    """Serialize a field to the flat binary layout: header (tag 0, dim, N,
+    L) then row-major complex pairs.  Round trips are bit exact."""
+    spec = f.spec
     with open(path, "wb") as fh:
         fh.write(
-            _HEADER.pack(_MAGIC, tag, spec.dim, spec.samples_per_axis, spec.extent)
+            _HEADER.pack(_MAGIC, _FIELD_TAG, spec.dim, spec.samples_per_axis, spec.extent)
         )
-        fh.write(np.ascontiguousarray(data).tobytes())
+        fh.write(np.ascontiguousarray(f.values).tobytes())
 
 
-def read_binary(path) -> Field | Spectrum:
-    """Load a :func:`write_binary` file, validating header and payload size."""
+def read_binary(path) -> Field:
+    """Load a :func:`write_binary` file, validating header, tag and payload
+    size."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         payload = fh.read()
@@ -231,7 +224,9 @@ def read_binary(path) -> Field | Spectrum:
         raise ShapeError(f"truncated header in {path}")
     magic, tag, dim, n, extent = _HEADER.unpack(header)
     if magic != _MAGIC:
-        raise ShapeError(f"{path} is not a serialized field/spectrum")
+        raise ShapeError(f"{path} is not a serialized field")
+    if tag != _FIELD_TAG:
+        raise ShapeError(f"{path} has representation tag {tag}; only fields (tag 0) are read")
     spec = GridSpec(dim=dim, samples_per_axis=n, extent=extent)
     if len(payload) % np.dtype(np.complex128).itemsize != 0:
         raise ShapeError(f"payload of {path} is not a whole number of samples")
@@ -240,9 +235,4 @@ def read_binary(path) -> Field | Spectrum:
         raise ShapeError(
             f"payload holds {flat.size} samples, grid needs {spec.size}"
         )
-    data = flat.reshape(spec.shape)
-    if tag == 0:
-        return Field(spec, data)
-    if tag == 1:
-        return Spectrum(spec, data)
-    raise ShapeError(f"unknown representation tag {tag}")
+    return Field(spec, flat.reshape(spec.shape))

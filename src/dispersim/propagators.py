@@ -18,14 +18,7 @@ import numpy as np
 
 from .checks import CheckResult
 from .errors import ConfigurationError
-from .grid import (
-    Field,
-    GridSpec,
-    Spectrum,
-    forward_transform,
-    inverse_transform,
-    l2_norm,
-)
+from .grid import Field, GridSpec, _apply_multiplier, l2_norm
 
 _FAMILIES = ("kdv", "wave-plus", "wave-minus", "wave-half", "schrodinger")
 
@@ -117,8 +110,7 @@ def symbol(kind: FlowKind, spec: GridSpec, t: float) -> np.ndarray:
 
 def evolve(f: Field, kind: FlowKind, t: float) -> Field:
     """Apply the free flow at time t; t = 0 is the identity."""
-    F = forward_transform(f)
-    return inverse_transform(Spectrum(f.spec, symbol(kind, f.spec, t) * F.coeffs))
+    return _apply_multiplier(f, symbol(kind, f.spec, t))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, GridSpec, Spectrum, forward_transform, inverse_transform
+from .grid import Field, GridSpec, _apply_multiplier, forward_transform
 from .wiener import UnitLattice, projection_blocks
 
 _MASK64 = (1 << 64) - 1
@@ -97,12 +97,9 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
     sum_k g_k psi(xi - k), which equals the sum of scaled unit-scale
     pieces by linearity of the inverse transform.
     """
-    spec = f.spec
-    if d.lattice.spec != spec:
+    if d.lattice.spec != f.spec:
         raise ConfigurationError("draw lattice does not match the field's grid")
-    F = forward_transform(f)
-    weights = randomized_weights(spec, d.coefficients)
-    return inverse_transform(Spectrum(spec, weights * F.coeffs))
+    return _apply_multiplier(f, randomized_weights(f.spec, d.coefficients))
 
 
 # Moments are drawn and summed in blocks of this many samples: a constant

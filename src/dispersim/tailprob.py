@@ -34,16 +34,9 @@ from .decompose import (
     whole_number,
 )
 from .errors import ConfigurationError, FitError
-from .grid import (
-    Field,
-    GridSpec,
-    Spectrum,
-    forward_transform,
-    inverse_transform,
-    monomial_weight,
-)
+from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomial_weight
 from .propagators import FlowKind, symbol
-from .randomize import RandomDraw, gaussian_matrix, randomized_weights
+from .randomize import RandomDraw, gaussian_matrix, randomize_field, randomized_weights
 from .wiener import projection_blocks, unit_lattice
 
 _TWO_PI = 2.0 * np.pi
@@ -259,15 +252,9 @@ def pointwise_deviation(
 ) -> float:
     """|S(t)f^omega(x) - f^omega(x)| for one draw, computed on the mesh
     rather than through the series: the multiplier symbol - 1 applied to
-    the randomized spectrum sum_k g_k psi(xi - k) F(xi), then one inverse
-    transform.  At t = 0 the multiplier is exactly 0, and so is the
-    deviation."""
-    spec = f.spec
-    if d.lattice.spec != spec:
-        raise ConfigurationError("draw lattice does not match the field's grid")
-    weights = randomized_weights(spec, d.coefficients)
-    shifted = (symbol(flow, spec, t) - 1.0) * (weights * forward_transform(f).coeffs)
-    deviation = inverse_transform(Spectrum(spec, shifted))
+    the randomized field f^omega.  At t = 0 the multiplier is exactly 0,
+    and so is the deviation."""
+    deviation = _apply_multiplier(randomize_field(f, d), symbol(flow, f.spec, t) - 1.0)
     return float(np.abs(deviation.values[tuple(int(i) for i in x_index)]))
 
 

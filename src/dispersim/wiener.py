@@ -467,26 +467,28 @@ def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray, work=None):
 
     Transforming the natural-order spectrum without the usual index shift
     only multiplies each piece by a unimodular (-1)^j checkerboard, which
-    the modulus removes; one final shift restores natural x order.
+    the modulus removes.  The result is left in FFT x order (x = 0 at
+    index 0): a maximum needs no shift, and :func:`square_function` shifts
+    back to natural order.
     """
     folded = _folded_gram(spec, coeffs, work).reshape((-1,) + spec.shape)
     axes = tuple(range(1, spec.dim + 1))
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume / spec.size
     total = scale**2 * np.fft.ifftn(folded, axes=axes, norm="forward").real
-    return np.sqrt(np.fft.fftshift(np.maximum(total, 0.0), axes=axes)).reshape(coeffs.shape)
+    return np.sqrt(np.maximum(total, 0.0)).reshape(coeffs.shape)
 
 
 def square_function(f: Field) -> Field:
     """Pointwise l2 aggregate of the unit-scale pieces (real-valued field)."""
-    F = forward_transform(f)
-    return Field(f.spec, _square_function_from_coeffs(f.spec, F.coeffs))
+    sq = _square_function_from_coeffs(f.spec, forward_transform(f).coeffs)
+    return Field(f.spec, np.fft.fftshift(sq))
 
 
 def square_function_evolved(f: Field, flow, t: float) -> Field:
     """Square function of the free flow applied to f at time t."""
-    F = forward_transform(f)
     sym = propagators.symbol(flow, f.spec, t)
-    return Field(f.spec, _square_function_from_coeffs(f.spec, sym * F.coeffs))
+    sq = _square_function_from_coeffs(f.spec, sym * forward_transform(f).coeffs)
+    return Field(f.spec, np.fft.fftshift(sq))
 
 
 def weighted_tail_sum(g: Field, alpha_idx, beta_idx, k_min: int) -> float:

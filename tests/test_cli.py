@@ -333,6 +333,69 @@ class TestExitCodes:
             os.close(read_end)
         assert not (tmp_path / "o").exists()
 
+    def test_spectrum_tagged_custom_file_exits_one(self, tmp_path, capsys):
+        # Byte 4 of the header is the representation tag; only fields (0) load.
+        spec = parse_grid(BASE_TAILS["grid"])
+        path = tmp_path / "spectrum.bin"
+        write_binary(Field(spec, np.ones(spec.shape)), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 1
+        path.write_bytes(bytes(raw))
+        data = {"recipe": "custom-file", "path": str(path)}
+        cfg = write_config(tmp_path, "c.json", dict(BASE_TAILS, data=data))
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, payload, named",
+        [
+            ("tails", dict(BASE_TAILS, grid=dict(BASE_TAILS["grid"], extent=math.inf)),
+             "grid.extent"),
+            ("tails", dict(BASE_TAILS, grid=dict(BASE_TAILS["grid"], extent="1e309")),
+             "grid.extent"),
+            ("check-wiener", {"grids": [{"dim": 1, "samples_per_axis": 64, "extent": math.inf}]},
+             "grids[0].extent"),
+            ("check-wiener", {"grids": [{"dim": 1, "samples_per_axis": 64, "extent": 1e-300}]},
+             "extent"),
+            ("check-propagators",
+             {"grids": [{"dim": 1, "samples_per_axis": 64, "extent": 1e-300}]}, "extent"),
+            ("tails", dict(BASE_TAILS, grid=dict(BASE_TAILS["grid"], extent=1e-300)), "extent"),
+            ("density", dict(DENSITY, grid=dict(DENSITY["grid"], extent=1e-300)), "extent"),
+            ("tails", dict(BASE_TAILS, data={"recipe": "gaussian", "width": 1e-300}), "width"),
+            ("density", dict(DENSITY, grid={"dim": 2, "samples_per_axis": 32, "extent": 16.0},
+                             data={"recipe": "gaussian", "width": 1e-300}, multi_indices=[]),
+             "width"),
+            ("convergence", dict(CONVERGENCE, data={"recipe": "gaussian", "width": 1e-300}),
+             "width"),
+            ("tails", dict(BASE_TAILS, data={"recipe": "gaussian", "amplitude": math.nan}),
+             "data.amplitude"),
+            ("tails", dict(BASE_TAILS, times=[math.nan]), "times[0]"),
+            ("tails", dict(BASE_TAILS, times=["1e309"]), "times[0]"),
+            ("tails", dict(BASE_TAILS, data={"recipe": "custom-file", "path": "nan.bin"}),
+             "nan.bin"),
+            ("tails", dict(BASE_TAILS, thresholds=[math.nan]), "thresholds[0]"),
+            ("tails", dict(BASE_TAILS, thresholds=["1e309"]), "thresholds[0]"),
+            ("khintchine", dict(KHINTCHINE, p_values=[2, math.nan]), "p_values[1]"),
+        ],
+    )
+    def test_non_finite_number_exits_one(self, tmp_path, monkeypatch, capsys, name, payload,
+                                         named):
+        # JSON reads NaN, Infinity and 1e309 (written bare below) as
+        # non-finite floats; a tiny gaussian width makes NaN samples, and a
+        # tiny extent a grid whose |xi|^3 overflows.
+        monkeypatch.chdir(tmp_path)
+        spec = parse_grid(BASE_TAILS["grid"])
+        values = np.ones(spec.shape, dtype=np.complex128)
+        values[3] = np.nan
+        write_binary(Field(spec, values), "nan.bin")
+        (tmp_path / "c.json").write_text(json.dumps(payload).replace('"1e309"', "1e309"))
+        assert main([name, "--config", "c.json", "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_required_field_exits_one(self, tmp_path, capsys):
         payload = dict(BASE_TAILS)
         del payload["times"]

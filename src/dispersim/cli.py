@@ -131,6 +131,14 @@ def parse_grid(obj) -> GridSpec:
         samples_per_axis=_count(obj, "samples_per_axis"),
         extent=float(obj["extent"]),
     )
+    # With a frequency spacing below 2, the diameter of a unit piece's
+    # support, the unit lattice holds fewer than (2N + 1)^dim points; a
+    # coarser grid's lattice grows with the spacing.
+    if not spec.dxi < 2.0:
+        raise ConfigurationError(
+            f"grid extent {spec.extent!r} is too small: the frequency spacing"
+            " 2*pi/extent must be below 2"
+        )
     # The kdv phase is xi^3: past this |xi| no symbol or time limit is finite.
     xi_max = math.sqrt(spec.dim) * spec.samples_per_axis / 2 * spec.dxi
     if not xi_max < sys.float_info.max ** (1.0 / 3.0):

@@ -47,8 +47,8 @@ class GridSpec:
             raise ShapeError(
                 f"samples_per_axis must be a power of two >= 16, got {n}"
             )
-        if not (self.extent > 0):
-            raise ShapeError(f"extent must be positive, got {self.extent}")
+        if not 0.0 < self.extent < np.inf:
+            raise ShapeError(f"extent must be finite and positive, got {self.extent}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -68,7 +68,8 @@ _SUPPORT_CAP = 0.9985
 
 
 def _radius_squared(xi: np.ndarray) -> np.ndarray:
-    return np.sum(xi**2, axis=-1)
+    # np.sum's left-to-right order, without its slow short-axis reduction.
+    return sum(xi[..., j] ** 2 for j in range(xi.shape[-1]))
 
 
 def _bump_of_radius_squared(u: np.ndarray) -> np.ndarray:
@@ -89,42 +90,33 @@ def _mollifier_jet(xi: np.ndarray):
 
     Returns (phi, grad) with shapes (...,) and (..., d).
     """
-    xi = np.asarray(xi, dtype=float)
     u = _radius_squared(xi)
-    phi = np.zeros(u.shape)
-    grad = np.zeros(xi.shape)
+    phi = _bump_of_radius_squared(u)
     inside = u < _SUPPORT_CAP
     w = 1.0 / (1.0 - u[inside])
-    p = np.exp(-w)
-    phi[inside] = p
-    # d_j phi = -2 xi_j w^2 phi
-    grad[inside] = -2.0 * xi[inside] * (w**2 * p)[..., None]
-    return phi, grad
+    # d_j phi = -2 xi_j w^2 phi, and exactly zero outside the support.
+    factor = np.zeros(u.shape)
+    factor[inside] = w**2 * phi[inside]
+    return phi, np.where(inside[..., None], -2.0 * xi * factor[..., None], 0.0)
 
 
 def _neighbor_offsets(dim: int):
     return list(itertools.product((0, 1), repeat=dim))
 
 
-def _lattice_jet(xi: np.ndarray, order: int):
-    """Value (and, for ``order`` 1, gradient) of S(xi) = sum_k phi(xi - k).
+def _lattice_jet(xi: np.ndarray):
+    """Value and gradient of S(xi) = sum_k phi(xi - k).
 
     Only the 2^dim lattice points nearest to xi can contribute, because the
     mollifier support has radius one.
     """
-    xi = np.asarray(xi, dtype=float)
-    d = xi.shape[-1]
     lo = np.floor(xi)
     s = np.zeros(xi.shape[:-1])
-    sg = np.zeros(xi.shape) if order == 1 else None
-    for off in _neighbor_offsets(d):
-        shifted = xi - (lo + np.asarray(off, dtype=float))
-        if order == 0:
-            s += mollifier_value(shifted)
-        else:
-            p, g = _mollifier_jet(shifted)
-            s += p
-            sg += g
+    sg = np.zeros(xi.shape)
+    for off in _neighbor_offsets(xi.shape[-1]):
+        p, g = _mollifier_jet(xi - (lo + np.asarray(off, dtype=float)))
+        s += p
+        sg += g
     return s, sg
 
 
@@ -136,7 +128,7 @@ def bump_value(xi) -> np.ndarray:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     phi = mollifier_value(xi)
-    s, _ = _lattice_jet(xi, order=0)
+    s, _ = _lattice_jet(xi)
     return phi / s
 
 
@@ -158,7 +150,7 @@ def bump_derivative(xi, beta) -> np.ndarray:
     if sum(beta) == 0:
         return bump_value(xi)
     phi, grad = _mollifier_jet(xi)
-    s, sg = _lattice_jet(xi, order=1)
+    s, sg = _lattice_jet(xi)
     j = beta.index(1)
     return grad[..., j] / s - phi * sg[..., j] / s**2
 
@@ -184,21 +176,6 @@ class UnitLattice:
     spec: GridSpec
     points: np.ndarray  # (n_points, dim) int64
 
-    @classmethod
-    def for_grid(cls, spec: GridSpec) -> "UnitLattice":
-        ax = spec.axis_frequencies()
-        lo_f, hi_f = float(ax[0]), float(ax[-1])
-        per_axis = np.arange(int(np.floor(lo_f - 1.0)) + 1, int(np.ceil(hi_f + 1.0)))
-        mesh = np.array(
-            list(itertools.product(per_axis, repeat=spec.dim)), dtype=np.int64
-        )
-        # Euclidean distance from k to the frequency box [lo_f, hi_f]^dim.
-        excess = np.maximum(lo_f - mesh, 0.0) + np.maximum(mesh - hi_f, 0.0)
-        keep = np.sum(excess**2, axis=1) < 1.0
-        pts = mesh[keep].copy()
-        pts.flags.writeable = False
-        return cls(spec=spec, points=pts)
-
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -214,7 +191,16 @@ class UnitLattice:
 
 @lru_cache(maxsize=8)
 def unit_lattice(spec: GridSpec) -> UnitLattice:
-    return UnitLattice.for_grid(spec)
+    ax = spec.axis_frequencies()
+    lo_f, hi_f = float(ax[0]), float(ax[-1])
+    per_axis = np.arange(int(np.floor(lo_f - 1.0)) + 1, int(np.ceil(hi_f + 1.0)))
+    mesh = np.array(list(itertools.product(per_axis, repeat=spec.dim)), dtype=np.int64)
+    # Euclidean distance from k to the frequency box [lo_f, hi_f]^dim.
+    excess = np.maximum(lo_f - mesh, 0.0) + np.maximum(mesh - hi_f, 0.0)
+    keep = np.sum(excess**2, axis=1) < 1.0
+    pts = mesh[keep].copy()
+    pts.flags.writeable = False
+    return UnitLattice(spec=spec, points=pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,18 +306,15 @@ def reconstruct(f: Field) -> Field:
     return inverse_transform(Spectrum(spec, acc.reshape(spec.shape)))
 
 
-_SQUARE_CHUNK = 256
-
-
 @lru_cache(maxsize=8)
 def _piece_entries(spec: GridSpec):
-    """The neighbour table's nonzero entries grouped by piece.
+    """The neighbour table's nonzero entries, each labelled with its piece.
 
     Returns (slot, position, row, weight, width): the entry's piece slot
-    (its place in ``pieces``, ascending), its flat place in that piece's
-    width^dim window, its mesh row and its weight psi(xi - k).  A piece's
-    window starts at the first mesh frequency of its support along each
-    axis; width is the widest per-axis window on the grid.
+    (its place in ``pieces``), its flat place in that piece's width^dim
+    window, its mesh row and its weight psi(xi - k).  A piece's window
+    starts at the first mesh frequency of its support along each axis;
+    width is the widest per-axis window on the grid.
     """
     table = projection_blocks(spec)
     ax = spec.axis_frequencies()
@@ -342,8 +325,6 @@ def _piece_entries(spec: GridSpec):
     slot_of[table.pieces] = np.arange(len(table))
     rows, cols = np.nonzero(table.weight)
     slot = slot_of[table.index[rows, cols]]
-    order = np.argsort(slot, kind="stable")
-    rows, cols, slot = rows[order], cols[order], slot[order]
     local = np.stack(np.unravel_index(rows, spec.shape), axis=-1) - first[slot]
     position = np.ravel_multi_index(tuple(local.T), (width,) * spec.dim)
     entries = (slot, position, rows, table.weight[rows, cols])
@@ -397,20 +378,6 @@ def _gram_group(spec: GridSpec) -> int:
         2 * (len(projection_blocks(spec)) + rows) * used + row.size + 2 * spec.size
     )
     return max(1, _GRAM_BYTES // per_spectrum)
-
-
-def _piece_stacks(spec: GridSpec, coeffs: np.ndarray):
-    """Full-mesh spectra psi(xi - k) coeffs(xi) of the pieces in lattice
-    order, _SQUARE_CHUNK pieces at a time."""
-    slot, _, row, weight, _ = _piece_entries(spec)
-    flat = coeffs.reshape(-1)
-    pieces = len(projection_blocks(spec))
-    for start in range(0, pieces, _SQUARE_CHUNK):
-        count = min(_SQUARE_CHUNK, pieces - start)
-        part = slice(*np.searchsorted(slot, (start, start + count)))
-        stack = np.zeros((count, spec.size), dtype=np.complex128)
-        stack[slot[part] - start, row[part]] = weight[part] * flat[row[part]]
-        yield stack.reshape((count,) + spec.shape)
 
 
 def _gram_workspace(spec: GridSpec, batch: int):
@@ -504,12 +471,12 @@ def weighted_tail_sum(g: Field, alpha_idx, beta_idx, k_min: int) -> float:
         raise ConfigurationError("multi-index length must match grid dim")
     grids = spec.frequency_grids()
     weighted = (monomial_weight(grids, alpha_idx) * forward_transform(g).coeffs).reshape(-1)
-    table = projection_blocks(spec)
-    points = unit_lattice(spec).points
-    far = np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min
-    rows, cols = np.nonzero((table.weight != 0) & far[table.index])
+    slot, _, row, _, _ = _piece_entries(spec)
+    points = unit_lattice(spec).points[projection_blocks(spec).pieces]
+    far = (np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min)[slot]
+    rows = row[far]
     xi = np.stack(grids, axis=-1).reshape(-1, spec.dim)[rows]
-    der = bump_derivative(xi - points[table.index[rows, cols]], beta_idx)
+    der = bump_derivative(xi - points[slot[far]], beta_idx)
     return float(np.sum(np.abs(weighted[rows] * der) ** 2)) * spec.frequency_cell_volume
 
 
@@ -590,22 +557,29 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
 
 
 def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
-    """Max over fields and lattice points of sup|piece| / ||piece||_L2."""
+    """Max over fields and lattice points of sup|piece| / ||piece||_L2.
+
+    Each piece's spectrum is transformed from its width^dim window, padded
+    with zeros at the mesh origin: moving the window to its true place, like
+    the omitted index shifts, multiplies the piece by a unimodular phase
+    that neither the sup nor the norm sees."""
     rng = np.random.default_rng(seed)
+    slot, position, row, weight, width = _piece_entries(spec)
+    window_shape = (len(projection_blocks(spec)),) + (width,) * spec.dim
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     worst = 0.0
     axes = tuple(range(1, spec.dim + 1))
     for _ in range(n_fields):
-        F = forward_transform(propagators._random_field(spec, rng)).coeffs
-        for stack in _piece_stacks(spec, F):
-            # sup and norm are invariant under the omitted index shifts.
-            mags = np.abs(scale * np.fft.ifftn(stack, axes=axes))
-            mags = mags.reshape(len(stack), -1)
-            sup = mags.max(axis=1)
-            nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
-            ok = nrm > 0
-            if np.any(ok):
-                worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
+        F = forward_transform(propagators._random_field(spec, rng)).coeffs.reshape(-1)
+        windows = np.zeros(window_shape, dtype=np.complex128)
+        windows.reshape(len(windows), -1)[slot, position] = weight * F[row]
+        mags = np.abs(scale * np.fft.ifftn(windows, s=spec.shape, axes=axes))
+        mags = mags.reshape(len(windows), -1)
+        sup = mags.max(axis=1)
+        nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
+        ok = nrm > 0
+        if np.any(ok):
+            worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
     return worst
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from statistics import NormalDist
 
@@ -384,7 +385,7 @@ class TestExitCodes:
                                          named):
         # JSON reads NaN, Infinity and 1e309 (written bare below) as
         # non-finite floats; a tiny gaussian width makes NaN samples, and a
-        # tiny extent a grid whose |xi|^3 overflows.
+        # tiny extent a grid too coarse in frequency.
         monkeypatch.chdir(tmp_path)
         spec = parse_grid(BASE_TAILS["grid"])
         values = np.ones(spec.shape, dtype=np.complex128)
@@ -394,6 +395,28 @@ class TestExitCodes:
         assert main([name, "--config", "c.json", "--out", "o"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("check-wiener", {"grids": [{"dim": 1, "samples_per_axis": 64, "extent": 1e-100}]}),
+            ("check-wiener", {"grids": [{"dim": 1, "samples_per_axis": 64, "extent": 1e-6}]}),
+            ("tails", dict(BASE_TAILS, grid={"dim": 3, "samples_per_axis": 16, "extent": 1e-3},
+                           observation_points=[[8, 8, 8]])),
+            ("density", dict(DENSITY, grid=dict(DENSITY["grid"], extent=3.0))),
+        ],
+    )
+    def test_coarse_frequency_spacing_exits_one(self, tmp_path, capsys, name, payload):
+        # A spacing 2*pi/extent of 2 or more would build a unit lattice that
+        # grows with the spacing (4e8 points for the 1D 1e-6 grid); the grid
+        # is rejected before anything is allocated.
+        cfg = write_config(tmp_path, "c.json", payload)
+        start = time.perf_counter()
+        assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "extent" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_required_field_exits_one(self, tmp_path, capsys):

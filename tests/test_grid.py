@@ -35,6 +35,11 @@ class TestGridSpec:
         with pytest.raises(ShapeError):
             GridSpec(1, 64, 0.0)
 
+    @pytest.mark.parametrize("extent", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_extent(self, extent):
+        with pytest.raises(ShapeError, match="finite"):
+            GridSpec(1, 64, extent)
+
     def test_frequency_lattice_step(self):
         spec = GridSpec(1, 64, 16.0)
         xi = spec.axis_frequencies()

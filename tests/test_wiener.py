@@ -14,6 +14,7 @@ from dispersim.grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
+    monomial_weight,
 )
 from dispersim import wiener
 from dispersim.propagators import FlowKind, _random_field, symbol
@@ -50,6 +51,54 @@ def piece(f, k):
     assert np.count_nonzero(row) == 1
     one_hot[row] = 1.0
     return randomize_field(f, RandomDraw(lattice, one_hot))
+
+
+def old_mollifier_value(xi):
+    return wiener._bump_of_radius_squared(np.sum(xi**2, axis=-1))
+
+
+def old_mollifier_jet(xi):
+    """The base bump's value and gradient with their own copy of
+    exp(-1/(1-|xi|^2))."""
+    u = np.sum(xi**2, axis=-1)
+    phi = np.zeros(u.shape)
+    grad = np.zeros(xi.shape)
+    inside = u < wiener._SUPPORT_CAP
+    w = 1.0 / (1.0 - u[inside])
+    p = np.exp(-w)
+    phi[inside] = p
+    grad[inside] = -2.0 * xi[inside] * (w**2 * p)[..., None]
+    return phi, grad
+
+
+def old_lattice_jet(xi, order):
+    """sum_k phi(xi - k) through the value-only branch (order 0) or the
+    value-and-gradient branch (order 1)."""
+    lo = np.floor(xi)
+    s = np.zeros(xi.shape[:-1])
+    sg = np.zeros(xi.shape) if order == 1 else None
+    for off in itertools.product((0, 1), repeat=xi.shape[-1]):
+        shifted = xi - (lo + np.asarray(off, dtype=float))
+        if order == 0:
+            s += old_mollifier_value(shifted)
+        else:
+            p, g = old_mollifier_jet(shifted)
+            s += p
+            sg += g
+    return s, sg
+
+
+def jet_points(dim, rng):
+    """Random points around the support, half of them with |xi|^2 just
+    below the support cap, and some with a coordinate of +0.0 or -0.0."""
+    inner = rng.uniform(-1.2, 1.2, size=(5000, dim))
+    inner[:10, 0] = 0.0
+    inner[10:20, 0] = -0.0
+    direction = rng.standard_normal((5000, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    gap = 10.0 ** rng.uniform(-12, -3, size=(5000, 1))
+    edge = direction * np.sqrt(wiener._SUPPORT_CAP - gap)
+    return np.concatenate([inner, edge])
 
 
 class TestBump:
@@ -92,6 +141,17 @@ class TestBumpDerivative:
     def test_vanishes_outside_support(self):
         pts = np.array([[1.2], [-3.0]])
         assert np.all(bump_derivative(pts, (1,)) == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_two_branch_jet_bitwise(self, dim):
+        xi = jet_points(dim, np.random.default_rng(30 + dim))
+        s0, _ = old_lattice_jet(xi, 0)
+        assert bump_value(xi).tobytes() == (old_mollifier_value(xi) / s0).tobytes()
+        phi, grad = old_mollifier_jet(xi)
+        s, sg = old_lattice_jet(xi, 1)
+        for j, beta in enumerate(np.eye(dim, dtype=int)):
+            expected = grad[..., j] / s - phi * sg[..., j] / s**2
+            assert bump_derivative(xi, beta).tobytes() == expected.tobytes()
 
     def test_rejects_order_two(self):
         with pytest.raises(ValueError):
@@ -207,7 +267,44 @@ class TestSquareFunction:
             assert np.max(sq.values.real) <= (1 + 1e-9) * l2_norm(f)
 
 
+def old_bernstein_ratio(spec, n_fields, seed):
+    """The sup/L2 check on full-mesh piece spectra, 256 pieces at a time,
+    from the entries sorted by piece."""
+    slot, _, row, weight, _ = _piece_entries(spec)
+    order = np.argsort(slot, kind="stable")
+    slot, row, weight = slot[order], row[order], weight[order]
+    pieces = len(projection_blocks(spec))
+    rng = np.random.default_rng(seed)
+    scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
+    axes = tuple(range(1, spec.dim + 1))
+    worst = 0.0
+    for _ in range(n_fields):
+        flat = forward_transform(_random_field(spec, rng)).coeffs.reshape(-1)
+        for start in range(0, pieces, 256):
+            count = min(256, pieces - start)
+            part = slice(*np.searchsorted(slot, (start, start + count)))
+            stack = np.zeros((count, spec.size), dtype=np.complex128)
+            stack[slot[part] - start, row[part]] = weight[part] * flat[row[part]]
+            stack = stack.reshape((count,) + spec.shape)
+            mags = np.abs(scale * np.fft.ifftn(stack, axes=axes)).reshape(count, -1)
+            sup = mags.max(axis=1)
+            nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
+            ok = nrm > 0
+            if np.any(ok):
+                worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
+    return worst
+
+
 class TestBernstein:
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(1, n, 16.0) for n in (64, 128, 256)] + [GridSpec(1, 16, 4.0)],
+        ids=["64/16", "128/16", "256/16", "16/4"],
+    )
+    def test_windows_equal_full_mesh_stacks(self, spec):
+        got = bernstein_ratio(spec, 5, seed=3)
+        assert abs(got - old_bernstein_ratio(spec, 5, seed=3)) <= 1e-12 * got
+
     def test_sup_to_l2_ratio_grid_independent(self):
         # Unit-scale pieces satisfy sup|piece| <= C ||piece||_L2 with a
         # constant below sqrt(2/(2 pi)) ~ 0.564 independent of resolution.
@@ -216,7 +313,32 @@ class TestBernstein:
         assert max(ratios) / min(ratios) < 1.2
 
 
+def old_weighted_tail_sum(g, alpha_idx, beta_idx, k_min):
+    """The tail sum from a scan of the whole neighbour table."""
+    spec = g.spec
+    grids = spec.frequency_grids()
+    weighted = (monomial_weight(grids, alpha_idx) * forward_transform(g).coeffs).reshape(-1)
+    table = projection_blocks(spec)
+    points = unit_lattice(spec).points
+    far = np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min
+    rows, cols = np.nonzero((table.weight != 0) & far[table.index])
+    xi = np.stack(grids, axis=-1).reshape(-1, spec.dim)[rows]
+    der = bump_derivative(xi - points[table.index[rows, cols]], beta_idx)
+    return float(np.sum(np.abs(weighted[rows] * der) ** 2)) * spec.frequency_cell_volume
+
+
 class TestWeightedTailSum:
+    @pytest.mark.parametrize("k_min", [0, 3, 6, 12])
+    @pytest.mark.parametrize("spec", [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0)],
+                             ids=["1d-64", "2d-32"])
+    def test_entries_equal_table_scan(self, spec, k_min):
+        g = random_field(spec, np.random.default_rng(80 + k_min))
+        ones = (1,) * spec.dim
+        for beta in [(0,) * spec.dim] + [tuple(b) for b in np.eye(spec.dim, dtype=int)]:
+            expected = old_weighted_tail_sum(g, ones, beta, k_min)
+            got = weighted_tail_sum(g, ones, beta, k_min)
+            assert abs(got - expected) <= 1e-14 * expected
+
     def test_zero_field(self):
         spec = GridSpec(1, 64, 16.0)
         assert weighted_tail_sum(Field(spec, np.zeros(64)), (0,), (0,), 3) == 0.0

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 configuration error (or calibration tails that
 cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could
 not reach a requested epsilon on the grid, not even in its cutoff-only
 limit, 4 an internal error (its traceback goes to stderr).  Result files
-are written whole or not at all, each table by ``tailprob.write_table``.
+are written whole or not at all, every table and manifest by
+``_write_results``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+import time
 import traceback
 from contextlib import contextmanager
 
@@ -291,6 +293,8 @@ def config_hash(config: dict, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 _NORMALIZATION = "E|g_k|^2 = 1 (complex standard Gaussian)"
+TAILS_COLUMNS = ("flow", "t", "alpha", "x_index", "exceed_count", "M", "prob", "ci_low",
+                 "ci_high", "bound")
 KHINTCHINE_COLUMNS = ("vector_id", "p", "moment", "ratio")
 CONVERGENCE_COLUMNS = ("flow", "epsilon", "t", "alpha", "exceed_count", "M", "prob",
                        "ci_low", "ci_high", "h_norm", "bound")
@@ -298,14 +302,31 @@ DENSITY_COLUMNS = ("epsilon", "lambda", "m_threshold", "hit_count", "M", "prob",
                    "ci_low", "ci_high", "target")
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text file handle for a result file: the rows go to a temporary file
+    in the same directory, which replaces ``path`` only once the block
+    completes, so a failed run leaves no partial result file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_results(
     out_dir, stem, config, seed, columns, rows, spec=None, **fields
 ) -> str:
     """Write ``<stem>_results.csv`` and ``<stem>_manifest.json``, creating
-    ``out_dir`` first, so a run that fails earlier leaves no directory; the
-    manifest carries the keys every run shares (config and its hash, seed,
-    version, coefficient normalization, the lattice hash when a grid is
-    given) plus the subcommand's own ``fields``.  Returns the table's path."""
+    ``out_dir`` first, so a run that fails earlier leaves no directory.  The
+    table holds a ``# config=`` line, the header and the rows, floats as
+    ``repr``; the manifest carries the keys every run shares (config and its
+    hash, seed, version, coefficient normalization, created_at, the lattice
+    hash when a grid is given) plus the subcommand's own ``fields``.
+    Returns the table's path."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -314,18 +335,28 @@ def _write_results(
         ) from exc
     chash = config_hash(config, seed)
     path = os.path.join(out_dir, f"{stem}_results.csv")
-    tailprob.write_table(path, columns, rows, chash)
+    with _atomic_open(path) as fh:
+        fh.write(f"# config={chash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        # repr(float(v)): under numpy 2, repr(np.float64(x)) reads np.float64(x).
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
     manifest = {
         "config": config,
         "config_hash": chash,
         "seed": seed,
         "software_version": __version__,
         "normalization": _NORMALIZATION,
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **fields,
     }
     if spec is not None:
         manifest["lattice_hash"] = unit_lattice(spec).digest()
-    tailprob.write_manifest(os.path.join(out_dir, f"{stem}_manifest.json"), manifest)
+    with _atomic_open(os.path.join(out_dir, f"{stem}_manifest.json")) as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 
@@ -414,32 +445,6 @@ def run_khintchine(config, seed, out_dir) -> int:
     return 0
 
 
-def _calibration(label, times, stack, targets, ensemble, seed, x_index):
-    """Fit tail constants at the largest |t| and inflate them to dominate
-    every (t, alpha) calibration cell; ``stack`` holds the series
-    coefficients of each time's cell (t, x_index), one row per time."""
-    all_cells = []
-    fit_cells = []
-    t_fit = max(times, key=abs)
-    for t, a in zip(times, stack):
-        norm_a = tailprob.series_norm(a)
-        if norm_a == 0:
-            continue
-        alphas = tuple(sorted(norm_a * math.sqrt(-math.log(p)) for p in targets))
-        cells = tailprob._count_cells(
-            label, [(t, x_index)], a[None, :], alphas, ensemble, seed
-        )
-        all_cells.extend(cells)
-        if t == t_fit:
-            fit_cells.extend(cells)
-    fit = tailprob.fit_constants(fit_cells, [abs(e.t) for e in fit_cells])
-    dom = tailprob.dominate_constants(all_cells, fit.params, [abs(e.t) for e in all_cells])
-    return fit, dom
-
-
-_CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)
-
-
 def run_tails(config, seed, out_dir) -> int:
     with _config_values("tails"):
         spec = parse_grid(config["grid"])
@@ -459,8 +464,8 @@ def run_tails(config, seed, out_dir) -> int:
             for flow in parse_flows(config)
         ]
 
-    estimates = []
-    bounds = []
+    rows = []
+    estimates = []  # for the exact law
     manifest_fits = {}
     warnings = []
     for cfg in configs:
@@ -480,28 +485,28 @@ def run_tails(config, seed, out_dir) -> int:
             }
         except FitError as exc:
             manifest_fits[flow.label()] = {"unfittable": str(exc)}
-        for est in cells:
-            estimates.append(est)
-            bounds.append(
-                None
-                if params is None
-                else tailprob.theoretical_bound(params, est.alpha, abs(est.t))
-            )
+        rows.extend(
+            (e.flow_label, e.t, e.alpha, tailprob.format_x_index(e.x_index), e.exceed_count,
+             e.ensemble_size, e.probability, e.ci_low, e.ci_high,
+             "" if params is None else tailprob.theoretical_bound(params, e.alpha, abs(e.t)))
+            for e in cells
+        )
+        estimates.extend(cells)
 
     path = _write_results(
         out_dir,
         "tails",
         config,
         seed,
-        tailprob.CSV_COLUMNS,
-        tailprob.tail_rows(estimates, bounds),
+        TAILS_COLUMNS,
+        rows,
         spec=spec,
         fitted_constants=manifest_fits,
         ensemble_size=ensemble,
         warnings=warnings,
         exact_law=tailprob.exact_law(estimates),
     )
-    print(f"wrote {len(estimates)} rows -> {path}")
+    print(f"wrote {len(rows)} rows -> {path}")
     return 0
 
 
@@ -526,15 +531,9 @@ def run_convergence(config, seed, out_dir) -> int:
     rows = []
     cells = []  # the curve's tail estimates, for the exact law
     manifest_fits = {}
-    times = tuple(e / 2.0 for e in schedule)
     for flow in flows:
-        # Every cell's series in one stack, shared by calibration and curve.
-        stack = tailprob._deviation_stack(flow, data, times, (x_index,))
-        fit, params = _calibration(
-            flow.label(), times, stack, _CAL_TARGETS, cal_ensemble, cal_seed, x_index
-        )
-        curve = tailprob.convergence_curve(
-            flow, data, schedule, params, ensemble, seed, x_index, stack=stack
+        fit, params, curve = tailprob.convergence_rows(
+            flow, data, schedule, x_index, ensemble, seed, cal_ensemble, cal_seed
         )
         manifest_fits[flow.label()] = {
             "C": params.C,

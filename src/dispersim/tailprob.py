@@ -16,12 +16,7 @@ the per-lattice-point draws.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,6 +474,38 @@ def convergence_curve(
     return rows
 
 
+_CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)  # calibration cells' exact tails
+
+
+def convergence_rows(
+    flow: FlowKind, f: Field, schedule, x_index, n_samples: int, seed: int,
+    cal_samples: int, cal_seed: int,
+) -> tuple[FitResult, BoundParams, list[tuple[TailEstimate, SchwartzSplit]]]:
+    """(fit, constants, curve) of one flow at the point ``x_index``, the
+    convergence twin of :func:`density_rows`.  Each time t = eps/2 gets a
+    calibration cell (t, x), its thresholds at the ``_CAL_TARGETS`` tail
+    probabilities of its exact law, counted alone over (cal_samples,
+    cal_seed).  Constants fitted at the largest |t| and inflated to
+    dominate every calibration cell drive :func:`convergence_curve` over
+    (n_samples, seed).  One series stack, one row per time, serves both."""
+    times = [eps / 2.0 for eps in schedule]
+    stack = _deviation_stack(flow, f, times, (x_index,))
+    cells = []
+    for t, a in zip(times, stack):
+        norm = series_norm(a)
+        if norm > 0:
+            alphas = tuple(sorted(norm * math.sqrt(-math.log(p)) for p in _CAL_TARGETS))
+            cells += _count_cells(
+                flow.label(), [(t, x_index)], a[None, :], alphas, cal_samples, cal_seed
+            )
+    t_fit = max(times, key=abs)
+    fit_cells = [e for e in cells if e.t == t_fit]
+    fit = fit_constants(fit_cells, [abs(e.t) for e in fit_cells])
+    params = dominate_constants(cells, fit.params, [abs(e.t) for e in cells])
+    curve = convergence_curve(flow, f, schedule, params, n_samples, seed, x_index, stack=stack)
+    return fit, params, curve
+
+
 # ---------------------------------------------------------------------------
 # Joint smallness/decay event of the randomized split
 # ---------------------------------------------------------------------------
@@ -672,76 +699,5 @@ def series_norm(coefficients: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(coefficients) ** 2)))
 
 
-# ---------------------------------------------------------------------------
-# Result persistence
-# ---------------------------------------------------------------------------
-
-CSV_COLUMNS = (
-    "flow",
-    "t",
-    "alpha",
-    "x_index",
-    "exceed_count",
-    "M",
-    "prob",
-    "ci_low",
-    "ci_high",
-    "bound",
-)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def format_x_index(x_index) -> str:
     return ":".join(str(int(i)) for i in x_index)
-
-
-@contextmanager
-def atomic_open(path):
-    """Text file handle for a result file: the rows go to a temporary file
-    in the same directory, which replaces ``path`` only once the block
-    completes, so a failed run leaves no partial result file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def write_table(path, columns, rows, config_hash: str) -> None:
-    """The one writer of result tables: a ``# config=`` line, the header,
-    then one line per row with floats as ``repr`` and every other cell as
-    ``str``."""
-    with atomic_open(path) as fh:
-        fh.write(f"# config={config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def tail_rows(estimates, bounds) -> list[tuple]:
-    """Rows of tail estimates in the ``CSV_COLUMNS`` layout; ``bounds`` maps
-    row position to the theoretical bound value (blank when None)."""
-    return [
-        (est.flow_label, est.t, est.alpha, format_x_index(est.x_index),
-         est.exceed_count, est.ensemble_size, est.probability, est.ci_low, est.ci_high,
-         "" if bounds[i] is None else bounds[i])
-        for i, est in enumerate(estimates)
-    ]
-
-
-def write_manifest(path, payload: dict) -> None:
-    """JSON manifest next to a result file; the created_at stamp is
-    excluded from any byte-identity guarantees."""
-    body = dict(payload)
-    body.setdefault("created_at", time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    with atomic_open(path) as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -127,9 +127,11 @@ def bump_value(xi) -> np.ndarray:
     translates sum to one at every point by construction.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    phi = mollifier_value(xi)
-    s, _ = _lattice_jet(xi)
-    return phi / s
+    lo = np.floor(xi)
+    s = np.zeros(xi.shape[:-1])
+    for off in _neighbor_offsets(xi.shape[-1]):
+        s += mollifier_value(xi - (lo + np.asarray(off, dtype=float)))
+    return mollifier_value(xi) / s
 
 
 def bump_derivative(xi, beta) -> np.ndarray:

@@ -566,8 +566,67 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_check_wiener_default_grids_pass(self, capsys):
+        assert main(["check-wiener"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "15/15 checks passed"
+
+    def test_check_wiener_duplicate_dimension_exits_one(self, tmp_path, capsys):
+        grid = {"dim": 1, "samples_per_axis": 64, "extent": 16.0}
+        payload = {"grids": [grid, dict(grid, samples_per_axis=32)]}
+        cfg = write_config(tmp_path, "grids.json", payload)
+        out = tmp_path / "o"
+        assert main(["check-wiener", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "duplicate grid for dim 1" in captured.err
+        assert "checks passed" not in captured.out
+        assert not out.exists()
+
+
+def readme_tails_config() -> dict:
+    """The tails config of README.md's command-line example, as written."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return json.loads(readme.split("cat > tails.json <<'EOF'\n", 1)[1].split("EOF", 1)[0])
+
 
 class TestTailsCommand:
+    def test_readme_example_uses_default_points(self, tmp_path, capsys):
+        # No observation_points: the origin, then 4 grid points drawn from the seed.
+        config = readme_tails_config()
+        assert "observation_points" not in config
+        cfg = write_config(tmp_path, "tails.json", config)
+        tables = []
+        for name, seed in (("a", []), ("b", []), ("other", ["--seed", "8"])):
+            out = tmp_path / name
+            assert main(["tails", "--config", cfg, "--out", str(out), *seed]) == 0
+            tables.append((out / "tails_results.csv").read_bytes())
+        assert tables[0] == tables[1]
+        points = []
+        for table in (tables[0], tables[2]):
+            lines = table.decode().splitlines()[1:]
+            rows = list(csv.DictReader(lines))
+            assert len(rows) == 45
+            points.append(list(dict.fromkeys(row["x_index"] for row in rows)))
+        assert len(points[0]) == len(points[1]) == 5
+        assert points[0][0] == points[1][0] == "128"
+        assert points[0][1:] != points[1][1:]
+
+    def test_time_limit_warnings_of_wave_and_schrodinger(self, tmp_path, capsys):
+        # On a 2D 32^2/16 grid, dxi = pi/8: wave-half's limit is pi/dxi = 8.0
+        # and schrodinger's pi/(dxi 2 sqrt(2) xi_max) = 0.4502.
+        spec = GridSpec(2, 32, 16.0)
+        assert tailprob.dispersive_time_limit(spec, FlowKind.parse("wave-half")) == 8.0
+        payload = dict(BASE_TAILS, grid={"dim": 2, "samples_per_axis": 32, "extent": 16.0},
+                       flows=["wave-half", "schrodinger:+-"], times=[0.05, 0.5],
+                       observation_points=[[16, 16]])
+        del payload["flow"]
+        cfg = write_config(tmp_path, "t.json", payload)
+        out = tmp_path / "out"
+        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "tails_manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "schrodinger:+-: |t| = 0.5 exceeds the dispersive resolution limit 0.4502"
+        ]
+
     def test_single_cell_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", BASE_TAILS)
         out = tmp_path / "out"

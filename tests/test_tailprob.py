@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dispersim import cli
 from dispersim.cli import parse_data
 from dispersim.decompose import decay_seminorm, schwartz_split
 from dispersim.errors import ConfigurationError, FitError
@@ -32,9 +33,7 @@ from dispersim.tailprob import (
     series_norm,
     theoretical_bound,
     threshold_schedule,
-    tail_rows,
     wilson_interval,
-    write_table,
 )
 
 SPEC = GridSpec(1, 128, 16.0)
@@ -591,14 +590,19 @@ class TestResultsCsv:
     def test_layout_and_rerun_bytes(self, tmp_path):
         ests = synthetic_estimates(2.0, 5.0, (0.1,), (0.3, 0.1))
         bounds = [theoretical_bound(BoundParams(2.0, 5.0), e.alpha, 0.1) for e in ests]
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_table(p1, tailprob.CSV_COLUMNS, tail_rows(ests, bounds), "deadbeef")
-        write_table(p2, tailprob.CSV_COLUMNS, tail_rows(ests, bounds), "deadbeef")
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "# config=deadbeef"
-        assert lines[1].split(",") == list(tailprob.CSV_COLUMNS)
+        rows = [
+            (e.flow_label, e.t, e.alpha, tailprob.format_x_index(e.x_index), e.exceed_count,
+             e.ensemble_size, e.probability, e.ci_low, e.ci_high, b)
+            for e, b in zip(ests, bounds)
+        ]
+        p1, p2 = (
+            cli._write_results(tmp_path / d, "tails", {}, 0, cli.TAILS_COLUMNS, rows)
+            for d in ("a", "b")
+        )
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        lines = open(p1).read().splitlines()
+        assert lines[0] == f"# config={cli.config_hash({}, 0)}"
+        assert lines[1].split(",") == list(cli.TAILS_COLUMNS)
         assert len(lines) == 2 + len(ests)
 
 

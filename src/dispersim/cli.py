@@ -334,15 +334,6 @@ def _write_results(
             f"cannot create output directory {out_dir!r}: {exc.strerror}"
         ) from exc
     chash = config_hash(config, seed)
-    path = os.path.join(out_dir, f"{stem}_results.csv")
-    with _atomic_open(path) as fh:
-        fh.write(f"# config={chash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        # repr(float(v)): under numpy 2, repr(np.float64(x)) reads np.float64(x).
-        writer.writerows(
-            [repr(float(v)) if isinstance(v, float) else str(v) for v in row] for row in rows
-        )
     manifest = {
         "config": config,
         "config_hash": chash,
@@ -354,17 +345,27 @@ def _write_results(
     }
     if spec is not None:
         manifest["lattice_hash"] = unit_lattice(spec).digest()
-    with _atomic_open(os.path.join(out_dir, f"{stem}_manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.join(out_dir, f"{stem}_results.csv")
+    manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
+    # Neither file replaces its path until both are written.
+    with _atomic_open(path) as fh, _atomic_open(manifest_path) as mh:
+        fh.write(f"# config={chash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        # repr(float(v)): under numpy 2, repr(np.float64(x)) reads np.float64(x).
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
+        json.dump(manifest, mh, indent=2, sort_keys=True)
+        mh.write("\n")
     return path
 
 
 def _split_records(splits) -> list[dict]:
     """Manifest records of the density splits behind convergence or density
-    rows, each given as (epsilon, sigma, radius, achieved ||h||)."""
+    rows."""
     keys = ("epsilon", "sigma", "radius", "achieved_h_norm")
-    return [dict(zip(keys, split)) for split in splits]
+    return [{key: getattr(split, key) for key in keys} for split in splits]
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +413,11 @@ def run_khintchine(config, seed, out_dir) -> int:
         length = _count(config, "vector_length", 32)
         n_vectors = _count(config, "n_vectors", 20)
         samples = _count(config, "samples", 10_000)
+        for p in p_values:  # the exact moment needs Gamma(1 + p/2); p < 2 fails later
+            try:
+                math.gamma(1.0 + max(p, 2.0) / 2.0)
+            except OverflowError:
+                raise ConfigurationError(f"p_values: Gamma(1 + p/2) overflows at p = {p!r}")
     derived_seed(seed, n_vectors - 1)  # vector i draws with seed + i
     rng = np.random.default_rng(seed)
     vectors = []
@@ -539,9 +545,7 @@ def run_convergence(config, seed, out_dir) -> int:
             "C": params.C,
             "C1": params.C1,
             "r_squared": fit.r_squared,
-            "splits": _split_records(
-                (s.epsilon, s.sigma, s.radius, s.achieved_h_norm) for _, s in curve
-            ),
+            "splits": _split_records(s for _, s in curve),
         }
         # The chained bound 3 C1 exp(-(alpha / (C e eps))^2) of the schedule.
         chained = tailprob.BoundParams(params.C, 3.0 * params.C1)
@@ -580,12 +584,11 @@ def run_density(config, seed, out_dir) -> int:
     density = tailprob.density_rows(
         data, schedule, pairs, ensemble, seed, cal_ensemble, cal_seed
     )
-    fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r in density}
-    results = [r for _, r in density]
+    fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r, _ in density}
     rows = [
         (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,
          r.ci_low, r.ci_high, r.target)
-        for r in results
+        for _, r, _ in density
     ]
     path = _write_results(
         out_dir,
@@ -596,12 +599,10 @@ def run_density(config, seed, out_dir) -> int:
         rows,
         spec=spec,
         fitted_constants=fits,
-        splits=_split_records(
-            (r.epsilon, r.split_sigma, r.split_radius, r.h_norm) for r in results
-        ),
+        splits=_split_records(s for _, _, s in density),
         multi_indices=[[list(a), list(b)] for a, b in pairs],
     )
-    print(f"wrote {len(results)} density rows -> {path}")
+    print(f"wrote {len(rows)} density rows -> {path}")
     return 0
 
 

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import (
-    SchwartzSplit,
-    decay_seminorm,
-    multi_index,
-    schwartz_split,
-    whole_number,
-)
+from .decompose import SchwartzSplit, decay_seminorm, schwartz_split, whole_number
 from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomial_weight
 from .propagators import FlowKind, symbol
@@ -394,8 +388,8 @@ def fit_constants(estimates, scales) -> FitResult:
 
     The slope is 1/(C e)^2 and the intercept -log C1.  Only cells with
     probability strictly inside (0, 1) and a positive scale participate;
-    fewer than 6 such cells, or all-0/all-1 probabilities, raise
-    :class:`FitError`.
+    fewer than 6 such cells, all-0/all-1 probabilities, or a single
+    distinct (alpha/scale)^2 among them raise :class:`FitError`.
     """
     xs, ys = [], []
     for est, s in zip(estimates, scales, strict=True):
@@ -406,6 +400,8 @@ def fit_constants(estimates, scales) -> FitResult:
         raise FitError(
             f"need at least 6 estimates with probability in (0,1), got {len(xs)}"
         )
+    if len(set(xs)) < 2:
+        raise FitError("need at least 2 distinct (alpha/scale)^2 values, got 1")
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -522,16 +518,15 @@ class DensityResult:
     ci_low: float
     ci_high: float
     target: float
-    h_norm: float
-    split_sigma: float
-    split_radius: float
 
 
 def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split.
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
-    over the requested (alpha, beta) pairs.
+    over the requested (alpha, beta) pairs.  A split with g = 0 has every
+    randomized piece of g vanish too, so its decay event holds trivially:
+    it checks no pair, and its ratios stay 0.
 
     Each draw's weight stays in natural order and is transformed without
     the usual index shifts: the modulus of the result equals that of the
@@ -540,14 +535,13 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     """
     spec = split.g.spec
     n_lattice = len(unit_lattice(spec))
+    if not np.any(split.g.values != 0):
+        pairs = ()
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
     chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK)
     draws = (coeffs for block in chunks for coeffs in block)
-    # Degenerate split (g = 0): every randomized piece vanishes too, so
-    # the decay event holds trivially and only the h-norm event remains.
-    degenerate = not np.any(split.g.values != 0)
     for pair, val in base.items():
-        if val <= 0 and not degenerate:
+        if val <= 0:
             raise ConfigurationError(
                 f"decay seminorm of the smooth part vanishes for indices {pair}"
             )
@@ -568,8 +562,6 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     for m, coeffs in enumerate(draws):
         W = randomized_weights(spec, coeffs)
         hnorms[m] = math.sqrt(dxi_vol * float(np.sum(np.abs(W * Fh) ** 2)))
-        if degenerate:
-            continue
         worst = 0.0
         for beta_weight, alphas in by_beta.values():
             mag = np.abs(inv_scale * np.fft.ifftn(W * beta_weight))
@@ -603,9 +595,7 @@ def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
     return BoundParams(C=max(h_params.C, g_params.C), C1=max(h_params.C1, g_params.C1, 1.0))
 
 
-def _density_result(
-    split: SchwartzSplit, eps: float, params: BoundParams, hnorms, ratios
-) -> DensityResult:
+def _density_result(eps: float, params: BoundParams, hnorms, ratios) -> DensityResult:
     """The joint event's frequency over the draws, with lambda and M from
     ``params`` and eps."""
     log_term = math.log(params.C1 / eps)
@@ -626,57 +616,29 @@ def _density_result(
         ci_low=lo,
         ci_high=hi,
         target=1.0 - 2.0 * eps,
-        h_norm=split.achieved_h_norm,
-        split_sigma=split.sigma,
-        split_radius=split.radius,
     )
-
-
-def _index_pairs(pairs) -> tuple:
-    return tuple((multi_index(a), multi_index(b)) for a, b in pairs)
-
-
-def calibrate_density_constants(
-    f: Field, eps: float, pairs, n_samples: int, seed: int
-) -> BoundParams:
-    """Fit dominating constants for the joint smallness/decay event from
-    pilot ensembles of ||h^omega|| and of the worst decay ratio."""
-    split = schwartz_split(f, eps)
-    stats = _split_draw_statistics(split, _index_pairs(pairs), n_samples, seed)
-    return _density_constants(split, *stats)
-
-
-def density_event_probability(
-    f: Field,
-    eps: float,
-    pairs,
-    n_samples: int,
-    seed: int,
-    params: BoundParams,
-) -> DensityResult:
-    """Empirical probability of the joint event
-    ||h^omega|| <= lambda and, for every listed index pair,
-    decay_seminorm(g^omega) <= M * decay_seminorm(g),
-    with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps));
-    compare against the 1 - 2 eps target."""
-    split = schwartz_split(f, eps)
-    stats = _split_draw_statistics(split, _index_pairs(pairs), n_samples, seed)
-    return _density_result(split, eps, params, *stats)
 
 
 def density_rows(
     f: Field, schedule, pairs, n_samples: int, seed: int, cal_samples: int, cal_seed: int
-) -> list[tuple[BoundParams, DensityResult]]:
-    """(constants, result) for every eps of ``schedule``, equal to
-    :func:`calibrate_density_constants` with (cal_samples, cal_seed)
-    followed by :func:`density_event_probability` with (n_samples, seed).
+) -> list[tuple[BoundParams, DensityResult, SchwartzSplit]]:
+    """(constants, result, split) for every eps of ``schedule``: the density
+    experiment over the split f = g + h at eps, the twin of
+    :func:`convergence_rows`.  ``pairs`` holds (alpha, beta) multi-index
+    tuples, as :func:`~dispersim.cli.parse_pairs` returns them.
+
+    The constants dominate pilot tails of ||h^omega|| and of the worst
+    decay ratio over (cal_samples, cal_seed).  The result is the frequency,
+    over (n_samples, seed), of the joint event ||h^omega|| <= lambda and,
+    for every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
+    with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps)),
+    to compare against the 1 - 2 eps target.
 
     The data is fixed, so a split's (sigma, R) determines g and h.  The
     split schedule is coarse, and eps that select the same split share
     its calibration and event ensembles, drawn once; only lambda and M
     depend on eps.
     """
-    pairs = _index_pairs(pairs)
     shared = {}
     rows = []
     for eps in schedule:
@@ -689,7 +651,7 @@ def density_rows(
                 _split_draw_statistics(split, pairs, n_samples, seed),
             )
         params, stats = shared[key]
-        rows.append((params, _density_result(split, eps, params, *stats)))
+        rows.append((params, _density_result(eps, params, *stats), split))
     return rows
 
 

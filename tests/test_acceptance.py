@@ -309,18 +309,13 @@ def test_criterion_8_density_event():
     pairs = [((0,), (0,)), ((1,), (0,)), ((0,), (1,)), ((1,), (1,))]
     details = []
     ok = True
-    for eps in (0.2, 0.1):
-        params = tailprob.calibrate_density_constants(
-            DATA_1D, eps, pairs, 2000, SEED + 80
-        )
-        res = tailprob.density_event_probability(
-            DATA_1D, eps, pairs, 2000, SEED + 81, params
-        )
+    rows = tailprob.density_rows(DATA_1D, (0.2, 0.1), pairs, 2000, SEED + 81, 2000, SEED + 80)
+    for _, res, _ in rows:
         halfwidth = (res.ci_high - res.ci_low) / 2
         good = res.probability >= res.target - halfwidth
         ok = ok and good
         details.append(
-            f"eps={eps}: P = {res.probability:.4f} >= {res.target} - {halfwidth:.4f}"
+            f"eps={res.epsilon}: P = {res.probability:.4f} >= {res.target} - {halfwidth:.4f}"
         )
     _report("criterion 8 (joint smallness/decay event)", ok, "; ".join(details))
 

@@ -275,10 +275,26 @@ class TestExitCodes:
             ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
                              "observation_points": [[16, 16]]}, "kdv"),
             ("convergence", {"observation_points": [[128], [7]]}, "observation_points"),
+            ("khintchine", {"p_values": [2, 342]}, "p_values"),
+            ("tails", {"grid": [1, 128, 16.0]}, "grid must be an object"),
+            ("tails", {"data": {"width": 2.0}}, "recipe"),
+            ("tails", {"data": {"recipe": "gaussian", "width": 0}}, "width must be positive"),
+            ("tails", {"data": {"recipe": "mode", "frequency": [0.0, 0.0]}},
+             "one entry per axis"),
+            ("tails", {"data": {"recipe": "indicator", "radius": -1}},
+             "radius must be positive"),
+            ("tails", {"data": {"recipe": "custom-file", "path": "no-such-dir/f.bin"}},
+             "cannot read custom-file"),
+            ("tails", {"data": {"recipe": "spline"}}, "unknown data recipe"),
+            ("tails", {"flows": ["kdv"]}, "exactly one of"),
+            ("convergence", {"epsilon_schedule": [0.05, -0.1]}, "epsilon_schedule"),
         ],
         ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
              "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width",
-             "calibration-floor", "density-calibration-floor", "kdv-on-2d", "two-points"],
+             "calibration-floor", "density-calibration-floor", "kdv-on-2d", "two-points",
+             "gamma-overflow", "grid-not-object", "data-without-recipe", "zero-width",
+             "mode-length", "negative-radius", "missing-custom-file", "unknown-recipe",
+             "flow-and-flows", "negative-epsilon"],
     )
     def test_setting_checked_before_output(self, tmp_path, capsys, name, change, key):
         # Each of these ran before (a fraction or a bool truncated to an
@@ -347,6 +363,15 @@ class TestExitCodes:
         assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and str(path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_custom_file_of_another_grid_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "coarse.bin"
+        write_binary(Field(GridSpec(1, 64, 16.0), np.ones(64)), path)
+        data = {"recipe": "custom-file", "path": str(path)}
+        cfg = write_config(tmp_path, "c.json", dict(BASE_TAILS, data=data))
+        assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "does not match the configured grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -556,10 +581,18 @@ class TestExitCodes:
         assert "config error" not in err
         assert not out.exists()
 
-    def test_invalid_json_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "config is not valid JSON"), ("[1, 2]", "config must be a JSON object"),
+         (None, "cannot read config")],
+        ids=["broken", "not-object", "missing"],
+    )
+    def test_invalid_json_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
         assert main(["tails", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_checks_pass_exit_zero(self, capsys):
         assert main(["check-propagators"]) == 0

@@ -19,9 +19,7 @@ from dispersim.tailprob import (
     TailEstimate,
     TailExperimentConfig,
     binomial_z,
-    calibrate_density_constants,
     convergence_curve,
-    density_event_probability,
     density_rows,
     deviation_coefficients,
     deviation_samples,
@@ -471,6 +469,17 @@ class TestFitConstants:
         with pytest.raises(FitError):
             fit_constants(ests, [0.1] * len(ests))
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_abscissa_unfittable(self):
+        # Six cells at one (alpha/scale)^2: no slope can be fitted, so the
+        # fit refuses rather than letting polyfit return an arbitrary line.
+        ests = [
+            TailEstimate("kdv", 0.1, 0.05, (i,), k, 1000, k / 1000, 0.0, 1.0)
+            for i, k in enumerate((561, 536, 512, 479, 426, 420))
+        ]
+        with pytest.raises(FitError, match="distinct"):
+            fit_constants(ests, [0.1] * len(ests))
+
     def test_uses_each_estimates_scale(self):
         # Cells at t = 1: on scale 1.0 the fit gives back C = 2; on scale
         # 2.0 the same alphas give C = 1, so the scale is the given one.
@@ -553,8 +562,7 @@ class TestDensityEvent:
 
     def test_calibrated_event_beats_target(self):
         f = split_gaussian()
-        params = calibrate_density_constants(f, 0.2, self.PAIRS, 1500, 8)
-        res = density_event_probability(f, 0.2, self.PAIRS, 1500, 9, params)
+        ((_, res, _),) = density_rows(f, [0.2], self.PAIRS, 1500, 9, 1500, 8)
         halfwidth = (res.ci_high - res.ci_low) / 2
         assert res.probability >= res.target - halfwidth
 
@@ -575,13 +583,13 @@ class TestDensityEvent:
         f = gaussian(width=1.0)
         eps = 1.05 * l2_norm(f)
         params = BoundParams(C=1.0, C1=2.0)
-        res = density_event_probability(f, eps, self.PAIRS, 300, 10, params)
 
         from dispersim.decompose import schwartz_split
-        from dispersim.tailprob import _split_draw_statistics
+        from dispersim.tailprob import _density_result, _split_draw_statistics
 
         split = schwartz_split(f, eps)
         hnorms, ratios = _split_draw_statistics(split, tuple(self.PAIRS), 300, 10)
+        res = _density_result(eps, params, hnorms, ratios)
         assert np.all(ratios == 0.0)
         assert res.probability == np.mean(hnorms <= res.lam)
 
@@ -604,6 +612,24 @@ class TestResultsCsv:
         assert lines[0] == f"# config={cli.config_hash({}, 0)}"
         assert lines[1].split(",") == list(cli.TAILS_COLUMNS)
         assert len(lines) == 2 + len(ests)
+
+    @pytest.mark.parametrize("where", ["row", "manifest"])
+    def test_failed_write_leaves_no_result_file(self, tmp_path, monkeypatch, where):
+        # The table and the manifest replace their paths together or not at all.
+        def fail(*args, **kwargs):
+            raise RuntimeError("cannot be written")
+
+        class Unprintable:
+            __str__ = fail
+
+        rows = [("kdv", 0.1)]
+        if where == "row":
+            rows.append(("kdv", Unprintable()))
+        else:
+            monkeypatch.setattr(cli.json, "dump", fail)
+        with pytest.raises(RuntimeError, match="cannot be written"):
+            cli._write_results(tmp_path / "o", "tails", {}, 0, ("flow", "t"), rows)
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 def shifted_draw_statistics(split, pairs, n_samples, seed):
@@ -685,12 +711,13 @@ class TestSplitDrawStatistics:
 
 
 class TestDensityRows:
-    def test_rows_equal_calibration_then_event_per_eps(self):
-        # On the density-2d grid eps = 0.2 and 0.1 select the same split.
+    def test_each_eps_alone_equals_eps_run_together(self):
+        # On the density-2d grid eps = 0.2 and 0.1 select the same split,
+        # so the joint run draws its ensembles once and shares them.
         f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
         pairs = [((0, 0), (0, 0)), ((1, 1), (1, 1))]
-        expected = []
-        for eps in (0.2, 0.1):
-            params = calibrate_density_constants(f, eps, pairs, 300, 8)
-            expected.append((params, density_event_probability(f, eps, pairs, 200, 7, params)))
-        assert density_rows(f, [0.2, 0.1], pairs, 200, 7, 300, 8) == expected
+        together = density_rows(f, [0.2, 0.1], pairs, 200, 7, 300, 8)
+        alone = [density_rows(f, [eps], pairs, 200, 7, 300, 8)[0] for eps in (0.2, 0.1)]
+        assert [row[:2] for row in together] == [row[:2] for row in alone]
+        first, second = (split for _, _, split in together)
+        assert (first.sigma, first.radius) == (second.sigma, second.radius)

@@ -5,7 +5,8 @@ required and optional keys in ``_SUBCOMMANDS`` (unknown keys are
 rejected).  Results go to the output directory as CSV tables plus a JSON
 manifest; CSV bodies depend only on the config and the seed, so reruns
 are byte identical.  No flag, variable or key sets how a run is
-scheduled: every ensemble runs one serial loop over chunks of draws.
+scheduled: every ensemble runs one serial loop over chunks of draws, and
+``density`` runs its calibration and event ensembles at once.
 
 Exit codes: 0 success, 1 configuration error (or calibration tails that
 cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could

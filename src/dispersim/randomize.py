@@ -33,6 +33,36 @@ def _key(seed: int, block: int) -> np.ndarray:
     return np.array([int(seed) & _MASK64, int(block) & _MASK64], dtype=np.uint64)
 
 
+class _RowStream:
+    """Samples ``sample_offset``, ``sample_offset`` + 1, ... of seed's stream,
+    read in order into the caller's arrays.  The generator of the current
+    256-sample block stays live between reads, so a read carries on where
+    the last one stopped, and any split of a range into reads gives the
+    same rows."""
+
+    def __init__(self, seed: int, sample_offset: int = 0):
+        self._seed, self._next = seed, sample_offset
+        self._gen, self._block = None, -1
+
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """Fill the (rows, n_coeffs) complex128 array ``out`` with the next
+        ``rows`` samples, one per row, and return it."""
+        parts = out.view(np.float64)  # row m: Re, Im of each coefficient, interleaved
+        done = 0
+        while done < len(out):
+            block, row = divmod(self._next, _BLOCK)
+            if block != self._block:
+                self._gen = np.random.Generator(np.random.Philox(key=_key(self._seed, block)))
+                self._gen.standard_normal((row, parts.shape[1]))  # the block's earlier rows
+                self._block = block
+            take = min(len(out) - done, _BLOCK - row)
+            self._gen.standard_normal(out=parts[done : done + take])
+            done += take
+            self._next += take
+        out *= _SQRT_HALF
+        return out
+
+
 def gaussian_matrix(
     seed: int, n_samples: int, n_coeffs: int, sample_offset: int = 0
 ) -> np.ndarray:
@@ -41,17 +71,7 @@ def gaussian_matrix(
     m // 256 of the stream above, so any split of a range gives the same
     rows."""
     out = np.empty((n_samples, n_coeffs), dtype=np.complex128)
-    parts = out.view(np.float64)  # row m: Re, Im of each coefficient, interleaved
-    end = sample_offset + n_samples
-    for block in range(sample_offset // _BLOCK, -(-end // _BLOCK)):
-        first = block * _BLOCK
-        row, stop = max(sample_offset - first, 0), min(end - first, _BLOCK)
-        at = first - sample_offset  # the row of ``out`` that holds block row 0
-        gen = np.random.Generator(np.random.Philox(key=_key(seed, block)))
-        gen.standard_normal((row, 2 * n_coeffs))  # the block's rows before the range
-        gen.standard_normal(out=parts[at + row : at + stop])
-    out *= _SQRT_HALF
-    return out
+    return _RowStream(seed, sample_offset).read(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +100,35 @@ def draw(seed: int, lattice: UnitLattice, sample_index: int = 0) -> RandomDraw:
     return RandomDraw(lattice, gaussian_matrix(seed, 1, len(lattice), sample_index)[0])
 
 
+def _corner_terms(spec: GridSpec) -> list:
+    """The neighbour table's corners in lattice order, as (index, weight)
+    with each weight repeated for the real and imaginary part, the form
+    :func:`_corner_sum` takes."""
+    table = projection_blocks(spec)
+    return [(index, np.repeat(weight, 2)) for index, weight in zip(table.index.T, table.weight.T)]
+
+
+def _corner_sum(corners, coefficients: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Row r of ``out``: the frequency-mesh weight sum_k g_k psi(xi - k) of
+    the draw in row r of ``coefficients``, gathered corner by corner in
+    lattice order; ``scratch`` is a work array shaped like ``out``.  The
+    weights scale the interleaved real and imaginary parts, which gives
+    the bits of the complex-by-real product."""
+    parts = scratch.view(np.float64)
+    out[...] = 0
+    for index, weight in corners:
+        np.take(coefficients, index, axis=1, out=scratch, mode="clip")  # indices are in range
+        parts *= weight
+        out += scratch
+    return out
+
+
 def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
     from the neighbour table corner by corner in lattice order."""
-    table = projection_blocks(spec)
-    weights = np.zeros(spec.size, dtype=np.complex128)
-    for idx, w in zip(table.index.T, table.weight.T):
-        weights += coefficients[idx] * w
+    weights = np.empty((1, spec.size), dtype=np.complex128)
+    coefficients = np.asarray(coefficients, dtype=np.complex128)[None, :]
+    _corner_sum(_corner_terms(spec), coefficients, weights, np.empty_like(weights))
     return weights.reshape(spec.shape)
 
 

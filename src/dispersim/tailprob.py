@@ -11,12 +11,16 @@ normal per lattice point.  Every ensemble runs one serial loop over
 chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
 based and sample streams are counter keyed, so results are reproducible
 bit for bit whatever the chunk size.  The nonlinear density event keeps
-the per-lattice-point draws.
+the per-lattice-point draws, in blocks, and runs its calibration and
+event ensembles at once, one of them in a helper thread
+(:func:`_split_draw_statistics`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +29,21 @@ from .decompose import SchwartzSplit, decay_seminorm, schwartz_split, whole_numb
 from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomial_weight
 from .propagators import FlowKind, symbol
-from .randomize import RandomDraw, gaussian_matrix, randomize_field, randomized_weights
+from .randomize import (
+    RandomDraw,
+    _corner_sum,
+    _corner_terms,
+    _RowStream,
+    gaussian_matrix,
+    randomize_field,
+)
 from .wiener import projection_blocks, unit_lattice
 
 _TWO_PI = 2.0 * np.pi
 _E = math.e
 _CHUNK = 2048
-_DRAW_CHUNK = 256  # draws per gaussian_matrix call in the density statistics
+_DRAW_CHUNK = 64  # rows per read of a density ensemble's stream
+_DRAW_BLOCK = 8  # draws per block of the density statistics
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
 
@@ -520,8 +532,101 @@ class DensityResult:
     target: float
 
 
-def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
-    """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split.
+def _inverse_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ifftn of each a[r] over its mesh axes, all of one length, into
+    ``out``, bit for bit: the same passes, last axis first, each along the
+    contiguous last axis.  Between passes the axes rotate right into ``a``,
+    used as scratch, so the result's mesh axes are the input's rotated
+    left by one: the first comes last, and a 2D mesh comes out
+    transposed."""
+    np.fft.ifft(a, out=out)
+    for _ in range(a.ndim - 2):
+        np.copyto(a, np.moveaxis(out, -1, 1))
+        np.fft.ifft(a, out=out)
+    return out
+
+
+def _real_front(a: np.ndarray) -> np.ndarray:
+    """A float64 array shaped like the complex array ``a``, in the first
+    half of its memory, so that row r of it lies in row r of ``a``."""
+    return a.reshape(-1).view(np.float64)[: a.size].reshape(a.shape)
+
+
+def _ensemble_statistics(setup, n_samples: int, seed: int, stop: threading.Event):
+    """(hnorms, ratios) of samples [0, n_samples) of seed's stream, as
+    :func:`_split_draw_statistics` sets them up, or None once ``stop`` is
+    set.  Draws go in blocks of ``_DRAW_BLOCK``, read ``_DRAW_CHUNK`` rows
+    at a time, through three complex block arrays; the magnitudes reuse
+    the memory of whichever one is spent.  Only private helpers and numpy
+    run here, so no traced public call runs off the calling thread."""
+    corners, Fh, by_beta, n_lattice, shape, dxi_vol, inv_scale = setup
+    hnorms = np.empty(n_samples)
+    ratios = np.zeros(n_samples)
+    stream = _RowStream(seed)
+    rows = np.empty((min(_DRAW_CHUNK, n_samples), n_lattice), dtype=np.complex128)
+    weights = np.empty((min(_DRAW_BLOCK, n_samples), Fh.size), dtype=np.complex128)
+    work, spare = np.empty_like(weights), np.empty_like(weights)
+    work_re, spare_re = _real_front(work), _real_front(spare)
+    for start in range(0, n_samples, _DRAW_CHUNK):
+        pulled = stream.read(rows[: n_samples - start])
+        for first in range(0, len(pulled), _DRAW_BLOCK):
+            if stop.is_set():
+                return None
+            coeffs = pulled[first : first + _DRAW_BLOCK]
+            b = len(coeffs)
+            W, mesh = weights[:b], (b, *shape)
+            drawn = slice(start + first, start + first + b)
+            _corner_sum(corners, coeffs, W, work[:b])
+            sq = np.abs(np.multiply(W, Fh, out=work[:b]), out=spare_re[:b])
+            hnorms[drawn] = np.sqrt(dxi_vol * np.sum(np.square(sq, out=sq), axis=1))
+            worst = ratios[drawn]
+            for beta_weight, alphas in by_beta:
+                spectrum = np.multiply(W, beta_weight, out=work[:b]).reshape(mesh)
+                field = _inverse_rows(spectrum, spare[:b].reshape(mesh)).reshape(b, -1)
+                parts = field.view(np.float64)
+                parts *= inv_scale  # the bits of the complex-by-real product, up to signs of 0
+                mag = np.abs(field, out=work_re[:b])
+                for alpha_weight, val in alphas:
+                    if alpha_weight is not None:
+                        peak = np.max(np.multiply(mag, alpha_weight, out=spare_re[:b]), axis=1)
+                    else:
+                        peak = np.max(mag, axis=1)
+                    np.maximum(worst, peak / val, out=worst)
+    return hnorms, ratios
+
+
+def _run_ensembles(run, ensembles) -> list:
+    """[run(n_samples, seed, stop) for each (n_samples, seed) of
+    ``ensembles``]: the first in the calling thread, the rest one after
+    another in one helper thread.  An error in either sets ``stop``, so the
+    other ends at its next block, and the first error is raised here once
+    the helper has ended."""
+    results = [None] * len(ensembles)
+    errors = []
+    stop = threading.Event()
+
+    def work(indices):
+        try:
+            for i in indices:
+                results[i] = run(*ensembles[i], stop)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            stop.set()
+
+    helper = threading.Thread(target=work, args=(range(1, len(ensembles)),))
+    helper.start()
+    try:
+        work(range(1))
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
+    """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split,
+    one pair of arrays for each (n_samples, seed) of ``ensembles``.
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
     over the requested (alpha, beta) pairs.  A split with g = 0 has every
@@ -531,44 +636,40 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, n_samples, seed):
     Each draw's weight stays in natural order and is transformed without
     the usual index shifts: the modulus of the result equals that of the
     shifted transform, with x in FFT order, so only the alpha weights are
-    shifted, once per call.
+    shifted, and rotated to :func:`_inverse_rows`' axis order, once per
+    call.
+
+    The seminorms, transforms and weights are set up once, in the calling
+    thread; then the ensembles run at once (:func:`_run_ensembles`), each
+    one serially, so the results depend only on the split and the seeds.
     """
     spec = split.g.spec
-    n_lattice = len(unit_lattice(spec))
     if not np.any(split.g.values != 0):
         pairs = ()
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
-    chunks = _draw_chunks(seed, n_samples, n_lattice, _DRAW_CHUNK)
-    draws = (coeffs for block in chunks for coeffs in block)
     for pair, val in base.items():
         if val <= 0:
             raise ConfigurationError(
                 f"decay seminorm of the smooth part vanishes for indices {pair}"
             )
     Fg = forward_transform(split.g).coeffs
-    Fh = forward_transform(split.h).coeffs
+    Fh = forward_transform(split.h).coeffs.reshape(-1)
     freqs = spec.frequency_grids()
     coords = spec.coordinate_grids()
-    # Per beta: (i xi)^beta Fg, and (x^alpha, seminorm of g) of each of its pairs.
+    # Per beta: (i xi)^beta Fg, and (x^alpha, seminorm of g) of each of its
+    # pairs, x^alpha left out (None) where it is 1.
     by_beta = {}
     for (a, b), val in base.items():
         if b not in by_beta:
-            by_beta[b] = (monomial_weight(freqs, b, imaginary=True) * Fg, [])
-        by_beta[b][1].append((np.fft.ifftshift(monomial_weight(coords, a)), val))
-    inv_scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
-    hnorms = np.empty(n_samples)
-    ratios = np.zeros(n_samples)
-    dxi_vol = spec.frequency_cell_volume
-    for m, coeffs in enumerate(draws):
-        W = randomized_weights(spec, coeffs)
-        hnorms[m] = math.sqrt(dxi_vol * float(np.sum(np.abs(W * Fh) ** 2)))
-        worst = 0.0
-        for beta_weight, alphas in by_beta.values():
-            mag = np.abs(inv_scale * np.fft.ifftn(W * beta_weight))
-            for alpha_weight, val in alphas:
-                worst = max(worst, float(np.max(alpha_weight * mag)) / val)
-        ratios[m] = worst
-    return hnorms, ratios
+            by_beta[b] = ((monomial_weight(freqs, b, imaginary=True) * Fg).reshape(-1), [])
+        shifted = np.fft.ifftshift(monomial_weight(coords, a))
+        alpha_weight = np.moveaxis(shifted, 0, -1).reshape(-1) if any(a) else None
+        by_beta[b][1].append((alpha_weight, val))
+    setup = (
+        _corner_terms(spec), Fh, list(by_beta.values()), len(unit_lattice(spec)), spec.shape,
+        spec.frequency_cell_volume, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume,
+    )
+    return _run_ensembles(functools.partial(_ensemble_statistics, setup), ensembles)
 
 
 def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
@@ -645,11 +746,10 @@ def density_rows(
         split = schwartz_split(f, eps)
         key = (split.sigma, split.radius)
         if key not in shared:
-            cal = _split_draw_statistics(split, pairs, cal_samples, cal_seed)
-            shared[key] = (
-                _density_constants(split, *cal),
-                _split_draw_statistics(split, pairs, n_samples, seed),
+            cal, event = _split_draw_statistics(
+                split, pairs, [(cal_samples, cal_seed), (n_samples, seed)]
             )
+            shared[key] = (_density_constants(split, *cal), event)
         params, stats = shared[key]
         rows.append((params, _density_result(eps, params, *stats), split))
     return rows

@@ -883,14 +883,14 @@ class TestDensityCommand:
         inner = dispersim.tailprob._split_draw_statistics
 
         def counted(*args, **kwargs):
-            calls.append(args[2:4])
+            calls.append(args[2])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(dispersim.tailprob, "_split_draw_statistics", counted)
         out = tmp_path / "both"
         assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
                      "--out", str(out)]) == 0
-        assert calls == [(300, 8), (200, 7)]
+        assert calls == [[(300, 8), (200, 7)]]
         rows = (out / "density_results.csv").read_text().splitlines()[2:]
         for eps, row in zip(payload["epsilon_schedule"], rows):
             single = dict(payload, epsilon_schedule=[eps])
@@ -909,6 +909,41 @@ class TestDensityCommand:
         assert (out1 / "density_results.csv").read_bytes() == (
             out3 / "density_results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("event", [False, True], ids=["calibration", "event"])
+    def test_failed_ensemble_exits_four_with_one_traceback(
+        self, tmp_path, capsys, monkeypatch, event
+    ):
+        # The event ensemble runs in the helper thread, the calibration one
+        # in the calling thread.
+        failing = DENSITY["seed"] if event else derived_seed(DENSITY["seed"], 1)
+        stream = tailprob._RowStream
+
+        def failing_stream(seed, *args):
+            if seed == failing:
+                raise RuntimeError(f"stream {seed} failed")
+            return stream(seed, *args)
+
+        monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "d.json", DENSITY)
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("Traceback (most recent call last)") == 1
+        assert f"stream {failing} failed" in err and "Exception in thread" not in err
+        assert not out.exists()
+
+    def test_vanishing_seminorm_exits_one_before_any_thread(self, tmp_path, capsys, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(tailprob, "decay_seminorm", lambda *args: 0.0)
+        monkeypatch.setattr(tailprob.threading, "Thread", no_thread)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "d.json", DENSITY)
+        assert main(["density", "--config", cfg, "--out", str(out)]) == 1
+        assert "decay seminorm of the smooth part vanishes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_3d_defaults_keep_beta_within_order_two(self, tmp_path):
         payload = {

@@ -5,6 +5,7 @@ from dispersim.errors import ConfigurationError
 from dispersim.grid import Field, GridSpec, l2_norm
 from dispersim.randomize import (
     RandomDraw,
+    _RowStream,
     draw,
     expected_randomized_norm_squared,
     gaussian_matrix,
@@ -72,6 +73,28 @@ class TestDraw:
         assert np.array_equal(np.concatenate(parts), whole)
         assert np.array_equal(gaussian_matrix(8, 2, 3, 255), whole[255:257])
         assert gaussian_matrix(8, 0, 3, 300).shape == (0, 3)
+
+    @pytest.mark.parametrize("chunk", [1, 16, 100, 256, 333])
+    def test_streamed_reads_equal_one_matrix(self, chunk):
+        # Reads that cross the 256-sample block edges, the last one partial.
+        n, width = 600, len(LATTICE)
+        stream = _RowStream(321)
+        reads = [
+            stream.read(np.empty((min(chunk, n - start), width), dtype=np.complex128))
+            for start in range(0, n, chunk)
+        ]
+        assert np.array_equal(np.concatenate(reads), gaussian_matrix(321, n, width))
+
+    def test_matrix_rows_are_the_keyed_blocks(self):
+        # Sample m is row m mod 256 of the Philox stream keyed (seed, m // 256).
+        n, width = 600, 3
+        blocks = [
+            np.random.Generator(np.random.Philox(key=np.array([321, b], dtype=np.uint64)))
+            .standard_normal((256, 2 * width))
+            for b in range(3)
+        ]
+        parts = np.concatenate(blocks)[:n] * (1.0 / np.sqrt(2.0))
+        assert np.array_equal(gaussian_matrix(321, n, width), parts.view(np.complex128))
 
     def test_rows_across_a_block_edge_uncorrelated(self):
         # Row 256 starts a new key: correlation with row 255 (the end of the

@@ -1,4 +1,8 @@
+import functools
+import inspect
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -572,7 +576,7 @@ class TestDensityEvent:
 
         f = split_gaussian()
         split = schwartz_split(f, 0.2)
-        hnorms, ratios = _split_draw_statistics(split, tuple(self.PAIRS), 800, 21)
+        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), [(800, 21)])
         lam, mthr = np.quantile(hnorms, 0.8), np.quantile(ratios, 0.8)
         joint = np.mean((hnorms <= lam) & (ratios <= mthr))
         assert joint <= np.mean(hnorms <= lam)
@@ -588,7 +592,7 @@ class TestDensityEvent:
         from dispersim.tailprob import _density_result, _split_draw_statistics
 
         split = schwartz_split(f, eps)
-        hnorms, ratios = _split_draw_statistics(split, tuple(self.PAIRS), 300, 10)
+        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), [(300, 10)])
         res = _density_result(eps, params, hnorms, ratios)
         assert np.all(ratios == 0.0)
         assert res.probability == np.mean(hnorms <= res.lam)
@@ -703,11 +707,100 @@ class TestSplitDrawStatistics:
         split = schwartz_split(f, eps)
         assert (kind == "degenerate") == (not np.any(split.g.values))
         pairs = pair_sets["default" if kind == "degenerate" else kind]
-        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)  # chunk edges mid-ensemble
-        got = tailprob._split_draw_statistics(split, pairs, 40, 77)
-        expected = shifted_draw_statistics(split, pairs, 40, 77)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
+        # Chunk and block edges mid-ensemble; both ensembles at once.
+        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)
+        monkeypatch.setattr(tailprob, "_DRAW_BLOCK", 3)
+        ensembles = [(40, 77), (17, 5)]
+        got = tailprob._split_draw_statistics(split, pairs, ensembles)
+        assert len(got) == len(ensembles)
+        for (hnorms, ratios), (n_samples, seed) in zip(got, ensembles):
+            expected = shifted_draw_statistics(split, pairs, n_samples, seed)
+            assert np.array_equal(hnorms, expected[0])
+            assert np.array_equal(ratios, expected[1])
+
+    def test_ensembles_keep_their_places_under_fast_thread_switching(self):
+        split = schwartz_split(split_gaussian(), 0.2)
+        pairs = DRAW_CASES["1d"][3]["default"]
+        ensembles = [(50, seed) for seed in (1, 2, 3, 4)]  # three in a row on the helper
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tailprob._split_draw_statistics(split, pairs, ensembles)
+        finally:
+            sys.setswitchinterval(interval)
+        for (hnorms, ratios), ensemble in zip(got, ensembles):
+            ((alone_h, alone_r),) = tailprob._split_draw_statistics(split, pairs, [ensemble])
+            assert np.array_equal(hnorms, alone_h) and np.array_equal(ratios, alone_r)
+
+    @pytest.mark.parametrize("failing", [8, 7], ids=["calling-thread", "helper-thread"])
+    def test_failure_in_one_ensemble_is_raised_after_both_end(self, failing, monkeypatch):
+        split = schwartz_split(_gaussian_on(GridSpec(2, 64, 32.0), 2.0), 0.2)
+        pairs = DRAW_CASES["2d"][3]["default"]
+        stream = tailprob._RowStream
+        reads = []
+
+        def failing_stream(seed, *args):
+            rows = stream(seed, *args)
+            read = rows.read
+
+            def counted(out):
+                reads.append(seed)
+                if seed == failing:
+                    raise RuntimeError(f"stream {seed} failed")
+                return read(out)
+
+            rows.read = counted
+            return rows
+
+        monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
+            tailprob._split_draw_statistics(split, pairs, [(300, 8), (300, 7)])
+        assert threading.active_count() == threads
+        # The other ensemble stops at its next block, well before its fifth
+        # and last chunk.
+        assert reads.count(failing) == 1 and len(reads) - 1 <= 3
+
+    def test_helper_thread_calls_no_public_function(self, monkeypatch):
+        # The benchmark's layer trace wraps every public function of the
+        # modules other than cli, at every binding site, and takes spans of
+        # different threads never to overlap: so only the calling thread
+        # may call one.
+        public = {}
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dispersim.") and name != "dispersim.cli":
+                for attr, obj in vars(mod).items():
+                    if (not attr.startswith("_") and getattr(obj, "__module__", None) == name
+                            and (inspect.isfunction(obj) or hasattr(obj, "cache_info"))):
+                        public[id(obj)] = obj
+        callers = []
+
+        def recorded(fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                callers.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        wrapped = {key: recorded(fn) for key, fn in public.items()}
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "dispersim":
+                for attr, obj in list(vars(mod).items()):
+                    if public.get(id(obj)) is obj:
+                        monkeypatch.setattr(mod, attr, wrapped[id(obj)])
+        readers = []
+        stream = tailprob._RowStream
+
+        def counted_stream(*args):
+            readers.append(threading.get_ident())
+            return stream(*args)
+
+        monkeypatch.setattr(tailprob, "_RowStream", counted_stream)
+        f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
+        tailprob.density_rows(f, [0.2], DRAW_CASES["2d"][3]["default"], 200, 7, 300, 8)
+        me = threading.get_ident()
+        assert len(readers) == 2 and len(set(readers)) == 2 and me in readers
+        assert callers and set(callers) == {me}
 
 
 class TestDensityRows:

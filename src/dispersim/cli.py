@@ -8,12 +8,13 @@ are byte identical.  No flag, variable or key sets how a run is
 scheduled: every ensemble runs one serial loop over chunks of draws, and
 ``density`` runs its calibration and event ensembles at once.
 
-Exit codes: 0 success, 1 configuration error (or calibration tails that
-cannot be fitted), 2 a check-* subcommand found failures, 3 the density split could
-not reach a requested epsilon on the grid, not even in its cutoff-only
-limit, 4 an internal error (its traceback goes to stderr).  Result files
-are written whole or not at all, every table and manifest by
-``_write_results``.
+Exit codes: 0 success, 1 configuration error (or tails that admit no
+bound: density calibration tails that cannot be fitted, a convergence
+deviation that vanishes), 2 a check-* subcommand found failures, 3 the
+density split could not reach a requested epsilon on the grid, not even
+in its cutoff-only limit, 4 an internal error (its traceback goes to
+stderr).  Result files are written whole or not at all, every table and
+manifest by ``_write_results``.
 """
 
 from __future__ import annotations
@@ -523,29 +524,27 @@ def run_convergence(config, seed, out_dir) -> int:
         data = parse_data(config["data"], spec)
         flows = parse_flows(config, spec)
         schedule = parse_schedule(config)
+        if max(schedule) >= 3.0:
+            # alpha = C e eps sqrt(ln(3 C1 / eps)) with C1 = 1 needs eps < 3.
+            raise ConfigurationError(
+                f"epsilon_schedule entries must lie below 3, got {max(schedule)!r}"
+            )
         ensemble = _count(config, "ensemble_size")
-        cal_ensemble = _count(
-            config, "calibration_ensemble", max(2000, ensemble // 2), minimum=100
-        )
         points = _entries(config, "observation_points", [spec.origin_index()])
         if len(points) > 1:
             raise ConfigurationError(
                 f"observation_points: convergence takes one point, got {len(points)}"
             )
         (x_index,) = tailprob.grid_points(spec, points)
-    cal_seed = derived_seed(seed, 1)
 
     rows = []
     cells = []  # the curve's tail estimates, for the exact law
     manifest_fits = {}
     for flow in flows:
-        fit, params, curve = tailprob.convergence_rows(
-            flow, data, schedule, x_index, ensemble, seed, cal_ensemble, cal_seed
-        )
+        params, curve = tailprob.convergence_rows(flow, data, schedule, x_index, ensemble, seed)
         manifest_fits[flow.label()] = {
             "C": params.C,
             "C1": params.C1,
-            "r_squared": fit.r_squared,
             "splits": _split_records(s for _, s in curve),
         }
         # The chained bound 3 C1 exp(-(alpha / (C e eps))^2) of the schedule.
@@ -717,7 +716,7 @@ _SUBCOMMANDS = {
     "convergence": (
         run_convergence,
         ("grid", "data", "epsilon_schedule", "ensemble_size"),
-        ("flow", "flows", "calibration_ensemble", "observation_points"),
+        ("flow", "flows", "observation_points"),
     ),
     "density": (
         run_density,

@@ -279,9 +279,9 @@ def deviation_samples(
 
 def _count_cells(label: str, cells, stack, thresholds, m_total: int, seed: int):
     """Tail estimates of every (t, alpha, x), cells (t, x) major: the one
-    exceedance count behind ``tails``, its calibration and every
-    convergence row.  ``stack`` holds the cells' series coefficients, one
-    row per cell.  Sample m draws one complex normal per cell, row m of
+    exceedance count behind ``tails`` and every convergence row.
+    ``stack`` holds the cells' series coefficients, one row per cell.
+    Sample m draws one complex normal per cell, row m of
     :func:`gaussian_matrix`, and maps them through
     :func:`observable_factor`, so every cell's deviation has its exact
     joint law; each (cell, alpha) gets the integer count of
@@ -463,7 +463,7 @@ def convergence_curve(
 ) -> list[tuple[TailEstimate, SchwartzSplit]]:
     """(estimate, split) for each eps: the split f = g + h at eps, and the
     tails cell (t, alpha, x) with t = eps/2 and alpha = C e eps
-    sqrt(ln(3 C1/eps)) from previously fitted constants, counted alone by
+    sqrt(ln(3 C1/eps)) from the given constants, counted alone by
     :func:`_count_cells` over ``ensemble_size`` draws of ``seed``.
     ``stack`` holds the series coefficients of the cells (eps/2, x), one
     row per eps, when the caller already has them."""
@@ -482,36 +482,28 @@ def convergence_curve(
     return rows
 
 
-_CAL_TARGETS = (0.4, 0.3, 0.2, 0.12, 0.06, 0.03, 0.012)  # calibration cells' exact tails
-
-
 def convergence_rows(
-    flow: FlowKind, f: Field, schedule, x_index, n_samples: int, seed: int,
-    cal_samples: int, cal_seed: int,
-) -> tuple[FitResult, BoundParams, list[tuple[TailEstimate, SchwartzSplit]]]:
-    """(fit, constants, curve) of one flow at the point ``x_index``, the
-    convergence twin of :func:`density_rows`.  Each time t = eps/2 gets a
-    calibration cell (t, x), its thresholds at the ``_CAL_TARGETS`` tail
-    probabilities of its exact law, counted alone over (cal_samples,
-    cal_seed).  Constants fitted at the largest |t| and inflated to
-    dominate every calibration cell drive :func:`convergence_curve` over
-    (n_samples, seed).  One series stack, one row per time, serves both."""
+    flow: FlowKind, f: Field, schedule, x_index, n_samples: int, seed: int
+) -> tuple[BoundParams, list[tuple[TailEstimate, SchwartzSplit]]]:
+    """(constants, curve) of one flow at the point ``x_index``, the
+    convergence twin of :func:`density_rows`.  Each cell (t, x), t = eps/2,
+    deviates by CN(0, ||a||^2), so the bound C1 exp(-(alpha/(C e |t|))^2)
+    lies above its exact law exp(-alpha^2/||a||^2) at every alpha exactly
+    when C1 >= 1 and C e |t| >= ||a||: the constants are C* = the max of
+    ||a||/(e |t|) over the cells and C1 = 1, with no draw.  They drive
+    :func:`convergence_curve` over (n_samples, seed), on the same series
+    stack, one row per time.  A deviation that vanishes at every time has
+    no such bound and raises :class:`FitError`."""
     times = [eps / 2.0 for eps in schedule]
     stack = _deviation_stack(flow, f, times, (x_index,))
-    cells = []
-    for t, a in zip(times, stack):
-        norm = series_norm(a)
-        if norm > 0:
-            alphas = tuple(sorted(norm * math.sqrt(-math.log(p)) for p in _CAL_TARGETS))
-            cells += _count_cells(
-                flow.label(), [(t, x_index)], a[None, :], alphas, cal_samples, cal_seed
-            )
-    t_fit = max(times, key=abs)
-    fit_cells = [e for e in cells if e.t == t_fit]
-    fit = fit_constants(fit_cells, [abs(e.t) for e in fit_cells])
-    params = dominate_constants(cells, fit.params, [abs(e.t) for e in cells])
-    curve = convergence_curve(flow, f, schedule, params, n_samples, seed, x_index, stack=stack)
-    return fit, params, curve
+    c_star = max(series_norm(a) / (_E * abs(t)) for t, a in zip(times, stack))
+    if c_star <= 0:
+        raise FitError(
+            f"{flow.label()}: the deviation at x = {format_x_index(x_index)} vanishes at"
+            " every t = eps/2, so no Gaussian tail bound has a positive constant C"
+        )
+    params = BoundParams(c_star, 1.0)
+    return params, convergence_curve(flow, f, schedule, params, n_samples, seed, x_index, stack)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ CONVERGENCE = {
     "data": {"recipe": "gaussian", "width": 2.0},
     "epsilon_schedule": [0.05],
     "ensemble_size": 100,
-    "calibration_ensemble": 500,
     "observation_points": [[128]],
     "seed": 3,
 }
@@ -270,7 +269,7 @@ class TestExitCodes:
             ("khintchine", {"n_vectors": 2.9}, "n_vectors"),
             ("khintchine", {"vector_length": True}, "vector_length"),
             ("tails", {"max_ci_width": 0.1}, "max_ci_width"),
-            ("convergence", {"calibration_ensemble": 50}, "calibration_ensemble"),
+            ("convergence", {"calibration_ensemble": 500}, "calibration_ensemble"),
             ("density", {"calibration_ensemble": 99}, "calibration_ensemble"),
             ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
                              "observation_points": [[16, 16]]}, "kdv"),
@@ -288,13 +287,20 @@ class TestExitCodes:
             ("tails", {"data": {"recipe": "spline"}}, "unknown data recipe"),
             ("tails", {"flows": ["kdv"]}, "exactly one of"),
             ("convergence", {"epsilon_schedule": [0.05, -0.1]}, "epsilon_schedule"),
+            ("convergence", {"epsilon_schedule": [3.0]}, "epsilon_schedule"),
+            ("convergence", {"epsilon_schedule": [0.05, 10.0]}, "epsilon_schedule"),
+            # kdv leaves a constant field in place: every cell's series is
+            # zero, and no bound constant C > 0 exists.
+            ("convergence", {"data": {"recipe": "mode", "frequency": [0.0]}},
+             "config error: kdv: the deviation at x = 128 vanishes"),
         ],
         ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
              "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width",
-             "calibration-floor", "density-calibration-floor", "kdv-on-2d", "two-points",
+             "calibration-unknown-key", "density-calibration-floor", "kdv-on-2d", "two-points",
              "gamma-overflow", "grid-not-object", "data-without-recipe", "zero-width",
              "mode-length", "negative-radius", "missing-custom-file", "unknown-recipe",
-             "flow-and-flows", "negative-epsilon"],
+             "flow-and-flows", "negative-epsilon", "epsilon-three", "epsilon-ten",
+             "vanishing-deviation"],
     )
     def test_setting_checked_before_output(self, tmp_path, capsys, name, change, key):
         # Each of these ran before (a fraction or a bool truncated to an
@@ -494,25 +500,32 @@ class TestExitCodes:
         assert "usage: dispersim" in capsys.readouterr().out
 
     def test_wrapping_derived_seed_exits_one(self, tmp_path, capsys):
-        # Calibration draws with seed + 1, which for 2^64 - 1 would wrap
-        # onto seed 0's stream.
+        # Density calibration draws with seed + 1, which for 2^64 - 1 would
+        # wrap onto seed 0's stream.
         payload = dict(DENSITY, seed=2**64 - 1)
         cfg = write_config(tmp_path, "seed.json", payload)
         assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "2^64" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_largest_seed_runs_convergence(self, tmp_path):
+        # Convergence draws no calibration ensemble, so it derives no seed:
+        # 2^64 - 1 is a seed like any other.
+        cfg = write_config(tmp_path, "seed.json", dict(CONVERGENCE, seed=2**64 - 1))
+        out = tmp_path / "o"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "convergence_manifest.json").read_text())["seed"] == 2**64 - 1
+
     def test_split_failure_exits_three_without_result_file(self, tmp_path, capsys):
-        # A wide Gaussian splits trivially at eps above its norm (4.6), then
-        # cannot reach eps 0.5 on this grid: the first row is computed, the
-        # second fails, and no CSV may be left behind.
+        # A wide Gaussian splits trivially at eps above its norm (2.74), then
+        # stalls at ||h|| = 0.588 short of eps 0.5 on this grid: the first
+        # row is computed, the second fails, and no CSV may be left behind.
         payload = {
             "grid": {"dim": 1, "samples_per_axis": 256, "extent": 40.0},
             "flow": "kdv",
-            "data": {"recipe": "gaussian", "width": 12.0},
-            "epsilon_schedule": [5.0, 0.5],
+            "data": {"recipe": "gaussian", "width": 12.0, "amplitude": 0.6},
+            "epsilon_schedule": [2.9, 0.5],
             "ensemble_size": 100,
-            "calibration_ensemble": 500,
             "observation_points": [[128]],
             "seed": 3,
         }
@@ -767,7 +780,6 @@ class TestConvergenceCommand:
             "data": {"recipe": "gaussian", "width": 2.0},
             "epsilon_schedule": [0.4, 0.2, 0.1],
             "ensemble_size": 300,
-            "calibration_ensemble": 2000,
             "observation_points": [[128]],
             "seed": 11,
         }
@@ -776,6 +788,7 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "convergence_manifest.json").read_text())
         consts = manifest["fitted_constants"]["kdv"]
+        assert consts["C1"] == 1.0
         lines = (out / "convergence_results.csv").read_text().splitlines()[2:]
         assert len(lines) == 3
         for line in lines:
@@ -787,8 +800,8 @@ class TestConvergenceCommand:
             assert abs(alpha - expected) < 1e-12
 
     def test_series_computed_once_per_time(self, tmp_path, monkeypatch):
-        # Calibration thresholds, calibration ensembles and the curve all
-        # read one series stack per flow, one row per time t = eps / 2.
+        # The constants and the curve read one series stack per flow, one
+        # row per time t = eps / 2.
         payload = dict(CONVERGENCE, epsilon_schedule=[0.4, 0.2, 0.1])
         calls = []
         inner = dispersim.tailprob._deviation_stack
@@ -803,8 +816,8 @@ class TestConvergenceCommand:
         assert calls == [(0.2, 0.1, 0.05)]
 
     def test_curve_below_the_tails_ensemble_floor(self, tmp_path):
-        # Only the calibration is a tails experiment with its floor of 100
-        # draws; the curve counts any ensemble_size of at least 1.
+        # The tails floor of 100 draws does not hold here: the curve counts
+        # any ensemble_size of at least 1.
         cfg = write_config(tmp_path, "c.json", dict(CONVERGENCE, ensemble_size=50))
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0

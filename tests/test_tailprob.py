@@ -24,6 +24,7 @@ from dispersim.tailprob import (
     TailExperimentConfig,
     binomial_z,
     convergence_curve,
+    convergence_rows,
     density_rows,
     deviation_coefficients,
     deviation_samples,
@@ -559,6 +560,50 @@ class TestConvergenceCurve:
             devs = deviation_samples(flow, f, eps / 2, x, 3000, 11)
             assert est.exceed_count == int(np.sum(devs > est.alpha))
             assert est.ensemble_size == 3000
+
+
+class TestConvergenceRows:
+    SCHEDULE = (0.4, 0.2, 0.1)
+
+    @staticmethod
+    def dominates(params, cells):
+        """Whether the bound on scale |t| lies above every cell's exact law
+        exp(-alpha^2/||a||^2), up to rounding, at alpha from 0 to 6 ||a||."""
+        for t, a in cells:
+            norm = series_norm(a)
+            for alpha in np.linspace(0.0, 6.0 * norm, 61):
+                exact = math.exp(-((alpha / norm) ** 2))
+                if theoretical_bound(params, alpha, abs(t)) < exact * (1.0 - 1e-12):
+                    return False
+        return True
+
+    @pytest.mark.parametrize("label", ["kdv", "schrodinger:+", "wave-half"])
+    def test_constants_from_the_exact_law(self, label, monkeypatch):
+        # C = C*, the max of ||a|| / (e |t|) over the curve's cells, and
+        # C1 = 1: the bound dominates every cell's exact law, and 2 % less
+        # C does not.  The curve's ensembles are the only draws.
+        flow, f, x = FlowKind.parse(label), split_gaussian(), SPLIT_ORIGIN
+        if label == "wave-half":
+            f = parse_data({"recipe": "gaussian", "width": 2.0}, GridSpec(2, 64, 32.0))
+            x = (33, 30)
+        counted = []
+        inner = tailprob._count_cells
+
+        def count_cells(flow_label, cells, stack, thresholds, m_total, seed):
+            counted.append((len(cells), m_total, seed))
+            return inner(flow_label, cells, stack, thresholds, m_total, seed)
+
+        monkeypatch.setattr(tailprob, "_count_cells", count_cells)
+        params, curve = convergence_rows(flow, f, self.SCHEDULE, x, 200, 3)
+        cells = [(eps / 2, deviation_coefficients(flow, f, eps / 2, x)) for eps in self.SCHEDULE]
+        assert params.C == max(series_norm(a) / (math.e * t) for t, a in cells)
+        assert params.C1 == 1.0
+        assert counted == [(1, 200, 3)] * len(self.SCHEDULE)
+        assert [est.alpha for est, _ in curve] == [
+            threshold_schedule(params, eps) for eps in self.SCHEDULE
+        ]
+        assert self.dominates(params, cells)
+        assert not self.dominates(BoundParams(0.98 * params.C, 1.0), cells)
 
 
 class TestDensityEvent:

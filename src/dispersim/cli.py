@@ -6,7 +6,8 @@ rejected).  Results go to the output directory as CSV tables plus a JSON
 manifest; CSV bodies depend only on the config and the seed, so reruns
 are byte identical.  No flag, variable or key sets how a run is
 scheduled: every ensemble runs one serial loop over chunks of draws, and
-``density`` runs its calibration and event ensembles at once.
+``density`` runs its calibration and event ensembles, both of
+``ensemble_size`` draws, at once.
 
 Exit codes: 0 success, 1 configuration error (or tails that admit no
 bound: density calibration tails that cannot be fitted, a convergence
@@ -564,7 +565,7 @@ def run_convergence(config, seed, out_dir) -> int:
         CONVERGENCE_COLUMNS,
         rows,
         spec=spec,
-        fitted_constants=manifest_fits,
+        exact_law_constants=manifest_fits,
         exact_law=tailprob.exact_law(cells),
     )
     print(f"wrote convergence curves for {len(flows)} flow(s) -> {path}")
@@ -577,13 +578,11 @@ def run_density(config, seed, out_dir) -> int:
         data = parse_data(config["data"], spec)
         schedule = parse_schedule(config)
         pairs = parse_pairs(config, spec)
-        ensemble = _count(config, "ensemble_size")
-        cal_ensemble = _count(config, "calibration_ensemble", ensemble, minimum=100)
+        # The calibration ensemble has this size too, and its fit needs 100 draws.
+        ensemble = _count(config, "ensemble_size", minimum=100)
     cal_seed = derived_seed(seed, 1)
 
-    density = tailprob.density_rows(
-        data, schedule, pairs, ensemble, seed, cal_ensemble, cal_seed
-    )
+    density = tailprob.density_rows(data, schedule, pairs, ensemble, seed, cal_seed)
     fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r, _ in density}
     rows = [
         (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,
@@ -721,7 +720,7 @@ _SUBCOMMANDS = {
     "density": (
         run_density,
         ("grid", "data", "epsilon_schedule", "ensemble_size"),
-        ("multi_indices", "calibration_ensemble"),
+        ("multi_indices",),
     ),
     "report": (run_report, (), ()),
 }

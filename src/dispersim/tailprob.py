@@ -11,9 +11,9 @@ normal per lattice point.  Every ensemble runs one serial loop over
 chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
 based and sample streams are counter keyed, so results are reproducible
 bit for bit whatever the chunk size.  The nonlinear density event keeps
-the per-lattice-point draws, in blocks, and runs its calibration and
-event ensembles at once, one of them in a helper thread
-(:func:`_split_draw_statistics`).
+the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs its
+calibration and event ensembles, of one size, at once, one of them in a
+helper thread (:func:`_split_draw_statistics`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .wiener import projection_blocks, unit_lattice
 _TWO_PI = 2.0 * np.pi
 _E = math.e
 _CHUNK = 2048
-_DRAW_CHUNK = 64  # rows per read of a density ensemble's stream
 _DRAW_BLOCK = 8  # draws per block of the density statistics
 _WILSON_Z = 1.959963984540054  # standard normal 97.5% quantile
 
@@ -451,37 +450,6 @@ def threshold_schedule(params: BoundParams, eps: float) -> float:
     return params.C * _E * eps * math.sqrt(math.log(3.0 * params.C1 / eps))
 
 
-def convergence_curve(
-    flow: FlowKind,
-    f: Field,
-    eps_schedule,
-    params: BoundParams,
-    ensemble_size: int,
-    seed: int,
-    observation_point=None,
-    stack=None,
-) -> list[tuple[TailEstimate, SchwartzSplit]]:
-    """(estimate, split) for each eps: the split f = g + h at eps, and the
-    tails cell (t, alpha, x) with t = eps/2 and alpha = C e eps
-    sqrt(ln(3 C1/eps)) from the given constants, counted alone by
-    :func:`_count_cells` over ``ensemble_size`` draws of ``seed``.
-    ``stack`` holds the series coefficients of the cells (eps/2, x), one
-    row per eps, when the caller already has them."""
-    x = tuple(observation_point) if observation_point else f.spec.origin_index()
-    times = [eps / 2.0 for eps in eps_schedule]
-    if stack is None:
-        stack = _deviation_stack(flow, f, times, (x,))
-    rows = []
-    for eps, t, a in zip(eps_schedule, times, stack):
-        split = schwartz_split(f, eps)
-        alpha = threshold_schedule(params, eps)
-        (est,) = _count_cells(
-            flow.label(), [(t, x)], a[None, :], (alpha,), ensemble_size, seed
-        )
-        rows.append((est, split))
-    return rows
-
-
 def convergence_rows(
     flow: FlowKind, f: Field, schedule, x_index, n_samples: int, seed: int
 ) -> tuple[BoundParams, list[tuple[TailEstimate, SchwartzSplit]]]:
@@ -490,10 +458,14 @@ def convergence_rows(
     deviates by CN(0, ||a||^2), so the bound C1 exp(-(alpha/(C e |t|))^2)
     lies above its exact law exp(-alpha^2/||a||^2) at every alpha exactly
     when C1 >= 1 and C e |t| >= ||a||: the constants are C* = the max of
-    ||a||/(e |t|) over the cells and C1 = 1, with no draw.  They drive
-    :func:`convergence_curve` over (n_samples, seed), on the same series
-    stack, one row per time.  A deviation that vanishes at every time has
-    no such bound and raises :class:`FitError`."""
+    ||a||/(e |t|) over the cells and C1 = 1, with no draw.  A deviation
+    that vanishes at every time has no such bound and raises
+    :class:`FitError`.
+
+    The curve holds (estimate, split) for each eps: the split f = g + h at
+    eps, and the tails cell (t, alpha, x) with alpha = C e eps
+    sqrt(ln(3 C1/eps)), counted alone by :func:`_count_cells` over
+    (n_samples, seed) on the same series stack, one row per time."""
     times = [eps / 2.0 for eps in schedule]
     stack = _deviation_stack(flow, f, times, (x_index,))
     c_star = max(series_norm(a) / (_E * abs(t)) for t, a in zip(times, stack))
@@ -503,7 +475,13 @@ def convergence_rows(
             " every t = eps/2, so no Gaussian tail bound has a positive constant C"
         )
     params = BoundParams(c_star, 1.0)
-    return params, convergence_curve(flow, f, schedule, params, n_samples, seed, x_index, stack)
+    curve = []
+    for eps, t, a in zip(schedule, times, stack):
+        split = schwartz_split(f, eps)
+        alpha = threshold_schedule(params, eps)
+        (est,) = _count_cells(flow.label(), [(t, x_index)], a[None, :], (alpha,), n_samples, seed)
+        curve.append((est, split))
+    return params, curve
 
 
 # ---------------------------------------------------------------------------
@@ -524,20 +502,6 @@ class DensityResult:
     target: float
 
 
-def _inverse_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ifftn of each a[r] over its mesh axes, all of one length, into
-    ``out``, bit for bit: the same passes, last axis first, each along the
-    contiguous last axis.  Between passes the axes rotate right into ``a``,
-    used as scratch, so the result's mesh axes are the input's rotated
-    left by one: the first comes last, and a 2D mesh comes out
-    transposed."""
-    np.fft.ifft(a, out=out)
-    for _ in range(a.ndim - 2):
-        np.copyto(a, np.moveaxis(out, -1, 1))
-        np.fft.ifft(a, out=out)
-    return out
-
-
 def _real_front(a: np.ndarray) -> np.ndarray:
     """A float64 array shaped like the complex array ``a``, in the first
     half of its memory, so that row r of it lies in row r of ``a``."""
@@ -547,43 +511,42 @@ def _real_front(a: np.ndarray) -> np.ndarray:
 def _ensemble_statistics(setup, n_samples: int, seed: int, stop: threading.Event):
     """(hnorms, ratios) of samples [0, n_samples) of seed's stream, as
     :func:`_split_draw_statistics` sets them up, or None once ``stop`` is
-    set.  Draws go in blocks of ``_DRAW_BLOCK``, read ``_DRAW_CHUNK`` rows
-    at a time, through three complex block arrays; the magnitudes reuse
-    the memory of whichever one is spent.  Only private helpers and numpy
-    run here, so no traced public call runs off the calling thread."""
+    set.  Draws are read and reduced in blocks of ``_DRAW_BLOCK`` through
+    three complex block arrays; the magnitudes reuse the memory of
+    whichever one is spent.  Only private helpers and numpy run here, so no
+    traced public call runs off the calling thread."""
     corners, Fh, by_beta, n_lattice, shape, dxi_vol, inv_scale = setup
+    axes = tuple(range(1, len(shape) + 1))
     hnorms = np.empty(n_samples)
     ratios = np.zeros(n_samples)
     stream = _RowStream(seed)
-    rows = np.empty((min(_DRAW_CHUNK, n_samples), n_lattice), dtype=np.complex128)
-    weights = np.empty((min(_DRAW_BLOCK, n_samples), Fh.size), dtype=np.complex128)
+    rows = np.empty((min(_DRAW_BLOCK, n_samples), n_lattice), dtype=np.complex128)
+    weights = np.empty((len(rows), Fh.size), dtype=np.complex128)
     work, spare = np.empty_like(weights), np.empty_like(weights)
     work_re, spare_re = _real_front(work), _real_front(spare)
-    for start in range(0, n_samples, _DRAW_CHUNK):
-        pulled = stream.read(rows[: n_samples - start])
-        for first in range(0, len(pulled), _DRAW_BLOCK):
-            if stop.is_set():
-                return None
-            coeffs = pulled[first : first + _DRAW_BLOCK]
-            b = len(coeffs)
-            W, mesh = weights[:b], (b, *shape)
-            drawn = slice(start + first, start + first + b)
-            _corner_sum(corners, coeffs, W, work[:b])
-            sq = np.abs(np.multiply(W, Fh, out=work[:b]), out=spare_re[:b])
-            hnorms[drawn] = np.sqrt(dxi_vol * np.sum(np.square(sq, out=sq), axis=1))
-            worst = ratios[drawn]
-            for beta_weight, alphas in by_beta:
-                spectrum = np.multiply(W, beta_weight, out=work[:b]).reshape(mesh)
-                field = _inverse_rows(spectrum, spare[:b].reshape(mesh)).reshape(b, -1)
-                parts = field.view(np.float64)
-                parts *= inv_scale  # the bits of the complex-by-real product, up to signs of 0
-                mag = np.abs(field, out=work_re[:b])
-                for alpha_weight, val in alphas:
-                    if alpha_weight is not None:
-                        peak = np.max(np.multiply(mag, alpha_weight, out=spare_re[:b]), axis=1)
-                    else:
-                        peak = np.max(mag, axis=1)
-                    np.maximum(worst, peak / val, out=worst)
+    for start in range(0, n_samples, _DRAW_BLOCK):
+        if stop.is_set():
+            return None
+        coeffs = stream.read(rows[: n_samples - start])
+        b = len(coeffs)
+        W, mesh = weights[:b], (b, *shape)
+        drawn = slice(start, start + b)
+        _corner_sum(corners, coeffs, W, work[:b])
+        sq = np.abs(np.multiply(W, Fh, out=work[:b]), out=spare_re[:b])
+        hnorms[drawn] = np.sqrt(dxi_vol * np.sum(np.square(sq, out=sq), axis=1))
+        worst = ratios[drawn]
+        for beta_weight, alphas in by_beta:
+            spectrum = np.multiply(W, beta_weight, out=work[:b]).reshape(mesh)
+            field = np.fft.ifftn(spectrum, axes=axes, out=spare[:b].reshape(mesh)).reshape(b, -1)
+            parts = field.view(np.float64)
+            parts *= inv_scale  # the bits of the complex-by-real product, up to signs of 0
+            mag = np.abs(field, out=work_re[:b])
+            for alpha_weight, val in alphas:
+                if alpha_weight is not None:
+                    peak = np.max(np.multiply(mag, alpha_weight, out=spare_re[:b]), axis=1)
+                else:
+                    peak = np.max(mag, axis=1)
+                np.maximum(worst, peak / val, out=worst)
     return hnorms, ratios
 
 
@@ -628,8 +591,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
     Each draw's weight stays in natural order and is transformed without
     the usual index shifts: the modulus of the result equals that of the
     shifted transform, with x in FFT order, so only the alpha weights are
-    shifted, and rotated to :func:`_inverse_rows`' axis order, once per
-    call.
+    shifted, once per call.
 
     The seminorms, transforms and weights are set up once, in the calling
     thread; then the ensembles run at once (:func:`_run_ensembles`), each
@@ -655,7 +617,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
         if b not in by_beta:
             by_beta[b] = ((monomial_weight(freqs, b, imaginary=True) * Fg).reshape(-1), [])
         shifted = np.fft.ifftshift(monomial_weight(coords, a))
-        alpha_weight = np.moveaxis(shifted, 0, -1).reshape(-1) if any(a) else None
+        alpha_weight = shifted.reshape(-1) if any(a) else None
         by_beta[b][1].append((alpha_weight, val))
     setup = (
         _corner_terms(spec), Fh, list(by_beta.values()), len(unit_lattice(spec)), spec.shape,
@@ -713,7 +675,7 @@ def _density_result(eps: float, params: BoundParams, hnorms, ratios) -> DensityR
 
 
 def density_rows(
-    f: Field, schedule, pairs, n_samples: int, seed: int, cal_samples: int, cal_seed: int
+    f: Field, schedule, pairs, n_samples: int, seed: int, cal_seed: int
 ) -> list[tuple[BoundParams, DensityResult, SchwartzSplit]]:
     """(constants, result, split) for every eps of ``schedule``: the density
     experiment over the split f = g + h at eps, the twin of
@@ -721,9 +683,10 @@ def density_rows(
     tuples, as :func:`~dispersim.cli.parse_pairs` returns them.
 
     The constants dominate pilot tails of ||h^omega|| and of the worst
-    decay ratio over (cal_samples, cal_seed).  The result is the frequency,
-    over (n_samples, seed), of the joint event ||h^omega|| <= lambda and,
-    for every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
+    decay ratio over a calibration ensemble of the same size,
+    (n_samples, cal_seed).  The result is the frequency, over
+    (n_samples, seed), of the joint event ||h^omega|| <= lambda and, for
+    every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
     with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps)),
     to compare against the 1 - 2 eps target.
 
@@ -739,7 +702,7 @@ def density_rows(
         key = (split.sigma, split.radius)
         if key not in shared:
             cal, event = _split_draw_statistics(
-                split, pairs, [(cal_samples, cal_seed), (n_samples, seed)]
+                split, pairs, [(n_samples, cal_seed), (n_samples, seed)]
             )
             shared[key] = (_density_constants(split, *cal), event)
         params, stats = shared[key]

@@ -246,29 +246,23 @@ def test_criterion_5_single_mode_oracle():
 
 @pytest.fixture(scope="module")
 def fitted_constants():
-    """Per-flow Gaussian-tail constants shared by criteria 6 and 7."""
-    out = {}
-    fit, dom, cells = fitted_flow_constants(
-        FlowKind.parse("kdv"), DATA_1D, (0.02, 0.05, 0.1), 10_000, SEED + 6
+    """Per-flow Gaussian-tail constants of criterion 6."""
+    cases = (
+        ("kdv", DATA_1D, (0.02, 0.05, 0.1), SEED + 6),
+        ("wave-half", DATA_2D, (0.06, 0.1, 0.14), SEED + 7),
+        ("schrodinger:+-", DATA_2D, (0.02, 0.05, 0.1), SEED + 8),
     )
-    out["kdv"] = (fit, dom, cells, DATA_1D)
-    fit, dom, cells = fitted_flow_constants(
-        FlowKind.parse("wave-half"), DATA_2D, (0.06, 0.1, 0.14), 10_000, SEED + 7
-    )
-    out["wave-half"] = (fit, dom, cells, DATA_2D)
-    for sig in ("schrodinger:++", "schrodinger:+-"):
-        fit, dom, cells = fitted_flow_constants(
-            FlowKind.parse(sig), DATA_2D, (0.02, 0.05, 0.1), 10_000, SEED + 8
-        )
-        out[sig] = (fit, dom, cells, DATA_2D)
-    return out
+    return {
+        label: fitted_flow_constants(FlowKind.parse(label), data, times, 10_000, seed)
+        for label, data, times, seed in cases
+    }
 
 
 def test_criterion_6_gaussian_tail_shape(fitted_constants):
     details = []
     ok = True
     for label in ("kdv", "wave-half", "schrodinger:+-"):
-        fit, dom, cells, _ = fitted_constants[label]
+        fit, dom, cells = fitted_constants[label]
         in_range = sum(1 for e in cells if 1e-3 < e.probability < 0.5)
         dominated = all(
             tailprob.theoretical_bound(dom, e.alpha, abs(e.t)) >= e.ci_high
@@ -282,14 +276,15 @@ def test_criterion_6_gaussian_tail_shape(fitted_constants):
     _report("criterion 6 (Gaussian tail shape and domination)", ok, "; ".join(details))
 
 
-def test_criterion_7_convergence_curves(fitted_constants):
+def test_criterion_7_convergence_curves():
+    # The CLI's route: constants from the exact law, at the origin.
     schedule = (0.4, 0.2, 0.1)
     details = []
     ok = True
     for label in ("kdv", "wave-half", "schrodinger:++", "schrodinger:+-"):
-        _, dom, _, data = fitted_constants[label]
-        rows = tailprob.convergence_curve(
-            FlowKind.parse(label), data, schedule, dom, 4000, SEED + 70
+        data = DATA_1D if label == "kdv" else DATA_2D
+        _, rows = tailprob.convergence_rows(
+            FlowKind.parse(label), data, schedule, data.spec.origin_index(), 4000, SEED + 70
         )
         under = all(
             est.probability <= split.epsilon + (est.ci_high - est.ci_low) / 2
@@ -309,7 +304,7 @@ def test_criterion_8_density_event():
     pairs = [((0,), (0,)), ((1,), (0,)), ((0,), (1,)), ((1,), (1,))]
     details = []
     ok = True
-    rows = tailprob.density_rows(DATA_1D, (0.2, 0.1), pairs, 2000, SEED + 81, 2000, SEED + 80)
+    rows = tailprob.density_rows(DATA_1D, (0.2, 0.1), pairs, 2000, SEED + 81, SEED + 80)
     for _, res, _ in rows:
         halfwidth = (res.ci_high - res.ci_low) / 2
         good = res.probability >= res.target - halfwidth

@@ -50,7 +50,6 @@ DENSITY = {
     "epsilon_schedule": [0.2],
     "multi_indices": [[[0], [0]], [[1], [1]]],
     "ensemble_size": 300,
-    "calibration_ensemble": 1200,
     "seed": 5,
 }
 
@@ -270,7 +269,9 @@ class TestExitCodes:
             ("khintchine", {"vector_length": True}, "vector_length"),
             ("tails", {"max_ci_width": 0.1}, "max_ci_width"),
             ("convergence", {"calibration_ensemble": 500}, "calibration_ensemble"),
-            ("density", {"calibration_ensemble": 99}, "calibration_ensemble"),
+            ("density", {"calibration_ensemble": 300}, "calibration_ensemble"),
+            # The calibration ensemble has ensemble_size draws, and its fit needs 100.
+            ("density", {"ensemble_size": 50}, "ensemble_size must be a whole number >= 100"),
             ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
                              "observation_points": [[16, 16]]}, "kdv"),
             ("convergence", {"observation_points": [[128], [7]]}, "observation_points"),
@@ -296,7 +297,8 @@ class TestExitCodes:
         ],
         ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
              "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width",
-             "calibration-unknown-key", "density-calibration-floor", "kdv-on-2d", "two-points",
+             "calibration-unknown-key", "density-calibration-unknown-key",
+             "density-ensemble-floor", "kdv-on-2d", "two-points",
              "gamma-overflow", "grid-not-object", "data-without-recipe", "zero-width",
              "mode-length", "negative-radius", "missing-custom-file", "unknown-recipe",
              "flow-and-flows", "negative-epsilon", "epsilon-three", "epsilon-ten",
@@ -715,7 +717,6 @@ class TestTailsCommand:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["tails", "--config", cfg, "--out", str(out1)]) == 0
         monkeypatch.setattr(tailprob, "_CHUNK", 333)  # a chunk edge mid-ensemble
-        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)
         assert main(["tails", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "tails_results.csv").read_bytes() == (
             out2 / "tails_results.csv"
@@ -787,7 +788,7 @@ class TestConvergenceCommand:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "convergence_manifest.json").read_text())
-        consts = manifest["fitted_constants"]["kdv"]
+        consts = manifest["exact_law_constants"]["kdv"]
         assert consts["C1"] == 1.0
         lines = (out / "convergence_results.csv").read_text().splitlines()[2:]
         assert len(lines) == 3
@@ -832,7 +833,7 @@ class TestConvergenceCommand:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "convergence_manifest.json").read_text())
-        (split,) = manifest["fitted_constants"]["kdv"]["splits"]
+        (split,) = manifest["exact_law_constants"]["kdv"]["splits"]
         assert split["sigma"] == 0.0 and split["achieved_h_norm"] < 0.05
 
 
@@ -889,7 +890,6 @@ class TestDensityCommand:
             "data": {"recipe": "gaussian", "width": 2.0},
             "epsilon_schedule": [0.2, 0.1],
             "ensemble_size": 200,
-            "calibration_ensemble": 300,
             "seed": 7,
         }
         calls = []
@@ -903,7 +903,7 @@ class TestDensityCommand:
         out = tmp_path / "both"
         assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
                      "--out", str(out)]) == 0
-        assert calls == [[(300, 8), (200, 7)]]
+        assert calls == [[(200, 8), (200, 7)]]
         rows = (out / "density_results.csv").read_text().splitlines()[2:]
         for eps, row in zip(payload["epsilon_schedule"], rows):
             single = dict(payload, epsilon_schedule=[eps])
@@ -917,7 +917,8 @@ class TestDensityCommand:
         out1, out3 = tmp_path / "o1", tmp_path / "o3"
         assert main(["density", "--config", cfg, "--out", str(out1)]) == 0
         monkeypatch.setattr(tailprob, "_CHUNK", 333)
-        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)  # chunk edges mid-ensemble
+        # Block edges mid-ensemble, one of them inside a read of 7 draws.
+        monkeypatch.setattr(tailprob, "_DRAW_BLOCK", 7)
         assert main(["density", "--config", cfg, "--out", str(out3)]) == 0
         assert (out1 / "density_results.csv").read_bytes() == (
             out3 / "density_results.csv"

@@ -23,7 +23,6 @@ from dispersim.tailprob import (
     TailEstimate,
     TailExperimentConfig,
     binomial_z,
-    convergence_curve,
     convergence_rows,
     density_rows,
     deviation_coefficients,
@@ -523,11 +522,11 @@ class TestFitConstants:
 class TestConvergenceCurve:
     PARAMS = BoundParams(C=0.05, C1=2.0)
 
-    def test_zero_field_never_exceeds(self):
+    def test_zero_field_has_no_bound(self):
+        # Every deviation of the zero field vanishes: no constant C > 0.
         f = Field(SPEC, np.zeros(SPEC.shape))
-        rows = convergence_curve(KDV, f, (0.4, 0.2), self.PARAMS, 200, 3)
-        assert [split.epsilon for _, split in rows] == [0.4, 0.2]
-        assert all(est.probability == 0.0 for est, _ in rows)
+        with pytest.raises(FitError, match="vanishes at every t"):
+            convergence_rows(KDV, f, (0.4, 0.2), ORIGIN, 200, 3)
 
     def test_threshold_shrinks_faster_than_sqrt_eps(self):
         schedule = (0.4, 0.2, 0.1)
@@ -536,7 +535,7 @@ class TestConvergenceCurve:
 
     def test_gaussian_curve_stays_under_eps(self):
         f = split_gaussian()
-        rows = convergence_curve(KDV, f, (0.4, 0.2, 0.1), self.PARAMS, 500, 7)
+        _, rows = convergence_rows(KDV, f, (0.4, 0.2, 0.1), SPLIT_ORIGIN, 500, 7)
         for est, split in rows:
             halfwidth = (est.ci_high - est.ci_low) / 2
             assert est.probability <= split.epsilon + halfwidth
@@ -553,10 +552,10 @@ class TestConvergenceCurve:
             flow, x = FlowKind.parse("schrodinger:+-"), (33, 30)
             f = parse_data({"recipe": "gaussian", "width": 2.0}, GridSpec(2, 64, 32.0))
         schedule = (0.4, 0.2, 0.1)
-        rows = convergence_curve(flow, f, schedule, self.PARAMS, 3000, 11, x)
+        params, rows = convergence_rows(flow, f, schedule, x, 3000, 11)
         for eps, (est, split) in zip(schedule, rows):
             assert (split.epsilon, est.t, est.x_index) == (eps, eps / 2, x)
-            assert est.alpha == threshold_schedule(self.PARAMS, eps)
+            assert est.alpha == threshold_schedule(params, eps)
             devs = deviation_samples(flow, f, eps / 2, x, 3000, 11)
             assert est.exceed_count == int(np.sum(devs > est.alpha))
             assert est.ensemble_size == 3000
@@ -611,7 +610,7 @@ class TestDensityEvent:
 
     def test_calibrated_event_beats_target(self):
         f = split_gaussian()
-        ((_, res, _),) = density_rows(f, [0.2], self.PAIRS, 1500, 9, 1500, 8)
+        ((_, res, _),) = density_rows(f, [0.2], self.PAIRS, 1500, 9, 8)
         halfwidth = (res.ci_high - res.ci_low) / 2
         assert res.probability >= res.target - halfwidth
 
@@ -752,8 +751,7 @@ class TestSplitDrawStatistics:
         split = schwartz_split(f, eps)
         assert (kind == "degenerate") == (not np.any(split.g.values))
         pairs = pair_sets["default" if kind == "degenerate" else kind]
-        # Chunk and block edges mid-ensemble; both ensembles at once.
-        monkeypatch.setattr(tailprob, "_DRAW_CHUNK", 16)
+        # Block edges mid-ensemble; both ensembles at once.
         monkeypatch.setattr(tailprob, "_DRAW_BLOCK", 3)
         ensembles = [(40, 77), (17, 5)]
         got = tailprob._split_draw_statistics(split, pairs, ensembles)
@@ -789,7 +787,7 @@ class TestSplitDrawStatistics:
             read = rows.read
 
             def counted(out):
-                reads.append(seed)
+                reads.append((seed, len(out)))
                 if seed == failing:
                     raise RuntimeError(f"stream {seed} failed")
                 return read(out)
@@ -802,9 +800,10 @@ class TestSplitDrawStatistics:
         with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
             tailprob._split_draw_statistics(split, pairs, [(300, 8), (300, 7)])
         assert threading.active_count() == threads
-        # The other ensemble stops at its next block, well before its fifth
-        # and last chunk.
-        assert reads.count(failing) == 1 and len(reads) - 1 <= 3
+        # The other ensemble stops at its next block, well before its last:
+        # it reads at most 192 of its 300 draws.
+        assert [s for s, _ in reads].count(failing) == 1
+        assert sum(n for s, n in reads if s != failing) <= 192
 
     def test_helper_thread_calls_no_public_function(self, monkeypatch):
         # The benchmark's layer trace wraps every public function of the
@@ -842,7 +841,7 @@ class TestSplitDrawStatistics:
 
         monkeypatch.setattr(tailprob, "_RowStream", counted_stream)
         f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
-        tailprob.density_rows(f, [0.2], DRAW_CASES["2d"][3]["default"], 200, 7, 300, 8)
+        tailprob.density_rows(f, [0.2], DRAW_CASES["2d"][3]["default"], 200, 7, 8)
         me = threading.get_ident()
         assert len(readers) == 2 and len(set(readers)) == 2 and me in readers
         assert callers and set(callers) == {me}
@@ -854,8 +853,8 @@ class TestDensityRows:
         # so the joint run draws its ensembles once and shares them.
         f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
         pairs = [((0, 0), (0, 0)), ((1, 1), (1, 1))]
-        together = density_rows(f, [0.2, 0.1], pairs, 200, 7, 300, 8)
-        alone = [density_rows(f, [eps], pairs, 200, 7, 300, 8)[0] for eps in (0.2, 0.1)]
+        together = density_rows(f, [0.2, 0.1], pairs, 200, 7, 8)
+        alone = [density_rows(f, [eps], pairs, 200, 7, 8)[0] for eps in (0.2, 0.1)]
         assert [row[:2] for row in together] == [row[:2] for row in alone]
         first, second = (split for _, _, split in together)
         assert (first.sigma, first.radius) == (second.sigma, second.radius)

@@ -4,10 +4,11 @@ Configuration is a single JSON object checked against the subcommand's
 required and optional keys in ``_SUBCOMMANDS`` (unknown keys are
 rejected).  Results go to the output directory as CSV tables plus a JSON
 manifest; CSV bodies depend only on the config and the seed, so reruns
-are byte identical.  No flag, variable or key sets how a run is
-scheduled: every ensemble runs one serial loop over chunks of draws, and
-``density`` runs its calibration and event ensembles, both of
-``ensemble_size`` draws, at once.
+are byte identical.  A run reads its seed's stream alone, independent
+ensembles as disjoint sample ranges of it.  No flag, variable or key
+sets how a run is scheduled: every ensemble runs one serial loop over
+chunks of draws, and ``density`` runs its calibration and event
+ensembles, samples [M, 2M) and [0, M) for M = ``ensemble_size``, at once.
 
 Exit codes: 0 success, 1 configuration error (or tails that admit no
 bound: density calibration tails that cannot be fitted, a convergence
@@ -74,6 +75,13 @@ def _count(config: dict, key: str, default=None, minimum: int = 1) -> int:
     return value
 
 
+def _real(value, key: str) -> float:
+    """The config number ``value`` of ``key`` as a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reject_non_finite(value, where: str) -> None:
     """A NaN or infinite number anywhere in the config value ``value`` is a
     configuration error naming its key; JSON reads NaN, Infinity and
@@ -116,16 +124,6 @@ def parse_seed(value) -> int:
     return seed
 
 
-def derived_seed(seed: int, offset: int) -> int:
-    """``seed + offset``, the seed of a derived stream, which must stay in
-    [0, 2^64) too: Philox would wrap it onto seed ``offset - 1``'s stream."""
-    if seed + offset >= 2**64:
-        raise ConfigurationError(
-            f"seed {seed} is too large: the derived seed {seed} + {offset} leaves [0, 2^64)"
-        )
-    return seed + offset
-
-
 def parse_grid(obj) -> GridSpec:
     if not isinstance(obj, dict):
         raise ConfigurationError("grid must be an object")
@@ -134,7 +132,7 @@ def parse_grid(obj) -> GridSpec:
     spec = GridSpec(
         dim=_count(obj, "dim"),
         samples_per_axis=_count(obj, "samples_per_axis"),
-        extent=float(obj["extent"]),
+        extent=_real(obj["extent"], "grid.extent"),
     )
     # With a frequency spacing below 2, the diameter of a unit piece's
     # support, the unit lattice holds fewer than (2N + 1)^dim points; a
@@ -168,8 +166,8 @@ def _data_field(obj, spec: GridSpec) -> Field:
     recipe = obj["recipe"]
     if recipe == "gaussian":
         _reject_unknown(obj, ("recipe", "width", "amplitude"), "data")
-        width = float(obj.get("width", 1.0))
-        amplitude = float(obj.get("amplitude", 1.0))
+        width = _real(obj.get("width", 1.0), "data.width")
+        amplitude = _real(obj.get("amplitude", 1.0), "data.amplitude")
         if width <= 0:
             raise ConfigurationError("gaussian width must be positive")
         r2 = spec.coordinate_norm_squared()
@@ -177,7 +175,8 @@ def _data_field(obj, spec: GridSpec) -> Field:
     if recipe == "mode":
         _reject_unknown(obj, ("recipe", "frequency"), "data")
         _require(obj, ("frequency",), "data")
-        xi0 = np.asarray(obj["frequency"], dtype=float).reshape(-1)
+        entries = obj["frequency"] if isinstance(obj["frequency"], list) else [obj["frequency"]]
+        xi0 = np.array([_real(v, f"data.frequency[{i}]") for i, v in enumerate(entries)])
         if xi0.size != spec.dim:
             raise ConfigurationError("mode frequency must have one entry per axis")
         steps = xi0 / spec.dxi
@@ -192,7 +191,7 @@ def _data_field(obj, spec: GridSpec) -> Field:
     if recipe == "indicator":
         _reject_unknown(obj, ("recipe", "radius"), "data")
         _require(obj, ("radius",), "data")
-        radius = float(obj["radius"])
+        radius = _real(obj["radius"], "data.radius")
         if radius <= 0:
             raise ConfigurationError("indicator radius must be positive")
         inside = np.ones(spec.shape, dtype=bool)
@@ -232,8 +231,13 @@ def _entries(config: dict, key: str, default=(), empty=False) -> list:
     raise ConfigurationError(f"{key} must be a non-empty list")
 
 
+def _reals(config: dict, key: str, default=()) -> list[float]:
+    """The config list ``key`` of numbers (:func:`_entries`, :func:`_real`)."""
+    return [_real(v, f"{key}[{i}]") for i, v in enumerate(_entries(config, key, default))]
+
+
 def parse_schedule(config) -> list[float]:
-    schedule = [float(e) for e in _entries(config, "epsilon_schedule")]
+    schedule = _reals(config, "epsilon_schedule")
     if any(e <= 0 for e in schedule):
         raise ConfigurationError("epsilon_schedule entries must be positive")
     return schedule
@@ -264,8 +268,10 @@ def parse_flows(config, spec: GridSpec | None = None) -> list[FlowKind]:
         raise ConfigurationError("exactly one of 'flow' or 'flows' is required")
     names = [config["flow"]] if "flow" in config else _entries(config, "flows")
     flows = [FlowKind.parse(str(n)) for n in names]
-    if spec is not None:
-        for flow in flows:
+    for i, flow in enumerate(flows):
+        if flow.label() in [f.label() for f in flows[:i]]:
+            raise ConfigurationError(f"duplicate flow {flow.label()}")
+        if spec is not None:
             flow.validate_for(spec)
     return flows
 
@@ -412,7 +418,7 @@ def run_check_propagators(config, seed, out_dir) -> int:
 
 def run_khintchine(config, seed, out_dir) -> int:
     with _config_values("khintchine"):
-        p_values = [float(p) for p in _entries(config, "p_values", (2, 4, 8, 16))]
+        p_values = _reals(config, "p_values", (2, 4, 8, 16))
         length = _count(config, "vector_length", 32)
         n_vectors = _count(config, "n_vectors", 20)
         samples = _count(config, "samples", 10_000)
@@ -421,31 +427,25 @@ def run_khintchine(config, seed, out_dir) -> int:
                 math.gamma(1.0 + max(p, 2.0) / 2.0)
             except OverflowError:
                 raise ConfigurationError(f"p_values: Gamma(1 + p/2) overflows at p = {p!r}")
-    derived_seed(seed, n_vectors - 1)  # vector i draws with seed + i
     rng = np.random.default_rng(seed)
-    vectors = []
+    vectors = np.zeros((length, n_vectors), dtype=np.complex128)
     for i in range(n_vectors):
         if i % 2 == 0:
-            c = np.zeros(length, dtype=np.complex128)
-            c[(i // 2) % length] = 1.0
+            vectors[(i // 2) % length, i] = 1.0
         else:
             c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            c /= np.linalg.norm(c)
-        vectors.append(c)
-    rows = []
-    exact = []
-    worst = 0.0
-    for vid, c in enumerate(vectors):
+            vectors[:, i] = c / np.linalg.norm(c)
+    rows, exact = [], []
+    moments = khintchine_moments(vectors, p_values, samples, seed)  # one ensemble for all
+    for vid, (c, column) in enumerate(zip(vectors.T, moments)):
         norm_c = float(np.linalg.norm(c))
-        moments = khintchine_moments(c, p_values, samples, seed + vid)
-        for p, moment in zip(p_values, moments):
-            ratio = moment / (math.sqrt(p) * norm_c)
-            worst = max(worst, ratio)
-            rows.append((vid, p, moment, ratio))
+        for p, moment in zip(p_values, column):
+            rows.append((vid, p, moment, moment / (math.sqrt(p) * norm_c)))
             # sum_k g_k c_k is CN(0, ||c||^2), so E|.|^p = ||c||^p Gamma(1 + p/2).
             law = norm_c * math.gamma(1.0 + p / 2.0) ** (1.0 / p)
             exact.append({"vector_id": vid, "p": p, "exact_moment": law,
                           "relative_error": (moment - law) / law})
+    worst = max(ratio for *_, ratio in rows)
     path = _write_results(
         out_dir, "khintchine", config, seed, KHINTCHINE_COLUMNS, rows, worst_ratio=worst,
         exact_moments=exact,
@@ -464,8 +464,8 @@ def run_tails(config, seed, out_dir) -> int:
             tailprob.TailExperimentConfig(
                 flow=flow,
                 data=data,
-                times=tuple(_entries(config, "times")),
-                thresholds=tuple(_entries(config, "thresholds")),
+                times=tuple(_reals(config, "times")),
+                thresholds=tuple(_reals(config, "thresholds")),
                 observation_points=points,
                 ensemble_size=ensemble,
                 seed=seed,
@@ -580,9 +580,8 @@ def run_density(config, seed, out_dir) -> int:
         pairs = parse_pairs(config, spec)
         # The calibration ensemble has this size too, and its fit needs 100 draws.
         ensemble = _count(config, "ensemble_size", minimum=100)
-    cal_seed = derived_seed(seed, 1)
 
-    density = tailprob.density_rows(data, schedule, pairs, ensemble, seed, cal_seed)
+    density = tailprob.density_rows(data, schedule, pairs, ensemble, seed)
     fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r, _ in density}
     rows = [
         (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,

@@ -149,9 +149,11 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
 _MOMENT_BLOCK = 4096
 
 
-def khintchine_moments(c, p_values, samples: int, seed: int) -> list[float]:
+def khintchine_moments(c, p_values, samples: int, seed: int) -> list:
     """Monte Carlo L^p norms ( mean_m |sum_k g_k^(m) c_k|^p )^(1/p) over
-    samples [0, samples), one per p, all orders reducing the same draws,
+    samples [0, samples) of seed's stream, one per p: a list for one
+    vector ``c``, or for a (length, n_vectors) stack one such list per
+    column.  Every vector and every order reduce the same draws, g @ C
     summed block by block of ``_MOMENT_BLOCK`` samples; every p must be
     >= 2 and samples >= 1000."""
     for p in p_values:
@@ -159,16 +161,15 @@ def khintchine_moments(c, p_values, samples: int, seed: int) -> list[float]:
             raise ConfigurationError(f"p_values: moment order must be >= 2, got {p}")
     if samples < 1000:
         raise ConfigurationError(f"samples: need at least 1000, got {samples}")
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
-    if c.size == 0 or not np.any(c != 0):
-        return [0.0] * len(p_values)
-    totals = [0.0] * len(p_values)
+    stack = np.asarray(c, dtype=np.complex128).reshape(len(c), -1)
+    totals = np.zeros((len(p_values), stack.shape[1]))
     for start in range(0, samples, _MOMENT_BLOCK):
         count = min(_MOMENT_BLOCK, samples - start)
-        vals = np.abs(gaussian_matrix(seed, count, c.size, sample_offset=start) @ c)
+        vals = np.abs(gaussian_matrix(seed, count, len(stack), sample_offset=start) @ stack)
         for i, p in enumerate(p_values):
-            totals[i] += float(np.sum(vals**p))
-    return [float((t / samples) ** (1.0 / p)) for t, p in zip(totals, p_values)]
+            totals[i] += np.sum(vals**p, axis=0)
+    moments = ((totals / samples) ** (1.0 / np.array(p_values))[:, None]).T.tolist()
+    return moments if np.ndim(c) > 1 else moments[0]
 
 
 def expected_randomized_norm_squared(f: Field) -> float:

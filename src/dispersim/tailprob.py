@@ -12,8 +12,8 @@ chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
 based and sample streams are counter keyed, so results are reproducible
 bit for bit whatever the chunk size.  The nonlinear density event keeps
 the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs its
-calibration and event ensembles, of one size, at once, one of them in a
-helper thread (:func:`_split_draw_statistics`).
+calibration and event ensembles, disjoint sample ranges of one seed, at
+once, one of them in a helper thread (:func:`_split_draw_statistics`).
 """
 
 from __future__ import annotations
@@ -508,8 +508,8 @@ def _real_front(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1).view(np.float64)[: a.size].reshape(a.shape)
 
 
-def _ensemble_statistics(setup, n_samples: int, seed: int, stop: threading.Event):
-    """(hnorms, ratios) of samples [0, n_samples) of seed's stream, as
+def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event):
+    """(hnorms, ratios) of the ``samples`` range of seed's stream, as
     :func:`_split_draw_statistics` sets them up, or None once ``stop`` is
     set.  Draws are read and reduced in blocks of ``_DRAW_BLOCK`` through
     three complex block arrays; the magnitudes reuse the memory of
@@ -517,9 +517,9 @@ def _ensemble_statistics(setup, n_samples: int, seed: int, stop: threading.Event
     traced public call runs off the calling thread."""
     corners, Fh, by_beta, n_lattice, shape, dxi_vol, inv_scale = setup
     axes = tuple(range(1, len(shape) + 1))
-    hnorms = np.empty(n_samples)
-    ratios = np.zeros(n_samples)
-    stream = _RowStream(seed)
+    n_samples = len(samples)
+    hnorms, ratios = np.empty(n_samples), np.zeros(n_samples)
+    stream = _RowStream(seed, samples.start)
     rows = np.empty((min(_DRAW_BLOCK, n_samples), n_lattice), dtype=np.complex128)
     weights = np.empty((len(rows), Fh.size), dtype=np.complex128)
     work, spare = np.empty_like(weights), np.empty_like(weights)
@@ -551,11 +551,10 @@ def _ensemble_statistics(setup, n_samples: int, seed: int, stop: threading.Event
 
 
 def _run_ensembles(run, ensembles) -> list:
-    """[run(n_samples, seed, stop) for each (n_samples, seed) of
-    ``ensembles``]: the first in the calling thread, the rest one after
-    another in one helper thread.  An error in either sets ``stop``, so the
-    other ends at its next block, and the first error is raised here once
-    the helper has ended."""
+    """[run(ensemble, stop) for each of ``ensembles``]: the first in the
+    calling thread, the rest one after another in one helper thread.  An
+    error in either sets ``stop``, so the other ends at its next block, and
+    the first error is raised here once the helper has ended."""
     results = [None] * len(ensembles)
     errors = []
     stop = threading.Event()
@@ -563,7 +562,7 @@ def _run_ensembles(run, ensembles) -> list:
     def work(indices):
         try:
             for i in indices:
-                results[i] = run(*ensembles[i], stop)
+                results[i] = run(ensembles[i], stop)
         except BaseException as exc:  # raised again by the calling thread
             errors.append(exc)
             stop.set()
@@ -579,9 +578,9 @@ def _run_ensembles(run, ensembles) -> list:
     return results
 
 
-def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
+def _split_draw_statistics(split: SchwartzSplit, pairs, seed: int, ensembles) -> list:
     """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split,
-    one pair of arrays for each (n_samples, seed) of ``ensembles``.
+    one pair of arrays for each of ``ensembles``, ranges of seed's samples.
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
     over the requested (alpha, beta) pairs.  A split with g = 0 has every
@@ -595,7 +594,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
 
     The seminorms, transforms and weights are set up once, in the calling
     thread; then the ensembles run at once (:func:`_run_ensembles`), each
-    one serially, so the results depend only on the split and the seeds.
+    one serially, so the results depend only on the split and the ranges.
     """
     spec = split.g.spec
     if not np.any(split.g.values != 0):
@@ -623,7 +622,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, ensembles) -> list:
         _corner_terms(spec), Fh, list(by_beta.values()), len(unit_lattice(spec)), spec.shape,
         spec.frequency_cell_volume, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume,
     )
-    return _run_ensembles(functools.partial(_ensemble_statistics, setup), ensembles)
+    return _run_ensembles(functools.partial(_ensemble_statistics, setup, seed), ensembles)
 
 
 def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
@@ -675,7 +674,7 @@ def _density_result(eps: float, params: BoundParams, hnorms, ratios) -> DensityR
 
 
 def density_rows(
-    f: Field, schedule, pairs, n_samples: int, seed: int, cal_seed: int
+    f: Field, schedule, pairs, n_samples: int, seed: int
 ) -> list[tuple[BoundParams, DensityResult, SchwartzSplit]]:
     """(constants, result, split) for every eps of ``schedule``: the density
     experiment over the split f = g + h at eps, the twin of
@@ -683,10 +682,10 @@ def density_rows(
     tuples, as :func:`~dispersim.cli.parse_pairs` returns them.
 
     The constants dominate pilot tails of ||h^omega|| and of the worst
-    decay ratio over a calibration ensemble of the same size,
-    (n_samples, cal_seed).  The result is the frequency, over
-    (n_samples, seed), of the joint event ||h^omega|| <= lambda and, for
-    every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
+    decay ratio over a calibration ensemble, samples [n_samples,
+    2 n_samples) of seed's stream.  The result is the frequency, over
+    samples [0, n_samples), of the joint event ||h^omega|| <= lambda and,
+    for every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
     with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps)),
     to compare against the 1 - 2 eps target.
 
@@ -702,7 +701,7 @@ def density_rows(
         key = (split.sigma, split.radius)
         if key not in shared:
             cal, event = _split_draw_statistics(
-                split, pairs, [(n_samples, cal_seed), (n_samples, seed)]
+                split, pairs, seed, [range(n_samples, 2 * n_samples), range(n_samples)]
             )
             shared[key] = (_density_constants(split, *cal), event)
         params, stats = shared[key]

@@ -16,7 +16,6 @@ from dispersim import tailprob
 from dispersim.cli import (
     _SUBCOMMANDS,
     config_hash,
-    derived_seed,
     main,
     parse_data,
     parse_grid,
@@ -82,13 +81,6 @@ class TestParsing:
         assert parse_seed(7.0) == 7
         with pytest.raises(ConfigurationError):
             parse_seed("seven")
-
-    def test_derived_seed_stays_in_key_space(self):
-        assert derived_seed(2**64 - 2, 1) == 2**64 - 1
-        assert derived_seed(7, 0) == 7
-        for seed, offset in ((2**64 - 1, 1), (2**64 - 5, 5)):
-            with pytest.raises(ConfigurationError):
-                derived_seed(seed, offset)
 
     def test_import_leaves_scipy_out(self):
         # scipy is a test-only dependency; the CLI must not pay its import.
@@ -294,6 +286,24 @@ class TestExitCodes:
             # zero, and no bound constant C > 0 exists.
             ("convergence", {"data": {"recipe": "mode", "frequency": [0.0]}},
              "config error: kdv: the deviation at x = 128 vanishes"),
+            # A real setting is a JSON number: a string or a bool read as
+            # one (true as 1.0) before.
+            ("tails", {"times": ["0.1"]}, "times[0] must be a number"),
+            ("tails", {"thresholds": [True, 0.01]}, "thresholds[0] must be a number"),
+            ("tails", {"grid": {"dim": 1, "samples_per_axis": 128, "extent": "16"}},
+             "grid.extent must be a number"),
+            ("tails", {"data": {"recipe": "gaussian", "width": True}},
+             "data.width must be a number"),
+            ("tails", {"data": {"recipe": "gaussian", "amplitude": "2"}},
+             "data.amplitude must be a number"),
+            ("tails", {"data": {"recipe": "indicator", "radius": False}},
+             "data.radius must be a number"),
+            ("tails", {"data": {"recipe": "mode", "frequency": ["0"]}},
+             "data.frequency[0] must be a number"),
+            ("density", {"epsilon_schedule": ["0.2"]}, "epsilon_schedule[0] must be a number"),
+            ("khintchine", {"p_values": [2, "4"]}, "p_values[1] must be a number"),
+            ("tails", {"flow": None, "flows": ["kdv", "kdv"]}, "duplicate flow kdv"),
+            ("convergence", {"flow": None, "flows": ["kdv", "kdv"]}, "duplicate flow kdv"),
         ],
         ids=["ensemble-fraction", "ensemble-bool", "ensemble-string", "samples-per-axis",
              "dim-bool", "samples", "n-vectors", "vector-length", "max-ci-width",
@@ -302,7 +312,10 @@ class TestExitCodes:
              "gamma-overflow", "grid-not-object", "data-without-recipe", "zero-width",
              "mode-length", "negative-radius", "missing-custom-file", "unknown-recipe",
              "flow-and-flows", "negative-epsilon", "epsilon-three", "epsilon-ten",
-             "vanishing-deviation"],
+             "vanishing-deviation", "string-time", "bool-threshold", "string-extent",
+             "bool-width", "string-amplitude", "bool-radius", "string-frequency",
+             "string-epsilon", "string-p", "duplicate-tails-flow",
+             "duplicate-convergence-flow"],
     )
     def test_setting_checked_before_output(self, tmp_path, capsys, name, change, key):
         # Each of these ran before (a fraction or a bool truncated to an
@@ -310,7 +323,8 @@ class TestExitCodes:
         # directory existed; now each exits 1 naming the key, leaving nothing.
         base = {"tails": BASE_TAILS, "convergence": CONVERGENCE,
                 "density": DENSITY, "khintchine": KHINTCHINE}[name]
-        cfg = write_config(tmp_path, "c.json", dict(base, **change))
+        payload = {k: v for k, v in dict(base, **change).items() if v is not None}  # None drops
+        cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o"
         assert main([name, "--config", cfg, "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
@@ -501,14 +515,18 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "usage: dispersim" in capsys.readouterr().out
 
-    def test_wrapping_derived_seed_exits_one(self, tmp_path, capsys):
-        # Density calibration draws with seed + 1, which for 2^64 - 1 would
-        # wrap onto seed 0's stream.
-        payload = dict(DENSITY, seed=2**64 - 1)
-        cfg = write_config(tmp_path, "seed.json", payload)
-        assert main(["density", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "2^64" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize(
+        "name, payload", [("density", DENSITY), ("khintchine", KHINTCHINE)],
+        ids=["density", "khintchine"],
+    )
+    def test_largest_seed_runs_every_stream(self, tmp_path, name, payload):
+        # Density's calibration and khintchine's vectors read sample ranges
+        # of the run's own stream, so no seed is derived from 2^64 - 1.
+        assert payload.get("n_vectors", 2) >= 2
+        cfg = write_config(tmp_path, "seed.json", dict(payload, seed=2**64 - 1))
+        out = tmp_path / "o"
+        assert main([name, "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / f"{name}_manifest.json").read_text())["seed"] == 2**64 - 1
 
     def test_largest_seed_runs_convergence(self, tmp_path):
         # Convergence draws no calibration ensemble, so it derives no seed:
@@ -883,8 +901,9 @@ class TestDensityCommand:
 
     def test_rows_sharing_a_split_draw_once(self, tmp_path, monkeypatch):
         # On this grid eps = 0.2 and 0.1 select the same split, so the run
-        # draws one calibration and one event ensemble, and each row is the
-        # row of a run of its eps alone.
+        # draws one calibration and one event ensemble, samples [200, 400)
+        # and [0, 200) of seed 7, and each row is the row of a run of its
+        # eps alone.
         payload = {
             "grid": {"dim": 2, "samples_per_axis": 64, "extent": 32.0},
             "data": {"recipe": "gaussian", "width": 2.0},
@@ -896,14 +915,14 @@ class TestDensityCommand:
         inner = dispersim.tailprob._split_draw_statistics
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[2:])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(dispersim.tailprob, "_split_draw_statistics", counted)
         out = tmp_path / "both"
         assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
                      "--out", str(out)]) == 0
-        assert calls == [[(200, 8), (200, 7)]]
+        assert calls == [(7, [range(200, 400), range(200)])]
         rows = (out / "density_results.csv").read_text().splitlines()[2:]
         for eps, row in zip(payload["epsilon_schedule"], rows):
             single = dict(payload, epsilon_schedule=[eps])
@@ -928,15 +947,15 @@ class TestDensityCommand:
     def test_failed_ensemble_exits_four_with_one_traceback(
         self, tmp_path, capsys, monkeypatch, event
     ):
-        # The event ensemble runs in the helper thread, the calibration one
-        # in the calling thread.
-        failing = DENSITY["seed"] if event else derived_seed(DENSITY["seed"], 1)
+        # The event ensemble, samples [0, M), runs in the helper thread; the
+        # calibration one, samples [M, 2M), in the calling thread.
+        failing = 0 if event else DENSITY["ensemble_size"]
         stream = tailprob._RowStream
 
-        def failing_stream(seed, *args):
-            if seed == failing:
-                raise RuntimeError(f"stream {seed} failed")
-            return stream(seed, *args)
+        def failing_stream(seed, start):
+            if start == failing:
+                raise RuntimeError(f"stream {start} failed")
+            return stream(seed, start)
 
         monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
         out = tmp_path / "o"
@@ -1064,6 +1083,23 @@ class TestKhintchineCommand:
             moment = float(row["moment"])
             assert entry["relative_error"] == pytest.approx((moment - law) / law, rel=1e-9)
             assert abs(entry["relative_error"]) < 0.1
+
+    def test_default_run_draws_one_ensemble(self, tmp_path, monkeypatch):
+        # Every vector reads the same draws: samples rows of vector_length
+        # normals in all, not one ensemble per vector.
+        import dispersim.randomize as randomize
+
+        shapes = []
+        inner = randomize.gaussian_matrix
+
+        def counted(seed, n_samples, n_coeffs, sample_offset=0):
+            shapes.append((seed, n_samples, n_coeffs))
+            return inner(seed, n_samples, n_coeffs, sample_offset)
+
+        monkeypatch.setattr(randomize, "gaussian_matrix", counted)
+        assert main(["khintchine", "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+        assert {(seed, width) for seed, _, width in shapes} == {(7, 32)}
+        assert sum(rows for _, rows, _ in shapes) == 10_000
 
     def test_default_moments_within_five_standard_errors(self, tmp_path, capsys):
         # Over M samples of CN(0, 1) the estimate (mean |Y|^p)^(1/p) has

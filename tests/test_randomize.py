@@ -217,3 +217,27 @@ def test_khintchine_moments_share_one_draw_per_vector(monkeypatch):
     ]
     with pytest.raises(ValueError):
         khintchine_moments(c, (2.0, 1.0), 3000, 21)
+
+
+def test_khintchine_moments_of_a_stack_share_one_draw(monkeypatch):
+    import dispersim.randomize as randomize
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_matrix(*args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    stack[:, 1] = 0  # a zero column has moment 0 with no special case
+    ps = (2.0, 4.0)
+    samples = 2 * randomize._MOMENT_BLOCK
+    monkeypatch.setattr(randomize, "gaussian_matrix", counted)
+    moments = khintchine_moments(stack, ps, samples, 21)
+    assert [args[1:3] for args in calls] == [(randomize._MOMENT_BLOCK, 16)] * 2
+    monkeypatch.undo()
+    assert len(moments) == 3 and moments[1] == [0.0, 0.0]
+    # Each column reads the draws a vector alone reads.
+    for column, got in zip(stack.T, moments):
+        assert got == pytest.approx(khintchine_moments(column, ps, samples, 21), rel=1e-12)

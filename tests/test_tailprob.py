@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -541,6 +542,12 @@ class TestConvergenceCurve:
             assert est.probability <= split.epsilon + halfwidth
         probs = [est.probability for est, _ in rows]
         assert all(a >= b - 0.05 for a, b in zip(probs, probs[1:]))
+        # The counts read 0 or 1, so the lines above cannot fail; report's
+        # exact-law check can, as the control with twice each series norm shows.
+        estimates = [est for est, _ in rows]
+        doubled = [replace(est, series_norm=2.0 * est.series_norm) for est in estimates]
+        for ests, verdict in ((estimates, "; yes"), (doubled, "; NO")):
+            assert cli._exact_law_line("curve", tailprob.exact_law(ests)).endswith(verdict)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rows_count_as_raw_samples(self, dim):
@@ -610,7 +617,7 @@ class TestDensityEvent:
 
     def test_calibrated_event_beats_target(self):
         f = split_gaussian()
-        ((_, res, _),) = density_rows(f, [0.2], self.PAIRS, 1500, 9, 8)
+        ((_, res, _),) = density_rows(f, [0.2], self.PAIRS, 1500, 9)
         halfwidth = (res.ci_high - res.ci_low) / 2
         assert res.probability >= res.target - halfwidth
 
@@ -620,7 +627,7 @@ class TestDensityEvent:
 
         f = split_gaussian()
         split = schwartz_split(f, 0.2)
-        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), [(800, 21)])
+        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), 21, [range(800)])
         lam, mthr = np.quantile(hnorms, 0.8), np.quantile(ratios, 0.8)
         joint = np.mean((hnorms <= lam) & (ratios <= mthr))
         assert joint <= np.mean(hnorms <= lam)
@@ -636,7 +643,7 @@ class TestDensityEvent:
         from dispersim.tailprob import _density_result, _split_draw_statistics
 
         split = schwartz_split(f, eps)
-        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), [(300, 10)])
+        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), 10, [range(300)])
         res = _density_result(eps, params, hnorms, ratios)
         assert np.all(ratios == 0.0)
         assert res.probability == np.mean(hnorms <= res.lam)
@@ -680,8 +687,8 @@ class TestResultsCsv:
         assert list((tmp_path / "o").iterdir()) == []
 
 
-def shifted_draw_statistics(split, pairs, n_samples, seed):
-    """The density draw loop with the usual index shifts: every mesh array
+def shifted_draw_statistics(split, pairs, seed, samples):
+    """The density draw loop over the ``samples`` range of seed's stream with the usual index shifts: every mesh array
     in natural order, an ifftshift and an fftshift per draw and beta.  The
     reference the shift-free loop matches bit for bit."""
     spec = split.g.spec
@@ -697,9 +704,9 @@ def shifted_draw_statistics(split, pairs, n_samples, seed):
     degenerate = not np.any(split.g.values != 0)
     inv_scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
     axes = tuple(range(spec.dim))
-    hnorms = np.empty(n_samples)
-    ratios = np.zeros(n_samples)
-    draws = gaussian_matrix(seed, n_samples, len(lattice))
+    hnorms = np.empty(len(samples))
+    ratios = np.zeros(len(samples))
+    draws = gaussian_matrix(seed, len(samples), len(lattice), samples.start)
     for m, coeffs in enumerate(draws):
         W = randomized_weights(spec, coeffs)
         hnorms[m] = math.sqrt(
@@ -751,45 +758,46 @@ class TestSplitDrawStatistics:
         split = schwartz_split(f, eps)
         assert (kind == "degenerate") == (not np.any(split.g.values))
         pairs = pair_sets["default" if kind == "degenerate" else kind]
-        # Block edges mid-ensemble; both ensembles at once.
+        # Block edges mid-ensemble; both ensembles at once, the second
+        # across a 256-sample block of the stream.
         monkeypatch.setattr(tailprob, "_DRAW_BLOCK", 3)
-        ensembles = [(40, 77), (17, 5)]
-        got = tailprob._split_draw_statistics(split, pairs, ensembles)
+        ensembles = [range(40), range(250, 267)]
+        got = tailprob._split_draw_statistics(split, pairs, 77, ensembles)
         assert len(got) == len(ensembles)
-        for (hnorms, ratios), (n_samples, seed) in zip(got, ensembles):
-            expected = shifted_draw_statistics(split, pairs, n_samples, seed)
+        for (hnorms, ratios), samples in zip(got, ensembles):
+            expected = shifted_draw_statistics(split, pairs, 77, samples)
             assert np.array_equal(hnorms, expected[0])
             assert np.array_equal(ratios, expected[1])
 
     def test_ensembles_keep_their_places_under_fast_thread_switching(self):
         split = schwartz_split(split_gaussian(), 0.2)
         pairs = DRAW_CASES["1d"][3]["default"]
-        ensembles = [(50, seed) for seed in (1, 2, 3, 4)]  # three in a row on the helper
+        ensembles = [range(50 * i, 50 * (i + 1)) for i in range(4)]  # three on the helper
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = tailprob._split_draw_statistics(split, pairs, ensembles)
+            got = tailprob._split_draw_statistics(split, pairs, 3, ensembles)
         finally:
             sys.setswitchinterval(interval)
         for (hnorms, ratios), ensemble in zip(got, ensembles):
-            ((alone_h, alone_r),) = tailprob._split_draw_statistics(split, pairs, [ensemble])
+            ((alone_h, alone_r),) = tailprob._split_draw_statistics(split, pairs, 3, [ensemble])
             assert np.array_equal(hnorms, alone_h) and np.array_equal(ratios, alone_r)
 
-    @pytest.mark.parametrize("failing", [8, 7], ids=["calling-thread", "helper-thread"])
+    @pytest.mark.parametrize("failing", [300, 0], ids=["calling-thread", "helper-thread"])
     def test_failure_in_one_ensemble_is_raised_after_both_end(self, failing, monkeypatch):
         split = schwartz_split(_gaussian_on(GridSpec(2, 64, 32.0), 2.0), 0.2)
         pairs = DRAW_CASES["2d"][3]["default"]
         stream = tailprob._RowStream
         reads = []
 
-        def failing_stream(seed, *args):
-            rows = stream(seed, *args)
+        def failing_stream(seed, start):
+            rows = stream(seed, start)
             read = rows.read
 
             def counted(out):
-                reads.append((seed, len(out)))
-                if seed == failing:
-                    raise RuntimeError(f"stream {seed} failed")
+                reads.append((start, len(out)))
+                if start == failing:
+                    raise RuntimeError(f"stream {start} failed")
                 return read(out)
 
             rows.read = counted
@@ -798,7 +806,7 @@ class TestSplitDrawStatistics:
         monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
-            tailprob._split_draw_statistics(split, pairs, [(300, 8), (300, 7)])
+            tailprob._split_draw_statistics(split, pairs, 7, [range(300, 600), range(300)])
         assert threading.active_count() == threads
         # The other ensemble stops at its next block, well before its last:
         # it reads at most 192 of its 300 draws.
@@ -841,7 +849,7 @@ class TestSplitDrawStatistics:
 
         monkeypatch.setattr(tailprob, "_RowStream", counted_stream)
         f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
-        tailprob.density_rows(f, [0.2], DRAW_CASES["2d"][3]["default"], 200, 7, 8)
+        tailprob.density_rows(f, [0.2], DRAW_CASES["2d"][3]["default"], 200, 7)
         me = threading.get_ident()
         assert len(readers) == 2 and len(set(readers)) == 2 and me in readers
         assert callers and set(callers) == {me}
@@ -853,8 +861,8 @@ class TestDensityRows:
         # so the joint run draws its ensembles once and shares them.
         f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
         pairs = [((0, 0), (0, 0)), ((1, 1), (1, 1))]
-        together = density_rows(f, [0.2, 0.1], pairs, 200, 7, 8)
-        alone = [density_rows(f, [eps], pairs, 200, 7, 8)[0] for eps in (0.2, 0.1)]
+        together = density_rows(f, [0.2, 0.1], pairs, 200, 7)
+        alone = [density_rows(f, [eps], pairs, 200, 7)[0] for eps in (0.2, 0.1)]
         assert [row[:2] for row in together] == [row[:2] for row in alone]
         first, second = (split for _, _, split in together)
         assert (first.sigma, first.radius) == (second.sigma, second.radius)

@@ -7,12 +7,13 @@ manifest; CSV bodies depend only on the config and the seed, so reruns
 are byte identical.  A run reads its seed's stream alone, independent
 ensembles as disjoint sample ranges of it.  No flag, variable or key
 sets how a run is scheduled: every ensemble runs one serial loop over
-chunks of draws, and ``density`` runs its calibration and event
-ensembles, samples [M, 2M) and [0, M) for M = ``ensemble_size``, at once.
+chunks of draws, and ``density`` runs the two halves of its ensemble,
+samples [0, M) for M = ``ensemble_size`` cut at a 256-sample block
+boundary, at once.
 
 Exit codes: 0 success, 1 configuration error (or tails that admit no
-bound: density calibration tails that cannot be fitted, a convergence
-deviation that vanishes), 2 a check-* subcommand found failures, 3 the
+bound: tails that cannot be fitted, a convergence deviation that
+vanishes), 2 a check-* subcommand found failures, 3 the
 density split could not reach a requested epsilon on the grid, not even
 in its cutoff-only limit, 4 an internal error (its traceback goes to
 stderr).  Result files are written whole or not at all, every table and
@@ -578,11 +579,9 @@ def run_density(config, seed, out_dir) -> int:
         data = parse_data(config["data"], spec)
         schedule = parse_schedule(config)
         pairs = parse_pairs(config, spec)
-        # The calibration ensemble has this size too, and its fit needs 100 draws.
         ensemble = _count(config, "ensemble_size", minimum=100)
 
     density = tailprob.density_rows(data, schedule, pairs, ensemble, seed)
-    fits = {repr(r.epsilon): {"C": p.C, "C1": p.C1} for p, r, _ in density}
     rows = [
         (r.epsilon, r.lam, r.m_threshold, r.hit_count, r.ensemble_size, r.probability,
          r.ci_low, r.ci_high, r.target)
@@ -596,7 +595,7 @@ def run_density(config, seed, out_dir) -> int:
         DENSITY_COLUMNS,
         rows,
         spec=spec,
-        fitted_constants=fits,
+        proven_tails=[{"epsilon": r.epsilon, **tails} for tails, r, _ in density],
         splits=_split_records(s for _, _, s in density),
         multi_indices=[[list(a), list(b)] for a, b in pairs],
     )

@@ -147,6 +147,8 @@ def randomize_field(f: Field, d: RandomDraw) -> Field:
 # Moments are drawn and summed in blocks of this many samples: a constant
 # of the estimate, so its rounding never depends on how a run is scheduled.
 _MOMENT_BLOCK = 4096
+# A block's product is formed for at most this many vectors at a time.
+_MOMENT_COLUMNS = 64
 
 
 def khintchine_moments(c, p_values, samples: int, seed: int) -> list:
@@ -154,8 +156,9 @@ def khintchine_moments(c, p_values, samples: int, seed: int) -> list:
     samples [0, samples) of seed's stream, one per p: a list for one
     vector ``c``, or for a (length, n_vectors) stack one such list per
     column.  Every vector and every order reduce the same draws, g @ C
-    summed block by block of ``_MOMENT_BLOCK`` samples; every p must be
-    >= 2 and samples >= 1000."""
+    summed block by block of ``_MOMENT_BLOCK`` samples and formed for at
+    most ``_MOMENT_COLUMNS`` columns at a time; every p must be >= 2 and
+    samples >= 1000."""
     for p in p_values:
         if p < 2:
             raise ConfigurationError(f"p_values: moment order must be >= 2, got {p}")
@@ -163,11 +166,19 @@ def khintchine_moments(c, p_values, samples: int, seed: int) -> list:
         raise ConfigurationError(f"samples: need at least 1000, got {samples}")
     stack = np.asarray(c, dtype=np.complex128).reshape(len(c), -1)
     totals = np.zeros((len(p_values), stack.shape[1]))
+    # Groups of columns start at multiples of _MOMENT_COLUMNS, a multiple of
+    # gemm kernels' column blocking (4 in OpenBLAS's Haswell zgemm), so each
+    # has the bits of the stack's product; a lone last column, which numpy
+    # would sum pairwise, not row by row, joins the group before it.
+    n = stack.shape[1]
+    starts = range(0, max(n - 1, 1), _MOMENT_COLUMNS)
     for start in range(0, samples, _MOMENT_BLOCK):
         count = min(_MOMENT_BLOCK, samples - start)
-        vals = np.abs(gaussian_matrix(seed, count, len(stack), sample_offset=start) @ stack)
-        for i, p in enumerate(p_values):
-            totals[i] += np.sum(vals**p, axis=0)
+        g = gaussian_matrix(seed, count, len(stack), sample_offset=start)
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            vals = np.abs(g @ stack[:, lo:hi])
+            for i, p in enumerate(p_values):
+                totals[i, lo:hi] += np.sum(vals**p, axis=0)
     moments = ((totals / samples) ** (1.0 / np.array(p_values))[:, None]).T.tolist()
     return moments if np.ndim(c) > 1 else moments[0]
 

@@ -11,9 +11,11 @@ normal per lattice point.  Every ensemble runs one serial loop over
 chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
 based and sample streams are counter keyed, so results are reproducible
 bit for bit whatever the chunk size.  The nonlinear density event keeps
-the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs its
-calibration and event ensembles, disjoint sample ranges of one seed, at
-once, one of them in a helper thread (:func:`_split_draw_statistics`).
+the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs the
+two halves of its one ensemble, ranges of one seed cut at a 256-sample
+block boundary, at once, the second in a helper thread
+(:func:`_split_draw_statistics`); its thresholds come from proven
+Gaussian tails, with no calibration draw (:func:`density_rows`).
 """
 
 from __future__ import annotations
@@ -30,14 +32,16 @@ from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomial_weight
 from .propagators import FlowKind, symbol
 from .randomize import (
+    _BLOCK,
     RandomDraw,
     _corner_sum,
     _corner_terms,
     _RowStream,
+    expected_randomized_norm_squared,
     gaussian_matrix,
     randomize_field,
 )
-from .wiener import projection_blocks, unit_lattice
+from .wiener import _square_function_from_coeffs, projection_blocks, unit_lattice
 
 _TWO_PI = 2.0 * np.pi
 _E = math.e
@@ -394,8 +398,7 @@ def theoretical_bound(params: BoundParams, alpha: float, scale: float) -> float:
 
 def fit_constants(estimates, scales) -> FitResult:
     """Least-squares fit of -log(probability) against (alpha/scale)^2,
-    ``scales`` holding one scale per estimate: |t| for a flow deviation,
-    ||h|| for the density remainder.
+    ``scales`` holding one scale per estimate, |t| for a flow deviation.
 
     The slope is 1/(C e)^2 and the intercept -log C1.  Only cells with
     probability strictly inside (0, 1) and a positive scale participate;
@@ -578,14 +581,28 @@ def _run_ensembles(run, ensembles) -> list:
     return results
 
 
+def _seminorms(split: SchwartzSplit, pairs) -> dict:
+    """decay_seminorm(g) of each pair, the decay ratio's denominators; none
+    when g = 0, whose randomized pieces vanish too, so its decay event
+    holds with no pair to check.  One that vanishes raises."""
+    if not np.any(split.g.values):
+        return {}
+    base = {pair: decay_seminorm(split.g, *pair) for pair in pairs}
+    for pair, val in base.items():
+        if val <= 0:
+            raise ConfigurationError(
+                f"decay seminorm of the smooth part vanishes for indices {pair}"
+            )
+    return base
+
+
 def _split_draw_statistics(split: SchwartzSplit, pairs, seed: int, ensembles) -> list:
     """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split,
     one pair of arrays for each of ``ensembles``, ranges of seed's samples.
 
     The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
-    over the requested (alpha, beta) pairs.  A split with g = 0 has every
-    randomized piece of g vanish too, so its decay event holds trivially:
-    it checks no pair, and its ratios stay 0.
+    over the requested (alpha, beta) pairs, 0 when no pair is checked
+    (:func:`_seminorms`).
 
     Each draw's weight stays in natural order and is transformed without
     the usual index shifts: the modulus of the result equals that of the
@@ -597,14 +614,7 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, seed: int, ensembles) ->
     one serially, so the results depend only on the split and the ranges.
     """
     spec = split.g.spec
-    if not np.any(split.g.values != 0):
-        pairs = ()
-    base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
-    for pair, val in base.items():
-        if val <= 0:
-            raise ConfigurationError(
-                f"decay seminorm of the smooth part vanishes for indices {pair}"
-            )
+    base = _seminorms(split, pairs)
     Fg = forward_transform(split.g).coeffs
     Fh = forward_transform(split.h).coeffs.reshape(-1)
     freqs = spec.frequency_grids()
@@ -625,48 +635,79 @@ def _split_draw_statistics(split: SchwartzSplit, pairs, seed: int, ensembles) ->
     return _run_ensembles(functools.partial(_ensemble_statistics, setup, seed), ensembles)
 
 
-def _density_constants(split: SchwartzSplit, hnorms, ratios) -> BoundParams:
-    """Constants dominating the pilot tails of ||h^omega|| (on the scale
-    ||h||) and of the worst decay ratio (on the unit scale)."""
-
-    def fitted(samples: np.ndarray, scale: float) -> BoundParams:
-        qs = np.quantile(samples, [0.55, 0.7, 0.8, 0.88, 0.94, 0.975, 0.99])
-        ests = []
-        for q in qs:
-            k = int(np.sum(samples > q))
-            lo, hi = wilson_interval(k, samples.size)
-            ests.append(
-                TailEstimate("pilot", 0.0, float(q), (), k, samples.size, k / samples.size,
-                             lo, hi)
-            )
-        scales = [scale] * len(ests)
-        return dominate_constants(ests, fit_constants(ests, scales).params, scales)
-
-    h_params = fitted(hnorms, split.achieved_h_norm)
-    if not np.any(ratios > 0):
-        return BoundParams(C=h_params.C, C1=max(h_params.C1, 1.0))
-    g_params = fitted(ratios, 1.0)
-    return BoundParams(C=max(h_params.C, g_params.C), C1=max(h_params.C1, g_params.C1, 1.0))
+def _block_halves(n_samples: int) -> list[range]:
+    """[0, n_samples) cut at the 256-sample block boundary nearest
+    n_samples / 2, so neither range draws rows of the other's blocks."""
+    cut = _BLOCK * ((n_samples + _BLOCK) // (2 * _BLOCK))
+    return [range(cut), range(cut, n_samples)]
 
 
-def _density_result(eps: float, params: BoundParams, hnorms, ratios) -> DensityResult:
-    """The joint event's frequency over the draws, with lambda and M from
-    ``params`` and eps."""
-    log_term = math.log(params.C1 / eps)
-    if log_term <= 0:
-        raise ConfigurationError("C1 must exceed eps for the threshold schedule")
-    lam = params.C * _E * eps * math.sqrt(log_term)
-    m_threshold = params.C * _E * math.sqrt(log_term)
-    n_samples = hnorms.size
+def _remainder_law(h: Field) -> tuple[float, float]:
+    """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi sum_xi psi(xi - k)
+    psi(xi - k') |h^(xi)|^2: T = tr G, and R = G's largest row sum, which
+    bounds ||G|| as G >= 0 entrywise, by one bincount per corner of
+    psi(xi - k) |h^(xi)|^2 S(xi), S(xi) the sum of xi's corner weights."""
+    table = projection_blocks(h.spec)
+    power = np.abs(forward_transform(h).coeffs.reshape(-1)) ** 2 * table.weight.sum(axis=1)
+    rows = np.zeros(len(unit_lattice(h.spec)))
+    for index, weight in zip(table.index.T, table.weight.T):
+        rows += np.bincount(index, weight * power, minlength=rows.size)
+    return expected_randomized_norm_squared(h), h.spec.frequency_cell_volume * float(rows.max())
+
+
+def _lambda_threshold(trace: float, top: float, eps: float) -> tuple[float, float]:
+    """(lambda, x), P(||h^omega|| > lambda) <= exp(-x) <= eps, for tr G =
+    ``trace`` and ||G|| <= ``top``: the chi-square tail of Laurent & Massart
+    (Ann. Statist. 2000) with ||G||_F^2 <= ||G|| tr G, x = ln(1/eps) up to
+    the float whose exp(-x) does not exceed eps."""
+    x = max(0.0, -math.log(eps))
+    while math.exp(-x) > eps:
+        x = math.nextafter(x, math.inf)
+    return math.sqrt(trace + math.sqrt(2.0 * top * trace * x) + top * x), x
+
+
+def _decay_sigmas(split: SchwartzSplit, pairs) -> dict:
+    """sigma_x = |x^alpha| Sq[d^beta g](x) of each pair over the mesh, in
+    the draws' FFT x order: x^alpha d^beta g^omega(x) is CN(0, sigma_x^2)."""
+    spec = split.g.spec
+    Fg = forward_transform(split.g).coeffs
+    freqs, coords = spec.frequency_grids(), spec.coordinate_grids()
+    squares = {
+        b: _square_function_from_coeffs(spec, monomial_weight(freqs, b, imaginary=True) * Fg)
+        for b in {b for _, b in pairs}
+    }
+    return {
+        (a, b): np.abs(np.fft.ifftshift(monomial_weight(coords, a))) * squares[b]
+        for a, b in pairs
+    }
+
+
+def _m_threshold(rates: np.ndarray, eps: float) -> tuple[float, float]:
+    """(M, sum): the least M whose union bound sum exp(-M^2 rates) on
+    P(decay ratio > M), rates = (seminorm_g / sigma_x)^2, is at most eps,
+    as the upper end of a bisection bracket, and that sum."""
+    hi = 0.0
+    if rates.size > eps:  # twice the M at which rates.size exp(-M^2 min rates) = eps
+        hi = 2.0 * math.sqrt(math.log(rates.size / eps) / float(rates.min()))
+    lo = 0.0
+    for _ in range(60 if hi else 0):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sum(np.exp(-mid * mid * rates)) > eps else (lo, mid)
+    return hi, float(np.sum(np.exp(-hi * hi * rates)))
+
+
+def _density_result(eps: float, lam: float, m_threshold: float, hnorms, ratios) -> DensityResult:
+    """The frequency over the draws of ||h^omega|| <= lam and every pair
+    ratio <= m_threshold."""
     hits = int(np.sum((hnorms <= lam) & (ratios <= m_threshold)))
-    lo, hi = wilson_interval(hits, n_samples)
+    lo, hi = wilson_interval(hits, hnorms.size)
     return DensityResult(
         epsilon=float(eps),
         lam=lam,
         m_threshold=m_threshold,
         hit_count=hits,
-        ensemble_size=n_samples,
-        probability=hits / n_samples,
+        ensemble_size=hnorms.size,
+        probability=hits / hnorms.size,
         ci_low=lo,
         ci_high=hi,
         target=1.0 - 2.0 * eps,
@@ -675,24 +716,24 @@ def _density_result(eps: float, params: BoundParams, hnorms, ratios) -> DensityR
 
 def density_rows(
     f: Field, schedule, pairs, n_samples: int, seed: int
-) -> list[tuple[BoundParams, DensityResult, SchwartzSplit]]:
-    """(constants, result, split) for every eps of ``schedule``: the density
-    experiment over the split f = g + h at eps, the twin of
+) -> list[tuple[dict, DensityResult, SchwartzSplit]]:
+    """(proven tails, result, split) for every eps of ``schedule``: the
+    density experiment over the split f = g + h at eps, the twin of
     :func:`convergence_rows`.  ``pairs`` holds (alpha, beta) multi-index
     tuples, as :func:`~dispersim.cli.parse_pairs` returns them.
 
-    The constants dominate pilot tails of ||h^omega|| and of the worst
-    decay ratio over a calibration ensemble, samples [n_samples,
-    2 n_samples) of seed's stream.  The result is the frequency, over
-    samples [0, n_samples), of the joint event ||h^omega|| <= lambda and,
-    for every listed pair, decay_seminorm(g^omega) <= M * decay_seminorm(g),
-    with lambda = C e eps sqrt(ln(C1/eps)) and M = C e sqrt(ln(C1/eps)),
-    to compare against the 1 - 2 eps target.
+    The result is the frequency, over samples [0, n_samples) of seed's
+    stream, of the joint event ||h^omega|| <= lambda and, for every pair,
+    decay_seminorm(g^omega) <= M * decay_seminorm(g), against the
+    1 - 2 eps target.  lambda (:func:`_lambda_threshold`) and M
+    (:func:`_m_threshold`) are proven, each event's tail at most eps, with
+    no calibration draw.  The proven tails hold T, R and x of lambda, its
+    tail bound exp(-x), the union sum at M and the number of draws with
+    ||h^omega|| <= lambda.
 
-    The data is fixed, so a split's (sigma, R) determines g and h.  The
-    split schedule is coarse, and eps that select the same split share
-    its calibration and event ensembles, drawn once; only lambda and M
-    depend on eps.
+    A split's (sigma, R) determines g and h, and eps that select the same
+    split share its ensemble, drawn once as two halves on two threads
+    (:func:`_block_halves`), and its laws, computed after the draws.
     """
     shared = {}
     rows = []
@@ -700,12 +741,20 @@ def density_rows(
         split = schwartz_split(f, eps)
         key = (split.sigma, split.radius)
         if key not in shared:
-            cal, event = _split_draw_statistics(
-                split, pairs, seed, [range(n_samples, 2 * n_samples), range(n_samples)]
-            )
-            shared[key] = (_density_constants(split, *cal), event)
-        params, stats = shared[key]
-        rows.append((params, _density_result(eps, params, *stats), split))
+            halves = _split_draw_statistics(split, pairs, seed, _block_halves(n_samples))
+            hnorms, ratios = (np.concatenate(arrays) for arrays in zip(*halves))
+            # The laws after the draws: computed first, they raised the
+            # run's peak memory.  rates = (seminorm_g / sigma_x)^2.
+            base = _seminorms(split, pairs)
+            rates = [(base[p] / s[s > 0]) ** 2 for p, s in _decay_sigmas(split, base).items()]
+            rates = np.concatenate([np.empty(0), *rates])
+            shared[key] = hnorms, ratios, _remainder_law(split.h), rates
+        hnorms, ratios, (trace, top), rates = shared[key]
+        lam, x = _lambda_threshold(trace, top, eps)
+        m_threshold, union = _m_threshold(rates, eps)
+        tails = dict(trace_G=trace, max_row_sum_G=top, x=x, lambda_tail_bound=math.exp(-x),
+                     m_union_sum=union, lambda_event_count=int(np.sum(hnorms <= lam)))
+        rows.append((tails, _density_result(eps, lam, m_threshold, hnorms, ratios), split))
     return rows
 
 

@@ -92,6 +92,22 @@ class TestParsing:
         )
         assert "'scipy'" not in done.stdout and "'numpy'" in done.stdout
 
+    def test_density_run_leaves_numpy_ma_out(self, tmp_path):
+        # np.quantile imports numpy.ma lazily, about 10 ms of a run; density
+        # takes its thresholds from proven tails and quantiles nothing.
+        src = os.path.dirname(os.path.dirname(dispersim.__file__))
+        args = ["density", "--config", write_config(tmp_path, "d.json", DENSITY),
+                "--out", str(tmp_path / "o")]
+        code = (
+            f"import sys; from dispersim.cli import main; assert main({args!r}) == 0;"
+            " print('numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_import_leaves_thread_pool_out(self):
         # Ensembles run serially; concurrent.futures (and the logging it
         # pulls in) would be import time paid for nothing.
@@ -262,7 +278,7 @@ class TestExitCodes:
             ("tails", {"max_ci_width": 0.1}, "max_ci_width"),
             ("convergence", {"calibration_ensemble": 500}, "calibration_ensemble"),
             ("density", {"calibration_ensemble": 300}, "calibration_ensemble"),
-            # The calibration ensemble has ensemble_size draws, and its fit needs 100.
+            # At least 100 draws, as for tails.
             ("density", {"ensemble_size": 50}, "ensemble_size must be a whole number >= 100"),
             ("convergence", {"grid": {"dim": 2, "samples_per_axis": 32, "extent": 16.0},
                              "observation_points": [[16, 16]]}, "kdv"),
@@ -520,8 +536,8 @@ class TestExitCodes:
         ids=["density", "khintchine"],
     )
     def test_largest_seed_runs_every_stream(self, tmp_path, name, payload):
-        # Density's calibration and khintchine's vectors read sample ranges
-        # of the run's own stream, so no seed is derived from 2^64 - 1.
+        # Density's ensemble halves and khintchine's vectors read sample
+        # ranges of the run's own stream, so no seed is derived from 2^64 - 1.
         assert payload.get("n_vectors", 2) >= 2
         cfg = write_config(tmp_path, "seed.json", dict(payload, seed=2**64 - 1))
         out = tmp_path / "o"
@@ -553,18 +569,6 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--out", str(out)]) == 3
         assert "split" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unfittable_density_calibration_leaves_nothing(self, tmp_path, capsys):
-        # Zero data gives all-zero h-norms, whose tails cannot be fitted:
-        # exit 1, and since the output directory is made only to write
-        # results, none is left.
-        payload = dict(DENSITY, grid={"dim": 1, "samples_per_axis": 64, "extent": 16.0},
-                       data={"recipe": "gaussian", "width": 2.0, "amplitude": 0.0})
-        cfg = write_config(tmp_path, "d.json", payload)
-        out = tmp_path / "o"
-        assert main(["density", "--config", cfg, "--out", str(out)]) == 1
-        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
@@ -901,14 +905,14 @@ class TestDensityCommand:
 
     def test_rows_sharing_a_split_draw_once(self, tmp_path, monkeypatch):
         # On this grid eps = 0.2 and 0.1 select the same split, so the run
-        # draws one calibration and one event ensemble, samples [200, 400)
-        # and [0, 200) of seed 7, and each row is the row of a run of its
-        # eps alone.
+        # draws one ensemble, samples [0, 500) of seed 7, as the two ranges
+        # cut at the block boundary 256, and each row is the row of a run of
+        # its eps alone.
         payload = {
             "grid": {"dim": 2, "samples_per_axis": 64, "extent": 32.0},
             "data": {"recipe": "gaussian", "width": 2.0},
             "epsilon_schedule": [0.2, 0.1],
-            "ensemble_size": 200,
+            "ensemble_size": 500,
             "seed": 7,
         }
         calls = []
@@ -922,7 +926,7 @@ class TestDensityCommand:
         out = tmp_path / "both"
         assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
                      "--out", str(out)]) == 0
-        assert calls == [(7, [range(200, 400), range(200)])]
+        assert calls == [(7, [range(256), range(256, 500)])]
         rows = (out / "density_results.csv").read_text().splitlines()[2:]
         for eps, row in zip(payload["epsilon_schedule"], rows):
             single = dict(payload, epsilon_schedule=[eps])
@@ -943,13 +947,12 @@ class TestDensityCommand:
             out3 / "density_results.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("event", [False, True], ids=["calibration", "event"])
+    @pytest.mark.parametrize("failing", [0, 256], ids=["caller", "helper"])
     def test_failed_ensemble_exits_four_with_one_traceback(
-        self, tmp_path, capsys, monkeypatch, event
+        self, tmp_path, capsys, monkeypatch, failing
     ):
-        # The event ensemble, samples [0, M), runs in the helper thread; the
-        # calibration one, samples [M, 2M), in the calling thread.
-        failing = 0 if event else DENSITY["ensemble_size"]
+        # The ensemble's samples [0, 256) run in the calling thread, and
+        # [256, 300) in the helper thread.
         stream = tailprob._RowStream
 
         def failing_stream(seed, start):
@@ -977,6 +980,24 @@ class TestDensityCommand:
         assert main(["density", "--config", cfg, "--out", str(out)]) == 1
         assert "decay seminorm of the smooth part vanishes" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_data_needs_no_fit(self, tmp_path):
+        # Zero data splits into g = 0 and h = 0: lambda and M are 0, and
+        # every draw meets them; no fitted constant is left to fail.
+        payload = dict(DENSITY, grid={"dim": 1, "samples_per_axis": 64, "extent": 16.0},
+                       data={"recipe": "gaussian", "width": 2.0, "amplitude": 0.0})
+        out = tmp_path / "o"
+        assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
+                     "--out", str(out)]) == 0
+        with open(out / "density_results.csv", newline="") as fh:
+            (row,) = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
+        assert float(row["lambda"]) == 0.0 and float(row["m_threshold"]) == 0.0
+        assert row["hit_count"] == row["M"] == str(DENSITY["ensemble_size"])
+        manifest = json.loads((out / "density_manifest.json").read_text())
+        assert "fitted_constants" not in manifest
+        (tails,) = manifest["proven_tails"]
+        assert tails["trace_G"] == tails["max_row_sum_G"] == tails["m_union_sum"] == 0.0
+        assert tails["lambda_event_count"] == DENSITY["ensemble_size"]
 
     def test_3d_defaults_keep_beta_within_order_two(self, tmp_path):
         payload = {

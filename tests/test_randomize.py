@@ -241,3 +241,27 @@ def test_khintchine_moments_of_a_stack_share_one_draw(monkeypatch):
     # Each column reads the draws a vector alone reads.
     for column, got in zip(stack.T, moments):
         assert got == pytest.approx(khintchine_moments(column, ps, samples, 21), rel=1e-12)
+
+
+def test_khintchine_moments_of_many_vectors_keep_memory_bounded():
+    # The block's product is formed a group of columns at a time: with one
+    # product for all of them, 1000 vectors peak at 98 MB of traced memory.
+    import tracemalloc
+
+    import dispersim.randomize as randomize
+
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((32, 1000)) + 1j * rng.standard_normal((32, 1000))
+    ps = (2.0, 4.0, 6.0, 8.0)
+    tracemalloc.start()
+    try:
+        moments = khintchine_moments(stack, ps, randomize._MOMENT_BLOCK, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+    # Each column as one product alone gives: the groups, the last of them
+    # 40 columns wide, change no column's draws or order.
+    for column in (0, 63, 64, 999):
+        alone = khintchine_moments(stack[:, column], ps, randomize._MOMENT_BLOCK, 7)
+        assert moments[column] == pytest.approx(alone, rel=1e-12)

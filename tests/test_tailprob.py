@@ -634,19 +634,24 @@ class TestDensityEvent:
         assert joint <= np.mean(ratios <= mthr)
 
     def test_degenerate_split_reduces_to_norm_event(self):
-        # eps above ||f|| forces g = 0, so only the h-norm part can fail.
+        # eps above ||f|| forces g = 0, so only the h-norm part can fail,
+        # and M is 0: no pair is checked.
         f = gaussian(width=1.0)
         eps = 1.05 * l2_norm(f)
-        params = BoundParams(C=1.0, C1=2.0)
 
         from dispersim.decompose import schwartz_split
         from dispersim.tailprob import _density_result, _split_draw_statistics
 
         split = schwartz_split(f, eps)
+        lam, _ = tailprob._lambda_threshold(*tailprob._remainder_law(split.h), eps)
+        assert tailprob._seminorms(split, self.PAIRS) == {}
+        m_threshold, union = tailprob._m_threshold(np.empty(0), eps)
+        assert (m_threshold, union) == (0.0, 0.0)
         ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), 10, [range(300)])
-        res = _density_result(eps, params, hnorms, ratios)
+        res = _density_result(eps, lam, m_threshold, hnorms, ratios)
         assert np.all(ratios == 0.0)
-        assert res.probability == np.mean(hnorms <= res.lam)
+        assert res.lam == lam > 0 and res.m_threshold == 0.0
+        assert res.probability == np.mean(hnorms <= lam)
 
 
 class TestResultsCsv:
@@ -783,7 +788,7 @@ class TestSplitDrawStatistics:
             ((alone_h, alone_r),) = tailprob._split_draw_statistics(split, pairs, 3, [ensemble])
             assert np.array_equal(hnorms, alone_h) and np.array_equal(ratios, alone_r)
 
-    @pytest.mark.parametrize("failing", [300, 0], ids=["calling-thread", "helper-thread"])
+    @pytest.mark.parametrize("failing", [0, 256], ids=["calling-thread", "helper-thread"])
     def test_failure_in_one_ensemble_is_raised_after_both_end(self, failing, monkeypatch):
         split = schwartz_split(_gaussian_on(GridSpec(2, 64, 32.0), 2.0), 0.2)
         pairs = DRAW_CASES["2d"][3]["default"]
@@ -806,10 +811,10 @@ class TestSplitDrawStatistics:
         monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
-            tailprob._split_draw_statistics(split, pairs, 7, [range(300, 600), range(300)])
+            tailprob._split_draw_statistics(split, pairs, 7, tailprob._block_halves(500))
         assert threading.active_count() == threads
         # The other ensemble stops at its next block, well before its last:
-        # it reads at most 192 of its 300 draws.
+        # it reads at most 192 of its 256 or 244 draws.
         assert [s for s, _ in reads].count(failing) == 1
         assert sum(n for s, n in reads if s != failing) <= 192
 
@@ -855,6 +860,18 @@ class TestSplitDrawStatistics:
         assert callers and set(callers) == {me}
 
 
+    @pytest.mark.parametrize("n_samples, cut", [(100, 0), (500, 256), (700, 256)])
+    def test_block_halves_equal_one_serial_range(self, n_samples, cut):
+        halves = tailprob._block_halves(n_samples)
+        assert halves == [range(cut), range(cut, n_samples)]
+        split = schwartz_split(split_gaussian(), 0.2)
+        pairs = DRAW_CASES["1d"][3]["default"]
+        parts = tailprob._split_draw_statistics(split, pairs, 9, halves)
+        ((hnorms, ratios),) = tailprob._split_draw_statistics(split, pairs, 9, [range(n_samples)])
+        assert np.array_equal(np.concatenate([h for h, _ in parts]), hnorms)
+        assert np.array_equal(np.concatenate([r for _, r in parts]), ratios)
+
+
 class TestDensityRows:
     def test_each_eps_alone_equals_eps_run_together(self):
         # On the density-2d grid eps = 0.2 and 0.1 select the same split,
@@ -866,3 +883,91 @@ class TestDensityRows:
         assert [row[:2] for row in together] == [row[:2] for row in alone]
         first, second = (split for _, _, split in together)
         assert (first.sigma, first.radius) == (second.sigma, second.radius)
+
+
+def remainder_gram(h):
+    """G_kk' = dxi sum_xi psi(xi - k) psi(xi - k') |h^(xi)|^2, the matrix of
+    ||h^omega||^2 = g^H G g, by one bincount per pair of corners."""
+    spec = h.spec
+    table = projection_blocks(spec)
+    n = len(unit_lattice(spec))
+    power = spec.frequency_cell_volume * np.abs(forward_transform(h).coeffs.reshape(-1)) ** 2
+    gram = np.zeros(n * n)
+    for i, wi in zip(table.index.T, table.weight.T):
+        for j, wj in zip(table.index.T, table.weight.T):
+            gram += np.bincount(i * n + j, wi * wj * power, minlength=n * n)
+    return gram.reshape(n, n)
+
+
+def within_eps(exceed, eps):
+    """Whether a fraction of exceedances stays within eps plus the half
+    width of its Wilson interval."""
+    k, n = int(np.sum(exceed)), exceed.size
+    lo, hi = wilson_interval(k, n)
+    return k / n <= eps + (hi - lo) / 2
+
+
+class TestProvenThresholds:
+    # A small 2D grid whose split at eps = 0.2 keeps a nonzero g.
+    SPEC = GridSpec(2, 32, 16.0)
+    PAIRS = (((0, 0), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (1, 1)))
+
+    def test_lambda_tail_holds_under_the_law_of_the_h_norm(self):
+        split = schwartz_split(_gaussian_on(GridSpec(2, 64, 32.0), 2.0), 0.2)
+        gram = remainder_gram(split.h)
+        mu = np.linalg.eigvalsh(gram)
+        trace, top = tailprob._remainder_law(split.h)
+        assert trace == pytest.approx(np.trace(gram), rel=1e-12)
+        assert top >= mu[-1]
+        # ||h^omega||^2 = sum_i mu_i Exp(1), in G's eigenbasis; eigenvalues
+        # at round-off level are left out.
+        mu = mu[mu > 1e-14 * mu[-1]]
+        rng = np.random.default_rng(11)
+        squares = np.concatenate(
+            [rng.standard_exponential((10_000, mu.size)) @ mu for _ in range(10)]
+        )
+        for eps in (0.2, 0.1):
+            lam, x = tailprob._lambda_threshold(trace, top, eps)
+            assert math.exp(-x) <= eps
+            assert within_eps(squares > lam**2, eps)
+            # The mean alone is no threshold.
+            assert not within_eps(squares > trace, eps)
+
+    def test_sigma_is_the_per_piece_square_sum(self):
+        spec = self.SPEC
+        split = schwartz_split(_gaussian_on(spec, 2.0), 0.2)
+        assert np.any(split.g.values)
+        sigmas = tailprob._decay_sigmas(split, self.PAIRS)
+        table = projection_blocks(spec)
+        Fg = forward_transform(split.g).coeffs
+        inv_scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
+        for (a, b), sigma in sigmas.items():
+            spectrum = monomial_weight(spec.frequency_grids(), b, imaginary=True) * Fg
+            alpha = np.fft.ifftshift(monomial_weight(spec.coordinate_grids(), a))
+            total = np.zeros(spec.shape)
+            for k in range(len(unit_lattice(spec))):
+                psi = np.sum(np.where(table.index == k, table.weight, 0.0), axis=1)
+                piece = inv_scale * np.fft.ifftn(psi.reshape(spec.shape) * spectrum)
+                total += np.abs(alpha * piece) ** 2
+            assert sigma**2 == pytest.approx(total, rel=1e-12, abs=0)
+
+    def test_union_bound_holds_and_a_halved_sigma_does_not(self):
+        split = schwartz_split(_gaussian_on(self.SPEC, 2.0), 0.2)
+        eps = 0.2
+        sigmas = tailprob._decay_sigmas(split, self.PAIRS)
+
+        def rates(scale):
+            return np.concatenate([
+                (decay_seminorm(split.g, *pair) / (scale * s[s > 0])) ** 2
+                for pair, s in sigmas.items()
+            ])
+
+        def union(m):  # sum_pairs sum_x exp(-(M seminorm_g / sigma_x)^2)
+            return np.sum(np.exp(-((m * m) * rates(1.0))))
+
+        m_threshold, at_m = tailprob._m_threshold(rates(1.0), eps)
+        assert at_m == union(m_threshold) <= eps < union(0.98 * m_threshold)
+        m_halved, _ = tailprob._m_threshold(rates(0.5), eps)
+        ((_, ratios),) = tailprob._split_draw_statistics(split, self.PAIRS, 5, [range(2000)])
+        assert within_eps(ratios > m_threshold, eps)
+        assert not within_eps(ratios > m_halved, eps)

@@ -14,8 +14,9 @@ bit for bit whatever the chunk size.  The nonlinear density event keeps
 the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs the
 two halves of its one ensemble, ranges of one seed cut at a 256-sample
 block boundary, at once, the second in a helper thread
-(:func:`_split_draw_statistics`); its thresholds come from proven
-Gaussian tails, with no calibration draw (:func:`density_rows`).
+(:func:`_ensemble_statistics`); its thresholds come from proven Gaussian
+tails, with no calibration draw, and the draws and both tails read one
+setup of the split (:func:`_split_setup`, :func:`density_rows`).
 """
 
 from __future__ import annotations
@@ -111,15 +112,6 @@ class TailExperimentConfig:
             raise ConfigurationError("times, thresholds and observation points "
                                      "must be nonempty")
 
-    def time_limit_warnings(self) -> list[str]:
-        """Diagnostic only: times past the grid's dispersive resolution."""
-        limit = dispersive_time_limit(self.data.spec, self.flow)
-        return [
-            f"|t| = {abs(t)} exceeds the dispersive resolution limit {limit:.4g}"
-            for t in self.times
-            if abs(t) > limit
-        ]
-
 
 @dataclass(frozen=True)
 class TailEstimate:
@@ -152,19 +144,6 @@ class FitResult:
     params: BoundParams
     r_squared: float
     n_points: int
-
-
-def dispersive_time_limit(spec: GridSpec, flow: FlowKind) -> float:
-    """Heuristic largest |t| before the symbol phase wraps across one
-    frequency cell: pi / (dxi * max |grad phase|)."""
-    xi_max = float(np.max(np.abs(spec.axis_frequencies())))
-    if flow.family == "kdv":
-        grad = 3.0 * xi_max**2
-    elif flow.family.startswith("wave"):
-        grad = 1.0
-    else:
-        grad = 2.0 * math.sqrt(spec.dim) * xi_max
-    return math.pi / (spec.dxi * grad)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +490,51 @@ def _real_front(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1).view(np.float64)[: a.size].reshape(a.shape)
 
 
+def _split_setup(split: SchwartzSplit, pairs) -> tuple:
+    """(split, corners, lattice size, h^, spectra, terms): what the draws
+    and both tails of a split read, built once in the calling thread.
+    ``spectra`` maps each distinct beta to (i xi)^beta g^, from one
+    transform of g; ``terms`` holds (beta, x^alpha ifftshifted into the
+    draws' FFT x order or None where it is 1, decay_seminorm(g)) of each
+    pair, in order.  Both are empty when g = 0, whose randomized pieces
+    vanish too, so its decay event holds with no pair to check; a
+    seminorm that vanishes raises."""
+    spec = split.g.spec
+    spectra, terms = {}, []
+    if np.any(split.g.values):
+        Fg = forward_transform(split.g).coeffs
+        freqs, coords = spec.frequency_grids(), spec.coordinate_grids()
+        for a, b in dict.fromkeys(pairs):
+            val = decay_seminorm(split.g, a, b)
+            if val <= 0:
+                raise ConfigurationError(
+                    f"decay seminorm of the smooth part vanishes for indices {(a, b)}"
+                )
+            if b not in spectra:
+                spectra[b] = (monomial_weight(freqs, b, imaginary=True) * Fg).reshape(-1)
+            shifted = np.fft.ifftshift(monomial_weight(coords, a)).reshape(-1)
+            terms.append((b, shifted if any(a) else None, val))
+    Fh = forward_transform(split.h).coeffs.reshape(-1)
+    return split, _corner_terms(spec), len(unit_lattice(spec)), Fh, spectra, terms
+
+
 def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event):
-    """(hnorms, ratios) of the ``samples`` range of seed's stream, as
-    :func:`_split_draw_statistics` sets them up, or None once ``stop`` is
-    set.  Draws are read and reduced in blocks of ``_DRAW_BLOCK`` through
-    three complex block arrays; the magnitudes reuse the memory of
-    whichever one is spent.  Only private helpers and numpy run here, so no
-    traced public call runs off the calling thread."""
-    corners, Fh, by_beta, n_lattice, shape, dxi_vol, inv_scale = setup
-    axes = tuple(range(1, len(shape) + 1))
+    """(hnorms, ratios) of the ``samples`` range of seed's stream for the
+    split of ``setup`` (:func:`_split_setup`), or None once ``stop`` is
+    set: per draw, ||h^omega||_L2 and the largest pair ratio
+    decay_seminorm(g^omega)/decay_seminorm(g), 0 when no pair is checked.
+
+    Each draw's weight stays in natural order and is transformed without
+    the usual index shifts: the modulus of the result equals that of the
+    shifted transform, with x in FFT order, so only the alpha weights are
+    shifted, once per split.  Draws are read and reduced in blocks of
+    ``_DRAW_BLOCK`` through three complex block arrays; the magnitudes
+    reuse the memory of whichever one is spent.  Only private helpers and
+    numpy run here, so no traced public call runs off the calling thread."""
+    split, corners, n_lattice, Fh, spectra, terms = setup
+    spec = split.g.spec
+    shape, axes = spec.shape, tuple(range(1, spec.dim + 1))
+    dxi_vol, inv_scale = spec.frequency_cell_volume, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     n_samples = len(samples)
     hnorms, ratios = np.empty(n_samples), np.zeros(n_samples)
     stream = _RowStream(seed, samples.start)
@@ -538,13 +553,13 @@ def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event
         sq = np.abs(np.multiply(W, Fh, out=work[:b]), out=spare_re[:b])
         hnorms[drawn] = np.sqrt(dxi_vol * np.sum(np.square(sq, out=sq), axis=1))
         worst = ratios[drawn]
-        for beta_weight, alphas in by_beta:
+        for beta, beta_weight in spectra.items():
             spectrum = np.multiply(W, beta_weight, out=work[:b]).reshape(mesh)
             field = np.fft.ifftn(spectrum, axes=axes, out=spare[:b].reshape(mesh)).reshape(b, -1)
             parts = field.view(np.float64)
             parts *= inv_scale  # the bits of the complex-by-real product, up to signs of 0
             mag = np.abs(field, out=work_re[:b])
-            for alpha_weight, val in alphas:
+            for alpha_weight, val in (term[1:] for term in terms if term[0] == beta):
                 if alpha_weight is not None:
                     peak = np.max(np.multiply(mag, alpha_weight, out=spare_re[:b]), axis=1)
                 else:
@@ -581,60 +596,6 @@ def _run_ensembles(run, ensembles) -> list:
     return results
 
 
-def _seminorms(split: SchwartzSplit, pairs) -> dict:
-    """decay_seminorm(g) of each pair, the decay ratio's denominators; none
-    when g = 0, whose randomized pieces vanish too, so its decay event
-    holds with no pair to check.  One that vanishes raises."""
-    if not np.any(split.g.values):
-        return {}
-    base = {pair: decay_seminorm(split.g, *pair) for pair in pairs}
-    for pair, val in base.items():
-        if val <= 0:
-            raise ConfigurationError(
-                f"decay seminorm of the smooth part vanishes for indices {pair}"
-            )
-    return base
-
-
-def _split_draw_statistics(split: SchwartzSplit, pairs, seed: int, ensembles) -> list:
-    """Per-draw (||h^omega||_L2, max pair ratio) for the randomized split,
-    one pair of arrays for each of ``ensembles``, ranges of seed's samples.
-
-    The pair ratio is decay_seminorm(g^omega)/decay_seminorm(g) maximized
-    over the requested (alpha, beta) pairs, 0 when no pair is checked
-    (:func:`_seminorms`).
-
-    Each draw's weight stays in natural order and is transformed without
-    the usual index shifts: the modulus of the result equals that of the
-    shifted transform, with x in FFT order, so only the alpha weights are
-    shifted, once per call.
-
-    The seminorms, transforms and weights are set up once, in the calling
-    thread; then the ensembles run at once (:func:`_run_ensembles`), each
-    one serially, so the results depend only on the split and the ranges.
-    """
-    spec = split.g.spec
-    base = _seminorms(split, pairs)
-    Fg = forward_transform(split.g).coeffs
-    Fh = forward_transform(split.h).coeffs.reshape(-1)
-    freqs = spec.frequency_grids()
-    coords = spec.coordinate_grids()
-    # Per beta: (i xi)^beta Fg, and (x^alpha, seminorm of g) of each of its
-    # pairs, x^alpha left out (None) where it is 1.
-    by_beta = {}
-    for (a, b), val in base.items():
-        if b not in by_beta:
-            by_beta[b] = ((monomial_weight(freqs, b, imaginary=True) * Fg).reshape(-1), [])
-        shifted = np.fft.ifftshift(monomial_weight(coords, a))
-        alpha_weight = shifted.reshape(-1) if any(a) else None
-        by_beta[b][1].append((alpha_weight, val))
-    setup = (
-        _corner_terms(spec), Fh, list(by_beta.values()), len(unit_lattice(spec)), spec.shape,
-        spec.frequency_cell_volume, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume,
-    )
-    return _run_ensembles(functools.partial(_ensemble_statistics, setup, seed), ensembles)
-
-
 def _block_halves(n_samples: int) -> list[range]:
     """[0, n_samples) cut at the 256-sample block boundary nearest
     n_samples / 2, so neither range draws rows of the other's blocks."""
@@ -642,17 +603,21 @@ def _block_halves(n_samples: int) -> list[range]:
     return [range(cut), range(cut, n_samples)]
 
 
-def _remainder_law(h: Field) -> tuple[float, float]:
+def _remainder_law(setup) -> tuple[float, float]:
     """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi sum_xi psi(xi - k)
-    psi(xi - k') |h^(xi)|^2: T = tr G, and R = G's largest row sum, which
-    bounds ||G|| as G >= 0 entrywise, by one bincount per corner of
-    psi(xi - k) |h^(xi)|^2 S(xi), S(xi) the sum of xi's corner weights."""
-    table = projection_blocks(h.spec)
-    power = np.abs(forward_transform(h).coeffs.reshape(-1)) ** 2 * table.weight.sum(axis=1)
-    rows = np.zeros(len(unit_lattice(h.spec)))
+    psi(xi - k') |h^(xi)|^2, for the split of ``setup``: T = tr G, and R =
+    G's largest row sum, which bounds ||G|| as G >= 0 entrywise, by one
+    bincount per corner of psi(xi - k) |h^(xi)|^2 S(xi), S(xi) the sum of
+    xi's corner weights."""
+    split, _, n_lattice, Fh, _, _ = setup
+    spec = split.h.spec
+    table = projection_blocks(spec)
+    power = np.abs(Fh) ** 2 * table.weight.sum(axis=1)
+    rows = np.zeros(n_lattice)
     for index, weight in zip(table.index.T, table.weight.T):
         rows += np.bincount(index, weight * power, minlength=rows.size)
-    return expected_randomized_norm_squared(h), h.spec.frequency_cell_volume * float(rows.max())
+    top = spec.frequency_cell_volume * float(rows.max())
+    return expected_randomized_norm_squared(split.h), top
 
 
 def _lambda_threshold(trace: float, top: float, eps: float) -> tuple[float, float]:
@@ -666,20 +631,18 @@ def _lambda_threshold(trace: float, top: float, eps: float) -> tuple[float, floa
     return math.sqrt(trace + math.sqrt(2.0 * top * trace * x) + top * x), x
 
 
-def _decay_sigmas(split: SchwartzSplit, pairs) -> dict:
-    """sigma_x = |x^alpha| Sq[d^beta g](x) of each pair over the mesh, in
-    the draws' FFT x order: x^alpha d^beta g^omega(x) is CN(0, sigma_x^2)."""
-    spec = split.g.spec
-    Fg = forward_transform(split.g).coeffs
-    freqs, coords = spec.frequency_grids(), spec.coordinate_grids()
-    squares = {
-        b: _square_function_from_coeffs(spec, monomial_weight(freqs, b, imaginary=True) * Fg)
-        for b in {b for _, b in pairs}
-    }
-    return {
-        (a, b): np.abs(np.fft.ifftshift(monomial_weight(coords, a))) * squares[b]
-        for a, b in pairs
-    }
+def _decay_rates(setup) -> np.ndarray:
+    """The union bound's rates (seminorm_g / sigma_x)^2 for the split of
+    ``setup``, pair by pair in order, over the mesh points where sigma_x > 0:
+    x^alpha d^beta g^omega(x) is CN(0, sigma_x^2), sigma_x = |x^alpha|
+    Sq[d^beta g](x), with one square function per distinct beta."""
+    split, _, _, _, spectra, terms = setup
+    squares = {b: _square_function_from_coeffs(split.g.spec, s) for b, s in spectra.items()}
+    rates = [np.empty(0)]
+    for b, alpha_weight, val in terms:
+        sigma = squares[b] if alpha_weight is None else np.abs(alpha_weight) * squares[b]
+        rates.append((val / sigma[sigma > 0]) ** 2)
+    return np.concatenate(rates)
 
 
 def _m_threshold(rates: np.ndarray, eps: float) -> tuple[float, float]:
@@ -732,8 +695,9 @@ def density_rows(
     ||h^omega|| <= lambda.
 
     A split's (sigma, R) determines g and h, and eps that select the same
-    split share its ensemble, drawn once as two halves on two threads
-    (:func:`_block_halves`), and its laws, computed after the draws.
+    split share its setup (:func:`_split_setup`), its ensemble, drawn once
+    as two halves on two threads (:func:`_block_halves`), and its laws,
+    computed after the draws.
     """
     shared = {}
     rows = []
@@ -741,14 +705,13 @@ def density_rows(
         split = schwartz_split(f, eps)
         key = (split.sigma, split.radius)
         if key not in shared:
-            halves = _split_draw_statistics(split, pairs, seed, _block_halves(n_samples))
+            setup = _split_setup(split, pairs)
+            run = functools.partial(_ensemble_statistics, setup, seed)
+            halves = _run_ensembles(run, _block_halves(n_samples))
             hnorms, ratios = (np.concatenate(arrays) for arrays in zip(*halves))
             # The laws after the draws: computed first, they raised the
-            # run's peak memory.  rates = (seminorm_g / sigma_x)^2.
-            base = _seminorms(split, pairs)
-            rates = [(base[p] / s[s > 0]) ** 2 for p, s in _decay_sigmas(split, base).items()]
-            rates = np.concatenate([np.empty(0), *rates])
-            shared[key] = hnorms, ratios, _remainder_law(split.h), rates
+            # run's peak memory.
+            shared[key] = hnorms, ratios, _remainder_law(setup), _decay_rates(setup)
         hnorms, ratios, (trace, top), rates = shared[key]
         lam, x = _lambda_threshold(trace, top, eps)
         m_threshold, union = _m_threshold(rates, eps)

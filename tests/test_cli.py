@@ -680,23 +680,6 @@ class TestTailsCommand:
         assert points[0][0] == points[1][0] == "128"
         assert points[0][1:] != points[1][1:]
 
-    def test_time_limit_warnings_of_wave_and_schrodinger(self, tmp_path, capsys):
-        # On a 2D 32^2/16 grid, dxi = pi/8: wave-half's limit is pi/dxi = 8.0
-        # and schrodinger's pi/(dxi 2 sqrt(2) xi_max) = 0.4502.
-        spec = GridSpec(2, 32, 16.0)
-        assert tailprob.dispersive_time_limit(spec, FlowKind.parse("wave-half")) == 8.0
-        payload = dict(BASE_TAILS, grid={"dim": 2, "samples_per_axis": 32, "extent": 16.0},
-                       flows=["wave-half", "schrodinger:+-"], times=[0.05, 0.5],
-                       observation_points=[[16, 16]])
-        del payload["flow"]
-        cfg = write_config(tmp_path, "t.json", payload)
-        out = tmp_path / "out"
-        assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
-        manifest = json.loads((out / "tails_manifest.json").read_text())
-        assert manifest["warnings"] == [
-            "schrodinger:+-: |t| = 0.5 exceeds the dispersive resolution limit 0.4502"
-        ]
-
     def test_single_cell_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.json", BASE_TAILS)
         out = tmp_path / "out"
@@ -708,6 +691,7 @@ class TestTailsCommand:
         manifest = json.loads((out / "tails_manifest.json").read_text())
         assert manifest["seed"] == 7
         assert "lattice_hash" in manifest
+        assert "warnings" not in manifest  # no data-blind time-limit diagnostic
 
     def test_manifest_carries_the_exact_law(self, tmp_path, capsys):
         payload = dict(BASE_TAILS, times=[0.05, 0.1], thresholds=[0.005, 0.01, 0.02],
@@ -916,13 +900,13 @@ class TestDensityCommand:
             "seed": 7,
         }
         calls = []
-        inner = dispersim.tailprob._split_draw_statistics
+        inner = dispersim.tailprob._run_ensembles
 
-        def counted(*args, **kwargs):
-            calls.append(args[2:])
-            return inner(*args, **kwargs)
+        def counted(run, ensembles):
+            calls.append((run.args[1], ensembles))
+            return inner(run, ensembles)
 
-        monkeypatch.setattr(dispersim.tailprob, "_split_draw_statistics", counted)
+        monkeypatch.setattr(dispersim.tailprob, "_run_ensembles", counted)
         out = tmp_path / "both"
         assert main(["density", "--config", write_config(tmp_path, "d.json", payload),
                      "--out", str(out)]) == 0

@@ -17,7 +17,12 @@ from dispersim.errors import ConfigurationError, FitError
 from dispersim.grid import Field, GridSpec, forward_transform, l2_norm, monomial_weight
 from dispersim.propagators import FlowKind, symbol
 from dispersim.randomize import draw, gaussian_matrix, randomized_weights
-from dispersim.wiener import bump_value, projection_blocks, unit_lattice
+from dispersim.wiener import (
+    _square_function_from_coeffs,
+    bump_value,
+    projection_blocks,
+    unit_lattice,
+)
 from dispersim import tailprob
 from dispersim.tailprob import (
     BoundParams,
@@ -116,11 +121,6 @@ class TestConfigValidation:
         f, _ = single_mode()
         with pytest.raises(ConfigurationError):
             TailExperimentConfig(FlowKind.parse("wave-half"), f, (0.1,), (0.5,), (ORIGIN,), 100, 1)
-
-    def test_time_limit_diagnostic_not_error(self):
-        f, _ = single_mode()
-        cfg = TailExperimentConfig(KDV, f, (1000.0,), (0.5,), (ORIGIN,), 100, 1)
-        assert cfg.time_limit_warnings()
 
 
 class TestPointwiseDeviation:
@@ -623,11 +623,10 @@ class TestDensityEvent:
 
     def test_joint_event_below_each_marginal(self):
         from dispersim.decompose import schwartz_split
-        from dispersim.tailprob import _split_draw_statistics
 
         f = split_gaussian()
         split = schwartz_split(f, 0.2)
-        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), 21, [range(800)])
+        ((hnorms, ratios),) = draw_statistics(split, tuple(self.PAIRS), 21, [range(800)])
         lam, mthr = np.quantile(hnorms, 0.8), np.quantile(ratios, 0.8)
         joint = np.mean((hnorms <= lam) & (ratios <= mthr))
         assert joint <= np.mean(hnorms <= lam)
@@ -640,14 +639,15 @@ class TestDensityEvent:
         eps = 1.05 * l2_norm(f)
 
         from dispersim.decompose import schwartz_split
-        from dispersim.tailprob import _density_result, _split_draw_statistics
+        from dispersim.tailprob import _density_result
 
         split = schwartz_split(f, eps)
-        lam, _ = tailprob._lambda_threshold(*tailprob._remainder_law(split.h), eps)
-        assert tailprob._seminorms(split, self.PAIRS) == {}
+        setup = tailprob._split_setup(split, self.PAIRS)
+        lam, _ = tailprob._lambda_threshold(*tailprob._remainder_law(setup), eps)
+        assert setup_sigmas(split, self.PAIRS) == {}
         m_threshold, union = tailprob._m_threshold(np.empty(0), eps)
         assert (m_threshold, union) == (0.0, 0.0)
-        ((hnorms, ratios),) = _split_draw_statistics(split, tuple(self.PAIRS), 10, [range(300)])
+        ((hnorms, ratios),) = draw_statistics(split, tuple(self.PAIRS), 10, [range(300)])
         res = _density_result(eps, lam, m_threshold, hnorms, ratios)
         assert np.all(ratios == 0.0)
         assert res.lam == lam > 0 and res.m_threshold == 0.0
@@ -730,6 +730,27 @@ def shifted_draw_statistics(split, pairs, seed, samples):
     return hnorms, ratios
 
 
+def draw_statistics(split, pairs, seed, ensembles):
+    """Per-draw (||h^omega||, max pair ratio) of each of ``ensembles``,
+    ranges of seed's samples, as density_rows draws them: one setup of the
+    split, then the ensembles at once."""
+    setup = tailprob._split_setup(split, pairs)
+    run = functools.partial(tailprob._ensemble_statistics, setup, seed)
+    return tailprob._run_ensembles(run, ensembles)
+
+
+def setup_sigmas(split, pairs) -> dict:
+    """sigma_x = |x^alpha| Sq[d^beta g](x) of each pair, in the draws' FFT x
+    order, from the beta spectra and alpha weights of the split's setup."""
+    spec = split.g.spec
+    _, _, _, _, spectra, terms = tailprob._split_setup(split, pairs)
+    sigmas = {}
+    for pair, (b, weight, _) in zip(dict.fromkeys(pairs), terms):
+        square = _square_function_from_coeffs(spec, spectra[b].reshape(spec.shape))
+        sigmas[pair] = square if weight is None else np.abs(weight.reshape(spec.shape)) * square
+    return sigmas
+
+
 def _gaussian_on(spec, width):
     return Field(spec, np.exp(-spec.coordinate_norm_squared() / (2.0 * width**2)))
 
@@ -767,7 +788,7 @@ class TestSplitDrawStatistics:
         # across a 256-sample block of the stream.
         monkeypatch.setattr(tailprob, "_DRAW_BLOCK", 3)
         ensembles = [range(40), range(250, 267)]
-        got = tailprob._split_draw_statistics(split, pairs, 77, ensembles)
+        got = draw_statistics(split, pairs, 77, ensembles)
         assert len(got) == len(ensembles)
         for (hnorms, ratios), samples in zip(got, ensembles):
             expected = shifted_draw_statistics(split, pairs, 77, samples)
@@ -781,11 +802,11 @@ class TestSplitDrawStatistics:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = tailprob._split_draw_statistics(split, pairs, 3, ensembles)
+            got = draw_statistics(split, pairs, 3, ensembles)
         finally:
             sys.setswitchinterval(interval)
         for (hnorms, ratios), ensemble in zip(got, ensembles):
-            ((alone_h, alone_r),) = tailprob._split_draw_statistics(split, pairs, 3, [ensemble])
+            ((alone_h, alone_r),) = draw_statistics(split, pairs, 3, [ensemble])
             assert np.array_equal(hnorms, alone_h) and np.array_equal(ratios, alone_r)
 
     @pytest.mark.parametrize("failing", [0, 256], ids=["calling-thread", "helper-thread"])
@@ -811,7 +832,7 @@ class TestSplitDrawStatistics:
         monkeypatch.setattr(tailprob, "_RowStream", failing_stream)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"stream {failing} failed"):
-            tailprob._split_draw_statistics(split, pairs, 7, tailprob._block_halves(500))
+            draw_statistics(split, pairs, 7, tailprob._block_halves(500))
         assert threading.active_count() == threads
         # The other ensemble stops at its next block, well before its last:
         # it reads at most 192 of its 256 or 244 draws.
@@ -866,8 +887,8 @@ class TestSplitDrawStatistics:
         assert halves == [range(cut), range(cut, n_samples)]
         split = schwartz_split(split_gaussian(), 0.2)
         pairs = DRAW_CASES["1d"][3]["default"]
-        parts = tailprob._split_draw_statistics(split, pairs, 9, halves)
-        ((hnorms, ratios),) = tailprob._split_draw_statistics(split, pairs, 9, [range(n_samples)])
+        parts = draw_statistics(split, pairs, 9, halves)
+        ((hnorms, ratios),) = draw_statistics(split, pairs, 9, [range(n_samples)])
         assert np.array_equal(np.concatenate([h for h, _ in parts]), hnorms)
         assert np.array_equal(np.concatenate([r for _, r in parts]), ratios)
 
@@ -883,6 +904,33 @@ class TestDensityRows:
         assert [row[:2] for row in together] == [row[:2] for row in alone]
         first, second = (split for _, _, split in together)
         assert (first.sigma, first.radius) == (second.sigma, second.radius)
+
+    def test_one_transform_of_g_and_h_and_one_seminorm_per_pair(self, monkeypatch):
+        # The draws and both laws read one setup of the split: g and h are
+        # transformed once each, each pair's seminorm is taken once (one
+        # more transform where beta != 0), and tr G = E||h^omega||^2 takes
+        # the fourth.
+        f = _gaussian_on(GridSpec(2, 64, 32.0), 2.0)
+        pairs = DRAW_CASES["2d"][3]["default"]
+        transforms, seminorms = [], []
+
+        def counted_transform(field):
+            transforms.append(field)
+            return forward_transform(field)
+
+        def counted_seminorm(g, a, b):
+            seminorms.append((a, b))
+            return decay_seminorm(g, a, b)
+
+        for name, mod in list(sys.modules.items()):
+            bound = vars(mod).get("forward_transform")
+            if name.split(".")[0] == "dispersim" and bound is forward_transform:
+                monkeypatch.setattr(mod, "forward_transform", counted_transform)
+        monkeypatch.setattr(tailprob, "decay_seminorm", counted_seminorm)
+        ((_, _, split),) = density_rows(f, [0.2], pairs, 100, 7)
+        assert np.any(split.g.values)
+        assert seminorms == list(pairs)
+        assert len(transforms) <= 4
 
 
 def remainder_gram(h):
@@ -916,7 +964,7 @@ class TestProvenThresholds:
         split = schwartz_split(_gaussian_on(GridSpec(2, 64, 32.0), 2.0), 0.2)
         gram = remainder_gram(split.h)
         mu = np.linalg.eigvalsh(gram)
-        trace, top = tailprob._remainder_law(split.h)
+        trace, top = tailprob._remainder_law(tailprob._split_setup(split, ()))
         assert trace == pytest.approx(np.trace(gram), rel=1e-12)
         assert top >= mu[-1]
         # ||h^omega||^2 = sum_i mu_i Exp(1), in G's eigenbasis; eigenvalues
@@ -937,7 +985,7 @@ class TestProvenThresholds:
         spec = self.SPEC
         split = schwartz_split(_gaussian_on(spec, 2.0), 0.2)
         assert np.any(split.g.values)
-        sigmas = tailprob._decay_sigmas(split, self.PAIRS)
+        sigmas = setup_sigmas(split, self.PAIRS)
         table = projection_blocks(spec)
         Fg = forward_transform(split.g).coeffs
         inv_scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
@@ -951,10 +999,27 @@ class TestProvenThresholds:
                 total += np.abs(alpha * piece) ** 2
             assert sigma**2 == pytest.approx(total, rel=1e-12, abs=0)
 
+    def test_rates_read_each_pair_in_order(self):
+        # Betas interleave and a pair repeats: one rate block per distinct
+        # pair, in the pairs' order, each (seminorm_g / sigma_x)^2 where
+        # sigma_x > 0.
+        split = schwartz_split(_gaussian_on(self.SPEC, 2.0), 0.2)
+        pairs = (((0, 0), (0, 0)), ((1, 1), (1, 0)), ((2, 0), (0, 0)), ((0, 1), (1, 0)),
+                 ((1, 0), (0, 1)), ((1, 1), (1, 0)))
+        blocks = {
+            pair: (decay_seminorm(split.g, *pair) / s[s > 0]) ** 2
+            for pair, s in setup_sigmas(split, pairs).items()
+        }
+        got = tailprob._decay_rates(tailprob._split_setup(split, pairs))
+        assert np.array_equal(got, np.concatenate(list(blocks.values())))
+        # The pairs taken beta by beta give other rates.
+        by_beta = sorted(blocks, key=lambda pair: [b for _, b in blocks].index(pair[1]))
+        assert not np.array_equal(got, np.concatenate([blocks[p] for p in by_beta]))
+
     def test_union_bound_holds_and_a_halved_sigma_does_not(self):
         split = schwartz_split(_gaussian_on(self.SPEC, 2.0), 0.2)
         eps = 0.2
-        sigmas = tailprob._decay_sigmas(split, self.PAIRS)
+        sigmas = setup_sigmas(split, self.PAIRS)
 
         def rates(scale):
             return np.concatenate([
@@ -968,6 +1033,6 @@ class TestProvenThresholds:
         m_threshold, at_m = tailprob._m_threshold(rates(1.0), eps)
         assert at_m == union(m_threshold) <= eps < union(0.98 * m_threshold)
         m_halved, _ = tailprob._m_threshold(rates(0.5), eps)
-        ((_, ratios),) = tailprob._split_draw_statistics(split, self.PAIRS, 5, [range(2000)])
+        ((_, ratios),) = draw_statistics(split, self.PAIRS, 5, [range(2000)])
         assert within_eps(ratios > m_threshold, eps)
         assert not within_eps(ratios > m_halved, eps)

@@ -1,4 +1,5 @@
-"""Gaussian coefficient draws and the unit-scale randomization map.
+"""Gaussian coefficient draws and the unit-scale randomization map, whose
+mesh weight sum_k g_k psi(xi - k) :mod:`dispersim.wiener` gathers.
 
 Each lattice point receives an independent standard complex Gaussian
 g_k = (X + iY)/sqrt(2) with X, Y independent standard normals, so
@@ -9,9 +10,9 @@ Generation is counter based (Salmon et al., SC'11): samples come in
 blocks of 256, and the Philox stream of block b is keyed by the pair
 (seed, b).  It fills the block's rows in order, sample after sample, each
 row in the fixed canonical (lexicographic) lattice order, so ensemble
-member m is row m mod 256 of block m // 256.  A range of samples that
-starts mid-block draws the block's earlier rows and drops them.  Ensembles
-are therefore reproducible, whatever the chunks their samples are drawn in.
+member m is row m mod 256 of block m // 256.  A range starting mid-block
+draws the block's earlier rows and drops them, so ensembles are
+reproducible whatever the chunks their samples are drawn in.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, GridSpec, _apply_multiplier, forward_transform
-from .wiener import UnitLattice, projection_blocks
+from .grid import Field, GridSpec, _apply_multiplier
+from .wiener import UnitLattice, _gather
 
 _MASK64 = (1 << 64) - 1
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -100,35 +101,12 @@ def draw(seed: int, lattice: UnitLattice, sample_index: int = 0) -> RandomDraw:
     return RandomDraw(lattice, gaussian_matrix(seed, 1, len(lattice), sample_index)[0])
 
 
-def _corner_terms(spec: GridSpec) -> list:
-    """The neighbour table's corners in lattice order, as (index, weight)
-    with each weight repeated for the real and imaginary part, the form
-    :func:`_corner_sum` takes."""
-    table = projection_blocks(spec)
-    return [(index, np.repeat(weight, 2)) for index, weight in zip(table.index.T, table.weight.T)]
-
-
-def _corner_sum(corners, coefficients: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """Row r of ``out``: the frequency-mesh weight sum_k g_k psi(xi - k) of
-    the draw in row r of ``coefficients``, gathered corner by corner in
-    lattice order; ``scratch`` is a work array shaped like ``out``.  The
-    weights scale the interleaved real and imaginary parts, which gives
-    the bits of the complex-by-real product."""
-    parts = scratch.view(np.float64)
-    out[...] = 0
-    for index, weight in corners:
-        np.take(coefficients, index, axis=1, out=scratch, mode="clip")  # indices are in range
-        parts *= weight
-        out += scratch
-    return out
-
-
 def randomized_weights(spec: GridSpec, coefficients: np.ndarray) -> np.ndarray:
     """Frequency-mesh weight sum_k g_k psi(xi - k) for one draw, gathered
-    from the neighbour table corner by corner in lattice order."""
+    from the partition of unity corner by corner in lattice order."""
     weights = np.empty((1, spec.size), dtype=np.complex128)
     coefficients = np.asarray(coefficients, dtype=np.complex128)[None, :]
-    _corner_sum(_corner_terms(spec), coefficients, weights, np.empty_like(weights))
+    _gather(spec, coefficients, weights, np.empty_like(weights))
     return weights.reshape(spec.shape)
 
 
@@ -181,13 +159,3 @@ def khintchine_moments(c, p_values, samples: int, seed: int) -> list:
                 totals[i, lo:hi] += np.sum(vals**p, axis=0)
     moments = ((totals / samples) ** (1.0 / np.array(p_values))[:, None]).T.tolist()
     return moments if np.ndim(c) > 1 else moments[0]
-
-
-def expected_randomized_norm_squared(f: Field) -> float:
-    """Closed-form E ||f^omega||_L2^2 = sum_k ||psi(D-k) f||_L2^2."""
-    spec = f.spec
-    F = forward_transform(f).coeffs.reshape(-1)
-    acc = np.zeros(spec.size)
-    for weight in projection_blocks(spec).weight.T:
-        acc += weight**2
-    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(F) ** 2))

@@ -11,12 +11,13 @@ normal per lattice point.  Every ensemble runs one serial loop over
 chunks of draws (:func:`_draw_chunks`); exceedance counting is integer
 based and sample streams are counter keyed, so results are reproducible
 bit for bit whatever the chunk size.  The nonlinear density event keeps
-the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and runs the
-two halves of its one ensemble, ranges of one seed cut at a 256-sample
-block boundary, at once, the second in a helper thread
-(:func:`_ensemble_statistics`); its thresholds come from proven Gaussian
-tails, with no calibration draw, and the draws and both tails read one
-setup of the split (:func:`_split_setup`, :func:`density_rows`).
+the per-lattice-point draws, in blocks of ``_DRAW_BLOCK``, and draws the
+two halves of its one ensemble, cut at a 256-sample block boundary, at
+once, the second in a helper thread (:func:`_ensemble_statistics`); its
+thresholds come from proven Gaussian tails, and the draws and both tails
+read one setup of the split (:func:`_split_setup`).  The partition of
+unity is read through :mod:`dispersim.wiener`'s scatter (the series a_k,
+the remainder law) and gather (each draw's weight).
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ from .decompose import SchwartzSplit, decay_seminorm, schwartz_split, whole_numb
 from .errors import ConfigurationError, FitError
 from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomial_weight
 from .propagators import FlowKind, symbol
-from .randomize import (
-    _BLOCK,
-    RandomDraw,
-    _corner_sum,
-    _corner_terms,
-    _RowStream,
+from .randomize import _BLOCK, RandomDraw, _RowStream, gaussian_matrix, randomize_field
+from .wiener import (
+    _gather,
+    _gather_table,
+    _square_function_from_coeffs,
     expected_randomized_norm_squared,
-    gaussian_matrix,
-    randomize_field,
+    projection_blocks,
+    scatter,
+    unit_lattice,
 )
-from .wiener import _square_function_from_coeffs, projection_blocks, unit_lattice
 
 _TWO_PI = 2.0 * np.pi
 _E = math.e
@@ -151,61 +151,30 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _point_phase(spec: GridSpec, x_index) -> list[np.ndarray]:
-    """Per-axis arrays exp(i x_j xi_j) for the grid point at x_index."""
-    coords = spec.axis_coordinates()
-    freqs = spec.axis_frequencies()
-    return [np.exp(1j * coords[i] * freqs) for i in x_index]
-
-
-def _windowed_series(spec: GridSpec, weighted: np.ndarray) -> np.ndarray:
-    """Per-lattice-point sums a_k = scale * sum_xi psi(xi - k) weighted(xi)
-    of a mesh array, or of each in a stack of them (leading axes), from
-    the neighbour table: per corner, one bincount over the nonzero-weight
-    entries' interleaved real and imaginary parts, binned by
-    2 (index + row * n) + part.  Each bin adds the same nonzero terms in
-    the same order as a sum over every entry, so the result is the same
-    bit for bit."""
-    table = projection_blocks(spec)
-    n = len(unit_lattice(spec))
-    stack = weighted.reshape(-1, spec.size)
-    offsets = 2 * n * np.arange(len(stack))[:, None]
-    out = np.zeros(2 * len(stack) * n)
-    for index, weight in zip(table.index.T, table.weight.T):
-        used = np.nonzero(weight != 0)[0]
-        terms = stack.take(used, axis=1)
-        terms *= weight[used]
-        bins = 2 * index[used] + offsets
-        parts = np.stack((bins, bins + 1), axis=-1).reshape(-1)
-        out += np.bincount(parts, terms.view(np.float64).reshape(-1), out.size)
-    scale = spec.frequency_cell_volume * _TWO_PI ** (-spec.dim / 2.0)
-    return scale * out.view(np.complex128).reshape(
-        weighted.shape[: weighted.ndim - spec.dim] + (n,)
-    )
-
-
-def _mesh_from_axes(axes_arrays) -> np.ndarray:
-    out = axes_arrays[0]
-    for arr in axes_arrays[1:]:
+def _point_phase(spec: GridSpec, x_index) -> np.ndarray:
+    """exp(i x.xi) on the frequency mesh for the grid point at x_index,
+    multiplied out from the per-axis factors exp(i x_j xi_j)."""
+    coords, freqs = spec.axis_coordinates(), spec.axis_frequencies()
+    out, *rest = [np.exp(1j * coords[i] * freqs) for i in x_index]
+    for arr in rest:
         out = out[..., None] * arr
     return out
 
 
 def _deviation_stack(flow: FlowKind, f: Field, times, points) -> np.ndarray:
-    """Series coefficients of every cell (t, x), t major, as an
-    (n_cells, n_lattice) stack: one transform of f, one symbol per time,
-    then one cell at a time its point's phase and one windowed sum of
-    that cell's mesh array, so no more than one cell's mesh array is
-    held at once."""
+    """Series coefficients a_k = scale * sum_xi psi(xi - k) weighted(xi) of
+    every cell (t, x), t major, as an (n_cells, n_lattice) stack: one
+    transform of f, one symbol per time, then one cell at a time its
+    point's phase and one :func:`~dispersim.wiener.scatter` of that cell's
+    mesh array, so no more than one cell's mesh array is held at once."""
     spec = f.spec
     F = forward_transform(f).coeffs
     rows = []
     for t in times:
         shifted = symbol(flow, spec, t) - 1.0
         for x in points:
-            weighted = _mesh_from_axes(_point_phase(spec, x)) * shifted * F
-            rows.append(_windowed_series(spec, weighted))
-    return np.stack(rows)
+            rows.append(scatter(spec, _point_phase(spec, x) * shifted * F))
+    return spec.frequency_cell_volume * _TWO_PI ** (-spec.dim / 2.0) * np.stack(rows)
 
 
 def deviation_coefficients(
@@ -491,7 +460,7 @@ def _real_front(a: np.ndarray) -> np.ndarray:
 
 
 def _split_setup(split: SchwartzSplit, pairs) -> tuple:
-    """(split, corners, lattice size, h^, spectra, terms): what the draws
+    """(split, lattice size, h^, spectra, terms): what the draws
     and both tails of a split read, built once in the calling thread.
     ``spectra`` maps each distinct beta to (i xi)^beta g^, from one
     transform of g; ``terms`` holds (beta, x^alpha ifftshifted into the
@@ -515,7 +484,8 @@ def _split_setup(split: SchwartzSplit, pairs) -> tuple:
             shifted = np.fft.ifftshift(monomial_weight(coords, a)).reshape(-1)
             terms.append((b, shifted if any(a) else None, val))
     Fh = forward_transform(split.h).coeffs.reshape(-1)
-    return split, _corner_terms(spec), len(unit_lattice(spec)), Fh, spectra, terms
+    _gather_table(spec)  # built here, so the draws only read the cache
+    return split, len(unit_lattice(spec)), Fh, spectra, terms
 
 
 def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event):
@@ -531,7 +501,7 @@ def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event
     ``_DRAW_BLOCK`` through three complex block arrays; the magnitudes
     reuse the memory of whichever one is spent.  Only private helpers and
     numpy run here, so no traced public call runs off the calling thread."""
-    split, corners, n_lattice, Fh, spectra, terms = setup
+    split, n_lattice, Fh, spectra, terms = setup
     spec = split.g.spec
     shape, axes = spec.shape, tuple(range(1, spec.dim + 1))
     dxi_vol, inv_scale = spec.frequency_cell_volume, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
@@ -549,7 +519,7 @@ def _ensemble_statistics(setup, seed: int, samples: range, stop: threading.Event
         b = len(coeffs)
         W, mesh = weights[:b], (b, *shape)
         drawn = slice(start, start + b)
-        _corner_sum(corners, coeffs, W, work[:b])
+        _gather(spec, coeffs, W, work[:b])
         sq = np.abs(np.multiply(W, Fh, out=work[:b]), out=spare_re[:b])
         hnorms[drawn] = np.sqrt(dxi_vol * np.sum(np.square(sq, out=sq), axis=1))
         worst = ratios[drawn]
@@ -606,16 +576,12 @@ def _block_halves(n_samples: int) -> list[range]:
 def _remainder_law(setup) -> tuple[float, float]:
     """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi sum_xi psi(xi - k)
     psi(xi - k') |h^(xi)|^2, for the split of ``setup``: T = tr G, and R =
-    G's largest row sum, which bounds ||G|| as G >= 0 entrywise, by one
-    bincount per corner of psi(xi - k) |h^(xi)|^2 S(xi), S(xi) the sum of
-    xi's corner weights."""
-    split, _, n_lattice, Fh, _, _ = setup
+    G's largest row sum, which bounds ||G|| as G >= 0 entrywise: the scatter
+    of |h^(xi)|^2 S(xi), S(xi) numpy's row sum of xi's corner weights (in
+    3D a corner-by-corner sum, and R with it, has other bits)."""
+    split, _, Fh, _, _ = setup
     spec = split.h.spec
-    table = projection_blocks(spec)
-    power = np.abs(Fh) ** 2 * table.weight.sum(axis=1)
-    rows = np.zeros(n_lattice)
-    for index, weight in zip(table.index.T, table.weight.T):
-        rows += np.bincount(index, weight * power, minlength=rows.size)
+    rows = scatter(spec, np.abs(Fh) ** 2 * projection_blocks(spec).weight.sum(axis=1))
     top = spec.frequency_cell_volume * float(rows.max())
     return expected_randomized_norm_squared(split.h), top
 
@@ -636,7 +602,7 @@ def _decay_rates(setup) -> np.ndarray:
     ``setup``, pair by pair in order, over the mesh points where sigma_x > 0:
     x^alpha d^beta g^omega(x) is CN(0, sigma_x^2), sigma_x = |x^alpha|
     Sq[d^beta g](x), with one square function per distinct beta."""
-    split, _, _, _, spectra, terms = setup
+    split, _, _, spectra, terms = setup
     squares = {b: _square_function_from_coeffs(split.g.spec, s) for b, s in spectra.items()}
     rates = [np.empty(0)]
     for b, alpha_weight, val in terms:

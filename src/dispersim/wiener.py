@@ -28,13 +28,10 @@ whole batch's block, binned by a cached table of (p - q) mod N.  One
 inverse FFT on the mesh then evaluates the sum.  Only the window positions
 some piece uses enter M.
 
-The invariant suite checks the square-function bound once per grid, over
-all of that grid's flows: each field is drawn and transformed once, each
-(flow, t != 0) symbol built once, and each spectrum folded once; every flow
-at t = 0, whose symbol is exactly 1, reuses the untouched spectrum's square
-function.  The pass fills one workspace of Gram buffers for every group of
-spectra and drops it on return, instead of faulting in fresh ~1 MB buffers
-on every call.
+Every sum between the frequency mesh and the lattice reads the neighbour
+table here: :func:`scatter` takes a mesh array to its sums
+sum_xi psi(xi - k) values(xi) at the lattice points k, and :func:`_gather`
+takes coefficients g_k to the mesh weight sum_k g_k psi(xi - k).
 """
 
 from __future__ import annotations
@@ -308,6 +305,62 @@ def reconstruct(f: Field) -> Field:
     return inverse_transform(Spectrum(spec, acc.reshape(spec.shape)))
 
 
+def expected_randomized_norm_squared(f: Field) -> float:
+    """Closed-form E ||f^omega||_L2^2 = sum_k ||psi(D-k) f||_L2^2."""
+    spec = f.spec
+    F = forward_transform(f).coeffs.reshape(-1)
+    acc = np.zeros(spec.size)
+    for weight in projection_blocks(spec).weight.T:
+        acc += weight**2
+    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(F) ** 2))
+
+
+def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """sum_xi psi(xi - k) values(xi) at each lattice point k, for a real or
+    complex mesh array or each of a stack of them (leading axes): per
+    corner in lattice order, one bincount of every entry's real parts and
+    one of its imaginary parts, zero weights at lattice index 0 included."""
+    table = projection_blocks(spec)
+    n = len(unit_lattice(spec))
+    stack = values.reshape(-1, spec.size)
+    offsets = n * np.arange(len(stack))[:, None]
+    out = np.zeros(len(stack) * n, dtype=stack.dtype)
+    parts = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+    for index, weight in zip(table.index.T, table.weight.T):
+        terms = (weight * stack).reshape(-1)
+        bins = (index + offsets).reshape(-1)
+        for part, term in zip(parts, (terms.real, terms.imag)):
+            part += np.bincount(bins, term, out.size)
+    return out.reshape(values.shape[: values.ndim - spec.dim] + (n,))
+
+
+@lru_cache(maxsize=8)
+def _gather_table(spec: GridSpec) -> tuple:
+    """Each corner's lattice indices, and its weights repeated for the
+    interleaved real and imaginary parts: the (2^dim, 2 N^dim) factors
+    :func:`_gather` scales by."""
+    table = projection_blocks(spec)
+    weights = np.repeat(table.weight.T, 2, axis=1)
+    weights.flags.writeable = False
+    return table.index.T, weights
+
+
+def _gather(spec: GridSpec, coefficients: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """Row r of ``out``: the mesh weight sum_k g_k psi(xi - k) of the draw in
+    row r of ``coefficients``, gathered corner by corner in lattice order;
+    ``scratch`` is a work array shaped like ``out``.  Scaling the
+    interleaved parts gives the bits of the complex-by-real product.
+    Private, and reads only its cache once built: density draws call it
+    in their helper thread."""
+    parts = scratch.view(np.float64)
+    out[...] = 0
+    for index, weight in zip(*_gather_table(spec)):
+        np.take(coefficients, index, axis=1, out=scratch, mode="clip")  # indices are in range
+        parts *= weight
+        out += scratch
+    return out
+
+
 @lru_cache(maxsize=8)
 def _piece_entries(spec: GridSpec):
     """The neighbour table's nonzero entries, each labelled with its piece.
@@ -519,10 +572,11 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     fields.
 
     Each field is drawn and transformed once and each (flow, t != 0)
-    symbol built once.  Each spectrum of a field goes through the square function
-    once, :func:`_gram_group` spectra at a time, and its peak enters every
-    flow that produces it: every flow at t = 0, whose symbol is exactly 1,
-    shares the untouched spectrum's."""
+    symbol built once.  Each spectrum of a field goes through the square
+    function once, :func:`_gram_group` spectra at a time in one workspace
+    of Gram buffers, not fresh ~1 MB ones per call, and its peak enters
+    every flow that produces it: every flow at t = 0, whose symbol is
+    exactly 1, shares the untouched spectrum's."""
     rng = np.random.default_rng(seed)
     # Each spectrum by its symbol (None: untouched), with the flows whose
     # excess its peak enters.

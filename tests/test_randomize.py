@@ -7,13 +7,12 @@ from dispersim.randomize import (
     RandomDraw,
     _RowStream,
     draw,
-    expected_randomized_norm_squared,
     gaussian_matrix,
     khintchine_moments,
     randomize_field,
     randomized_weights,
 )
-from dispersim.wiener import unit_lattice
+from dispersim.wiener import expected_randomized_norm_squared, unit_lattice
 from test_wiener import TABLE_SPECS, reference_randomized_weights
 
 

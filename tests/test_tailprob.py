@@ -21,6 +21,7 @@ from dispersim.wiener import (
     _square_function_from_coeffs,
     bump_value,
     projection_blocks,
+    scatter,
     unit_lattice,
 )
 from dispersim import tailprob
@@ -239,8 +240,9 @@ class TestEstimateTail:
 
 
 def full_table_series(spec, weighted):
-    """_windowed_series summing every neighbour-table entry, zero weights
-    included, with separate real and imaginary bincounts per corner."""
+    """sum_xi psi(xi - k) weighted(xi) summing every neighbour-table entry,
+    zero weights included, with separate real and imaginary bincounts per
+    corner."""
     table = projection_blocks(spec)
     n = len(unit_lattice(spec))
     stack = weighted.reshape(-1, spec.size)
@@ -252,19 +254,17 @@ def full_table_series(spec, weighted):
         out += np.bincount(bins, terms.real, out.size) + 1j * np.bincount(
             bins, terms.imag, out.size
         )
-    scale = spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
-    return scale * out.reshape(weighted.shape[: weighted.ndim - spec.dim] + (n,))
+    return out.reshape(weighted.shape[: weighted.ndim - spec.dim] + (n,))
 
 
 def stacked_deviation_rows(flow, f, times, points):
-    """Every cell's series, one windowed sum per time over the stacked
-    phases of all points."""
+    """Every cell's series, one full-table sum per time over the stacked
+    phases of all points, then the series' scale."""
     spec = f.spec
     F = forward_transform(f).coeffs
-    phases = np.stack(
-        [tailprob._mesh_from_axes(tailprob._point_phase(spec, x)) for x in points]
-    )
-    return np.concatenate(
+    phases = np.stack([tailprob._point_phase(spec, x) for x in points])
+    scale = spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
+    return scale * np.concatenate(
         [full_table_series(spec, phases * (symbol(flow, spec, t) - 1.0) * F) for t in times]
     )
 
@@ -297,9 +297,13 @@ def test_windowed_series_equals_full_table_sum(spec, lead):
     weighted = rng.standard_normal(lead + spec.shape) + 1j * rng.standard_normal(
         lead + spec.shape
     )
-    got = tailprob._windowed_series(spec, weighted)
+    got = scatter(spec, weighted)
     assert got.shape == lead + (len(unit_lattice(spec)),)
     assert np.array_equal(got, full_table_series(spec, weighted))
+    # Real input, as the remainder law's |h^|^2 S: a real sum, the same bits.
+    real = scatter(spec, weighted.real)
+    assert real.dtype == np.float64 and real.shape == got.shape
+    assert np.array_equal(real, full_table_series(spec, weighted.real).real)
 
 
 def test_deviation_stack_equals_stacked_route_on_tails_3d():
@@ -743,7 +747,7 @@ def setup_sigmas(split, pairs) -> dict:
     """sigma_x = |x^alpha| Sq[d^beta g](x) of each pair, in the draws' FFT x
     order, from the beta spectra and alpha weights of the split's setup."""
     spec = split.g.spec
-    _, _, _, _, spectra, terms = tailprob._split_setup(split, pairs)
+    *_, spectra, terms = tailprob._split_setup(split, pairs)
     sigmas = {}
     for pair, (b, weight, _) in zip(dict.fromkeys(pairs), terms):
         square = _square_function_from_coeffs(spec, spectra[b].reshape(spec.shape))

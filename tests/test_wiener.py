@@ -19,7 +19,6 @@ from dispersim.grid import (
 from dispersim import wiener
 from dispersim.propagators import FlowKind, _random_field, symbol
 from dispersim.randomize import RandomDraw, randomize_field
-from dispersim.tailprob import _windowed_series
 from dispersim.wiener import (
     _piece_entries,
     _square_function_from_coeffs,
@@ -28,6 +27,7 @@ from dispersim.wiener import (
     partition_deviation,
     projection_blocks,
     reconstruct,
+    scatter,
     smooth_step,
     square_bound_excess,
     square_function,
@@ -493,8 +493,7 @@ class TestNeighbourTable:
         expected = np.zeros(len(unit_lattice(spec)), dtype=np.complex128)
         for idx, windows, block in reference_blocks(spec):
             expected[idx] = np.sum(block * weighted[windows])
-        expected *= spec.frequency_cell_volume * (2.0 * np.pi) ** (-spec.dim / 2.0)
-        got = _windowed_series(spec, weighted)
+        got = scatter(spec, weighted)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_windowed_series_of_a_stack_matches_each_row(self, spec):
@@ -502,10 +501,10 @@ class TestNeighbourTable:
         stack = np.stack(
             [forward_transform(random_field(spec, rng)).coeffs for _ in range(3)]
         )
-        got = _windowed_series(spec, stack)
+        got = scatter(spec, stack)
         assert got.shape == (3, len(unit_lattice(spec)))
         for row, weighted in zip(got, stack):
-            assert np.array_equal(row, _windowed_series(spec, weighted))
+            assert np.array_equal(row, scatter(spec, weighted))
 
 
 BUILD_SPECS = [

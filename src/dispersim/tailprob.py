@@ -463,7 +463,7 @@ def _split_setup(split: SchwartzSplit, pairs) -> tuple:
     """(split, lattice size, h^, spectra, terms): what the draws
     and both tails of a split read, built once in the calling thread.
     ``spectra`` maps each distinct beta to (i xi)^beta g^, from one
-    transform of g; ``terms`` holds (beta, x^alpha ifftshifted into the
+    transform of g; ``terms`` holds (beta, |x^alpha| ifftshifted into the
     draws' FFT x order or None where it is 1, decay_seminorm(g)) of each
     pair, in order.  Both are empty when g = 0, whose randomized pieces
     vanish too, so its decay event holds with no pair to check; a
@@ -481,7 +481,7 @@ def _split_setup(split: SchwartzSplit, pairs) -> tuple:
                 )
             if b not in spectra:
                 spectra[b] = (monomial_weight(freqs, b, imaginary=True) * Fg).reshape(-1)
-            shifted = np.fft.ifftshift(monomial_weight(coords, a)).reshape(-1)
+            shifted = np.abs(np.fft.ifftshift(monomial_weight(coords, a))).reshape(-1)
             terms.append((b, shifted if any(a) else None, val))
     Fh = forward_transform(split.h).coeffs.reshape(-1)
     _gather_table(spec)  # built here, so the draws only read the cache
@@ -606,7 +606,7 @@ def _decay_rates(setup) -> np.ndarray:
     squares = {b: _square_function_from_coeffs(split.g.spec, s) for b, s in spectra.items()}
     rates = [np.empty(0)]
     for b, alpha_weight, val in terms:
-        sigma = squares[b] if alpha_weight is None else np.abs(alpha_weight) * squares[b]
+        sigma = squares[b] if alpha_weight is None else alpha_weight * squares[b]
         rates.append((val / sigma[sigma > 0]) ** 2)
     return np.concatenate(rates)
 

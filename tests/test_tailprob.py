@@ -16,7 +16,13 @@ from dispersim.decompose import decay_seminorm, schwartz_split
 from dispersim.errors import ConfigurationError, FitError
 from dispersim.grid import Field, GridSpec, forward_transform, l2_norm, monomial_weight
 from dispersim.propagators import FlowKind, symbol
-from dispersim.randomize import draw, gaussian_matrix, randomized_weights
+from dispersim.randomize import (
+    RandomDraw,
+    draw,
+    gaussian_matrix,
+    randomize_field,
+    randomized_weights,
+)
 from dispersim.wiener import (
     _square_function_from_coeffs,
     bump_value,
@@ -708,7 +714,7 @@ def shifted_draw_statistics(split, pairs, seed, samples):
     freqs = spec.frequency_grids()
     beta_weights = {b: monomial_weight(freqs, b, imaginary=True) * Fg for b in betas}
     coords = spec.coordinate_grids()
-    alpha_weights = {a: monomial_weight(coords, a) for a, _ in pairs}
+    alpha_weights = {a: np.abs(monomial_weight(coords, a)) for a, _ in pairs}
     base = {pair: decay_seminorm(split.g, pair[0], pair[1]) for pair in pairs}
     degenerate = not np.any(split.g.values != 0)
     inv_scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
@@ -798,6 +804,18 @@ class TestSplitDrawStatistics:
             expected = shifted_draw_statistics(split, pairs, 77, samples)
             assert np.array_equal(hnorms, expected[0])
             assert np.array_equal(ratios, expected[1])
+
+    def test_ratio_is_the_seminorm_ratio_of_the_randomized_smooth_part(self):
+        # The default 2D pair has odd alpha: x^alpha < 0 on half the mesh,
+        # where |x^alpha d^beta g^omega| counts as much as anywhere else.
+        split = schwartz_split(_gaussian_on(GridSpec(2, 32, 16.0), 2.0), 0.2)
+        pair = ((1, 1), (1, 1))
+        ((_, ratios),) = draw_statistics(split, (pair,), 5, [range(30)])
+        lattice = unit_lattice(split.g.spec)
+        base = decay_seminorm(split.g, *pair)
+        for ratio, coeffs in zip(ratios, gaussian_matrix(5, 30, len(lattice))):
+            g_omega = randomize_field(split.g, RandomDraw(lattice, coeffs))
+            assert ratio == pytest.approx(decay_seminorm(g_omega, *pair) / base, rel=1e-9)
 
     def test_ensembles_keep_their_places_under_fast_thread_switching(self):
         split = schwartz_split(split_gaussian(), 0.2)

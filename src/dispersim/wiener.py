@@ -319,18 +319,19 @@ def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """sum_xi psi(xi - k) values(xi) at each lattice point k, for a real or
     complex mesh array or each of a stack of them (leading axes): per
     corner in lattice order, one bincount of every entry's real parts and
-    one of its imaginary parts, zero weights at lattice index 0 included."""
+    one of its imaginary parts, zero weights at lattice index 0 included.
+    Each part is weighted on its own: the product's other term is 0, so
+    the sums have the bits of the complex-by-real product's."""
     table = projection_blocks(spec)
     n = len(unit_lattice(spec))
     stack = values.reshape(-1, spec.size)
     offsets = n * np.arange(len(stack))[:, None]
     out = np.zeros(len(stack) * n, dtype=stack.dtype)
-    parts = (out.real, out.imag) if np.iscomplexobj(out) else (out,)
+    parts = [(out.real, stack.real)] + [(out.imag, stack.imag)] * np.iscomplexobj(out)
     for index, weight in zip(table.index.T, table.weight.T):
-        terms = (weight * stack).reshape(-1)
         bins = (index + offsets).reshape(-1)
-        for part, term in zip(parts, (terms.real, terms.imag)):
-            part += np.bincount(bins, term, out.size)
+        for part, source in parts:
+            part += np.bincount(bins, (weight * source).reshape(-1), out.size)
     return out.reshape(values.shape[: values.ndim - spec.dim] + (n,))
 
 
@@ -350,8 +351,8 @@ def _gather(spec: GridSpec, coefficients: np.ndarray, out: np.ndarray, scratch: 
     row r of ``coefficients``, gathered corner by corner in lattice order;
     ``scratch`` is a work array shaped like ``out``.  Scaling the
     interleaved parts gives the bits of the complex-by-real product.
-    Private, and reads only its cache once built: density draws call it
-    in their helper thread."""
+    Private and, once the grid's cache is built, calling no public
+    function, as the density draws run it in their helper thread."""
     parts = scratch.view(np.float64)
     out[...] = 0
     for index, weight in zip(*_gather_table(spec)):

@@ -162,11 +162,12 @@ def _point_phase(spec: GridSpec, x_index) -> np.ndarray:
 
 
 def _deviation_stack(flow: FlowKind, f: Field, times, points) -> np.ndarray:
-    """Series coefficients a_k = scale * sum_xi psi(xi - k) weighted(xi) of
-    every cell (t, x), t major, as an (n_cells, n_lattice) stack: one
-    transform of f, one symbol per time, then one cell at a time its
-    point's phase and one :func:`~dispersim.wiener.scatter` of that cell's
-    mesh array, so no more than one cell's mesh array is held at once."""
+    """Series coefficients a_k = scale * sum_xi psi(xi - k) exp(i x.xi)
+    (symbol_t(xi) - 1) f^(xi) of every cell (t, x), t major, as an
+    (n_cells, n_lattice) stack: one transform of f, one symbol per time,
+    then one cell at a time its point's phase and one
+    :func:`~dispersim.wiener.scatter` of that cell's mesh array, so no
+    more than one cell's mesh array is held at once."""
     spec = f.spec
     F = forward_transform(f).coeffs
     rows = []
@@ -484,7 +485,7 @@ def _split_setup(split: SchwartzSplit, pairs) -> tuple:
             shifted = np.abs(np.fft.ifftshift(monomial_weight(coords, a))).reshape(-1)
             terms.append((b, shifted if any(a) else None, val))
     Fh = forward_transform(split.h).coeffs.reshape(-1)
-    _gather_table(spec)  # built here, so the draws only read the cache
+    _gather_table(spec)  # built here: the draws' helper thread calls no public function
     return split, len(unit_lattice(spec)), Fh, spectra, terms
 
 

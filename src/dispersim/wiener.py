@@ -318,10 +318,9 @@ def expected_randomized_norm_squared(f: Field) -> float:
 def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """sum_xi psi(xi - k) values(xi) at each lattice point k, for a real or
     complex mesh array or each of a stack of them (leading axes): per
-    corner in lattice order, one bincount of every entry's real parts and
-    one of its imaginary parts, zero weights at lattice index 0 included.
-    Each part is weighted on its own: the product's other term is 0, so
-    the sums have the bits of the complex-by-real product's."""
+    corner in lattice order, one bincount of every entry's weighted real
+    parts and one of its imaginary parts (zero weights, at lattice index 0,
+    included), with the bits of the complex-by-real product's sums."""
     table = projection_blocks(spec)
     n = len(unit_lattice(spec))
     stack = values.reshape(-1, spec.size)

@@ -12,6 +12,11 @@ class CheckResult:
     observed: float
     limit: float
 
+    @classmethod
+    def below(cls, name: str, observed: float, limit: float) -> "CheckResult":
+        """The check that ``observed`` lies strictly below ``limit``."""
+        return cls(name, observed < limit, observed, limit)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (

@@ -45,7 +45,13 @@ from .propagators import invariant_report as propagator_checks
 from .randomize import khintchine_moments
 from .wiener import invariant_report as wiener_checks
 from .wiener import unit_lattice
-from . import tailprob
+
+
+def __getattr__(name):  # the runners that use tailprob import it; check-* runs never do
+    if name != "tailprob":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tailprob
+    return tailprob
 
 
 def _fail(message: str) -> int:
@@ -280,6 +286,7 @@ def parse_flows(config, spec: GridSpec | None = None) -> list[FlowKind]:
 def observation_points(config, spec: GridSpec, seed: int):
     """Configured points, or the origin plus 4 seeded random grid points."""
     if "observation_points" in config:
+        from . import tailprob
         return tailprob.grid_points(spec, _entries(config, "observation_points"))
     rng = np.random.default_rng(seed)
     pts = [spec.origin_index()]
@@ -456,6 +463,7 @@ def run_khintchine(config, seed, out_dir) -> int:
 
 
 def run_tails(config, seed, out_dir) -> int:
+    from . import tailprob
     with _config_values("tails"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
@@ -518,6 +526,7 @@ def run_tails(config, seed, out_dir) -> int:
 
 
 def run_convergence(config, seed, out_dir) -> int:
+    from . import tailprob
     with _config_values("convergence"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)
@@ -571,6 +580,7 @@ def run_convergence(config, seed, out_dir) -> int:
 
 
 def run_density(config, seed, out_dir) -> int:
+    from . import tailprob
     with _config_values("density"):
         spec = parse_grid(config["grid"])
         data = parse_data(config["data"], spec)

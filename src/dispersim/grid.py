@@ -164,27 +164,32 @@ def _checkerboard(spec: GridSpec) -> np.ndarray:
     return signs
 
 
-def forward_transform(f: Field) -> Spectrum:
-    """Quadrature-weighted discrete Fourier transform approximating
-    (2*pi)^(-dim/2) * integral of exp(-i x.xi) f(x) dx.
-    """
-    spec = f.spec
+def _transform(spec: GridSpec, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The pair on the trailing ``spec.dim`` axes of a stack of fields (or,
+    ``inverse``, spectra), in place in one product array: the FFT of a
+    stack rounds like one call per member, so each gets a lone call's bits."""
     # The index shifts by N/2 around the FFT equal multiplying its input and
     # output by the checkerboard c, times the global sign (-1)^(dim N/2).
     # N is a power of two >= 16, so N/2 is even and that sign is +1.
+    fft, scale = np.fft.fftn, spec.cell_volume * _TWO_PI ** (-spec.dim / 2.0)
+    if inverse:
+        fft, scale = np.fft.ifftn, _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     c = _checkerboard(spec)
-    raw = np.fft.fftn(c * f.values)
-    raw *= spec.cell_volume * _TWO_PI ** (-spec.dim / 2.0) * c
-    return Spectrum(spec, raw)
+    raw = c * values
+    fft(raw, axes=tuple(range(-spec.dim, 0)), out=raw)
+    raw *= scale * c
+    return raw
+
+
+def forward_transform(f: Field) -> Spectrum:
+    """Quadrature-weighted discrete Fourier transform approximating
+    (2*pi)^(-dim/2) * integral of exp(-i x.xi) f(x) dx, by :func:`_transform`."""
+    return Spectrum(f.spec, _transform(f.spec, f.values))
 
 
 def inverse_transform(F: Spectrum) -> Field:
-    """Exact inverse of :func:`forward_transform`."""
-    spec = F.spec
-    c = _checkerboard(spec)
-    raw = np.fft.ifftn(c * F.coeffs)
-    raw *= _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume * c
-    return Field(spec, raw)
+    """Exact inverse of :func:`forward_transform`, by :func:`_transform`."""
+    return Field(F.spec, _transform(F.spec, F.coeffs, inverse=True))
 
 
 def _apply_multiplier(f: Field, multiplier) -> Field:
@@ -193,9 +198,14 @@ def _apply_multiplier(f: Field, multiplier) -> Field:
     return inverse_transform(Spectrum(f.spec, multiplier * forward_transform(f).coeffs))
 
 
+def _l2_norms(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Quadrature-weighted discrete L2 norm of each field of a stack."""
+    return np.sqrt(spec.cell_volume * np.sum(np.abs(values.reshape(-1, spec.size)) ** 2, axis=1))
+
+
 def l2_norm(f: Field) -> float:
     """Quadrature-weighted discrete L2 norm of a field."""
-    return float(np.sqrt(f.spec.cell_volume * np.sum(np.abs(f.values) ** 2)))
+    return float(_l2_norms(f.spec, f.values)[0])
 
 
 _MAGIC = b"DGF1"

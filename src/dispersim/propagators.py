@@ -118,9 +118,12 @@ def evolve(f: Field, kind: FlowKind, t: float) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _random_field(spec: GridSpec, rng) -> Field:
-    vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, vals)
+def _random_fields(spec: GridSpec, rng, n: int) -> np.ndarray:
+    """n complex Gaussian fields as one stack, in the stream order of n
+    single draws: each field's real part, then its imaginary part."""
+    parts = rng.standard_normal((n, 2) + spec.shape)
+    fields = np.multiply(1j, parts[:, 1])
+    return np.add(parts[:, 0], fields, out=fields)
 
 
 def invariant_report(specs_by_dim, seed: int = 20240902):
@@ -142,26 +145,22 @@ def invariant_report(specs_by_dim, seed: int = 20240902):
 
     times = (0.1, 1.0, -0.35)
     for kind, spec in flows:
-        f = _random_field(spec, rng)
+        f = Field(spec, _random_fields(spec, rng, 1)[0])
         base = l2_norm(f)
         worst_unit = max(
             abs(l2_norm(evolve(f, kind, t)) - base) / base for t in times
         )
-        results.append(
-            CheckResult(f"unitarity ({kind.label()})", worst_unit < 1e-10, worst_unit, 1e-10)
-        )
+        results.append(CheckResult.below(f"unitarity ({kind.label()})", worst_unit, 1e-10))
         s, t = 0.3, 0.45
         two_step = evolve(evolve(f, kind, s), kind, t)
         one_step = evolve(f, kind, s + t)
         dev = l2_norm(Field(spec, two_step.values - one_step.values)) / base
-        results.append(
-            CheckResult(f"group law ({kind.label()})", dev < 1e-10, dev, 1e-10)
-        )
+        results.append(CheckResult.below(f"group law ({kind.label()})", dev, 1e-10))
 
     if 2 in specs_by_dim:
         spec = specs_by_dim[2]
         kind = FlowKind.parse("wave-half")
-        f = _random_field(spec, rng)
+        f = Field(spec, _random_fields(spec, rng, 1)[0])
         base = l2_norm(f)
         worst = max(l2_norm(evolve(f, kind, t)) / base for t in times)
         limit = 1.0 + 1e-12
@@ -172,12 +171,10 @@ def invariant_report(specs_by_dim, seed: int = 20240902):
     for kind, spec in flows + (
         [(FlowKind.parse("wave-half"), specs_by_dim[2])] if 2 in specs_by_dim else []
     ):
-        f = _random_field(spec, rng)
+        f = Field(spec, _random_fields(spec, rng, 1)[0])
         ident = evolve(f, kind, 0.0)
         dev = float(np.max(np.abs(ident.values - f.values)))
-        results.append(
-            CheckResult(f"identity at t=0 ({kind.label()})", dev < 1e-12, dev, 1e-12)
-        )
+        results.append(CheckResult.below(f"identity at t=0 ({kind.label()})", dev, 1e-12))
 
     # Small-time deviations |symbol(t) - 1| of the flows' own symbols stay
     # below their envelopes t |xi|^3 (kdv), t |xi| (wave-half) and t |xi|^2.

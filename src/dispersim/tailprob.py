@@ -35,10 +35,10 @@ from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomia
 from .propagators import FlowKind, symbol
 from .randomize import _BLOCK, RandomDraw, _RowStream, gaussian_matrix, randomize_field
 from .wiener import (
+    _expected_norm_squared,
     _gather,
     _gather_table,
     _square_function_from_coeffs,
-    expected_randomized_norm_squared,
     projection_blocks,
     scatter,
     unit_lattice,
@@ -576,7 +576,7 @@ def _block_halves(n_samples: int) -> list[range]:
 
 def _remainder_law(setup) -> tuple[float, float]:
     """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi sum_xi psi(xi - k)
-    psi(xi - k') |h^(xi)|^2, for the split of ``setup``: T = tr G, and R =
+    psi(xi - k') |h^(xi)|^2, from the h^ of ``setup``: T = tr G, and R =
     G's largest row sum, which bounds ||G|| as G >= 0 entrywise: the scatter
     of |h^(xi)|^2 S(xi), S(xi) numpy's row sum of xi's corner weights (in
     3D a corner-by-corner sum, and R with it, has other bits)."""
@@ -584,7 +584,7 @@ def _remainder_law(setup) -> tuple[float, float]:
     spec = split.h.spec
     rows = scatter(spec, np.abs(Fh) ** 2 * projection_blocks(spec).weight.sum(axis=1))
     top = spec.frequency_cell_volume * float(rows.max())
-    return expected_randomized_norm_squared(split.h), top
+    return _expected_norm_squared(spec, Fh), top
 
 
 def _lambda_threshold(trace: float, top: float, eps: float) -> tuple[float, float]:

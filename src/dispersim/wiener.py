@@ -49,10 +49,9 @@ from .errors import ConfigurationError
 from .grid import (
     Field,
     GridSpec,
-    Spectrum,
+    _l2_norms,
+    _transform,
     forward_transform,
-    inverse_transform,
-    l2_norm,
     monomial_weight,
 )
 
@@ -294,25 +293,32 @@ def projection_blocks(spec: GridSpec) -> NeighbourTable:
     return table
 
 
+def _reconstructed(spec: GridSpec, fields: np.ndarray) -> np.ndarray:
+    """:func:`reconstruct` of each field of a stack, corners in lattice order."""
+    F = _transform(spec, fields).reshape(-1, spec.size)
+    acc, term = np.zeros_like(F), np.empty_like(F)
+    for weight in projection_blocks(spec).weight.T:
+        acc += np.multiply(weight, F, out=term)
+    return _transform(spec, acc.reshape(fields.shape), inverse=True)
+
+
 def reconstruct(f: Field) -> Field:
     """Sum of all unit-scale pieces; equals f up to rounding because the
     bump translates sum to one at every grid frequency."""
-    spec = f.spec
-    F = forward_transform(f).coeffs.reshape(-1)
-    acc = np.zeros(spec.size, dtype=np.complex128)
+    return Field(f.spec, _reconstructed(f.spec, f.values))
+
+
+def _expected_norm_squared(spec: GridSpec, coeffs: np.ndarray) -> float:
+    """sum_k ||psi(D-k) f||_L2^2 from f's flat spectrum ``coeffs``."""
+    acc = np.zeros(spec.size)
     for weight in projection_blocks(spec).weight.T:
-        acc += weight * F
-    return inverse_transform(Spectrum(spec, acc.reshape(spec.shape)))
+        acc += weight**2
+    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(coeffs) ** 2))
 
 
 def expected_randomized_norm_squared(f: Field) -> float:
     """Closed-form E ||f^omega||_L2^2 = sum_k ||psi(D-k) f||_L2^2."""
-    spec = f.spec
-    F = forward_transform(f).coeffs.reshape(-1)
-    acc = np.zeros(spec.size)
-    for weight in projection_blocks(spec).weight.T:
-        acc += weight**2
-    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(F) ** 2))
+    return _expected_norm_squared(f.spec, forward_transform(f).coeffs.reshape(-1))
 
 
 def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -392,23 +398,27 @@ def _piece_entries(spec: GridSpec):
 def _window_lags(spec: GridSpec):
     """The Gram matrix's layout, a sibling of :func:`_piece_entries`.
 
-    Returns (scatter, lag): each entry's flat place slot * used + column in
-    a (pieces, used) array of windows, its column being its place among the
-    window positions that some piece uses (ascending), and for every pair
-    (i, j) of those positions the flat mesh index lag[i, j] of
-    (pos_i - pos_j) mod N.
+    Returns (source, lag, scale) over a (pieces, used) array of windows,
+    whose columns are the window positions that some piece uses
+    (ascending): each window slot's mesh row, or N^dim (one past the mesh)
+    where no entry sits, for every pair (i, j) of the positions the flat
+    mesh index lag[i, j] of (pos_i - pos_j) mod N, and each slot's weight
+    (0 where no entry sits) twice, for its real and imaginary parts.
     """
-    slot, position, _, _, width = _piece_entries(spec)
+    slot, position, row, weight, width = _piece_entries(spec)
     in_use = np.bincount(position, minlength=width**spec.dim) > 0
     used = np.flatnonzero(in_use)
-    scatter = slot * used.size + (np.cumsum(in_use) - 1)[position]
+    place = slot * used.size + (np.cumsum(in_use) - 1)[position]
+    source = np.full(len(projection_blocks(spec)) * used.size, spec.size)
+    source[place] = row
+    scale = np.repeat(np.bincount(place, weight, source.size), 2)
     n = spec.samples_per_axis
     lag = np.zeros((used.size, used.size), dtype=np.intp)
     for axis in np.unravel_index(used, (width,) * spec.dim):
         lag = lag * n + (axis[:, None] - axis[None, :]) % n
-    for arr in (scatter, lag):
+    for arr in (source, lag, scale):
         arr.flags.writeable = False
-    return scatter, lag
+    return source, lag, scale
 
 
 # The Gram matrix is reduced in blocks of rows of at most this many bytes
@@ -423,28 +433,30 @@ def _gram_rows(used: int) -> int:
 
 def _gram_group(spec: GridSpec) -> int:
     """Spectra per :func:`_folded_gram` call: per spectrum, 16 B for each
-    gathered entry, each window value and its conjugate, each entry of a
-    row block of the Gram matrix and its two int64 bins, and each mesh
-    point of the fold and its block's bincount."""
-    _, _, row, _, _ = _piece_entries(spec)
+    mesh point of the spectrum's copy, the fold and a block's bincount, each
+    window value and its conjugate, each entry of a row block of the Gram
+    matrix and each entry of the matrix for its two int64 bins."""
     used = len(_window_lags(spec)[1])
     rows = min(used, _gram_rows(used))
-    per_spectrum = 16 * (
-        2 * (len(projection_blocks(spec)) + rows) * used + row.size + 2 * spec.size
-    )
+    pieces = len(projection_blocks(spec))
+    per_spectrum = 16 * ((2 * pieces + rows + used) * used + 3 * spec.size + 1)
     return max(1, _GRAM_BYTES // per_spectrum)
 
 
 def _gram_workspace(spec: GridSpec, batch: int):
-    """Buffers for up to ``batch`` spectra of :func:`_folded_gram`: values,
-    windows, their conjugate, a flat Gram row block and the values' places."""
-    values = np.empty((batch, _piece_entries(spec)[2].size), dtype=np.complex128)
-    scatter, lag = _window_lags(spec)
+    """Buffers for up to ``batch`` spectra of :func:`_folded_gram`: the spectra
+    with a zero appended, windows, their conjugate, a flat Gram row block, and
+    each row block's bins 2 (b N^dim + lag) + part, b-major, so that those of
+    fewer spectra are a prefix: 16 B per spectrum and Gram entry."""
+    lag = _window_lags(spec)[1]
     used = len(lag)
-    windows = np.zeros((batch, len(projection_blocks(spec)), used), dtype=np.complex128)
-    gram = np.empty(batch * min(used, _gram_rows(used)) * used, dtype=np.complex128)
-    places = (windows[0].size * np.arange(batch)[:, None] + scatter).reshape(-1)
-    return values, windows, np.empty_like(windows), gram, places
+    rows = min(used, _gram_rows(used))
+    padded = np.zeros((batch, spec.size + 1), dtype=np.complex128)
+    windows = np.empty((batch, len(projection_blocks(spec)), used), dtype=np.complex128)
+    gram = np.empty(batch * rows * used, dtype=np.complex128)
+    offsets = 2 * spec.size * np.arange(batch)[:, None, None, None]
+    bins = [offsets + 2 * lag[i : i + rows, :, None] + np.arange(2) for i in range(0, used, rows)]
+    return padded, windows, np.empty_like(windows), gram, [b.reshape(-1) for b in bins]
 
 
 def _folded_gram(spec: GridSpec, coeffs: np.ndarray, work=None) -> np.ndarray:
@@ -452,33 +464,33 @@ def _folded_gram(spec: GridSpec, coeffs: np.ndarray, work=None) -> np.ndarray:
     onto the mesh: shape (batch, N^dim) for coefficients of shape
     batch + spec.shape.
 
-    The windows are scattered in one flat assignment, into ``work``
-    (:func:`_gram_workspace`) or fresh buffers.  Each block of the Gram
-    matrix's rows is folded by one bincount over the interleaved float64
-    view of the whole batch's block, binned by 2 (b N^dim + lag) + part;
-    each bin adds the same terms in the same order as a bincount per
-    spectrum and part would."""
-    _, _, row, weight, _ = _piece_entries(spec)
-    lag = _window_lags(spec)[1]
+    The windows are gathered in one take from the spectra padded with a
+    zero, into ``work`` (:func:`_gram_workspace`) or fresh buffers, and
+    weighted part by part, so a slot that no entry fills holds exactly 0 and
+    the others the bits of the complex-by-real product up to signs of 0,
+    which only zero sums carry and the fold's bincounts, summing from +0,
+    drop.  Each block of the Gram matrix's rows is folded by one bincount
+    over the interleaved float64 view of the whole batch's block, binned by
+    the workspace's bins; each bin adds the same terms in the same order as
+    a bincount per spectrum and part would."""
+    source, lag, scale = _window_lags(spec)
     flat = coeffs.reshape(-1, spec.size)
     batch, used = flat.shape[0], len(lag)
-    values, windows, conj, gram, places = work or _gram_workspace(spec, batch)
-    values, windows, conj = values[:batch], windows[:batch], conj[:batch]
-    np.take(flat, row, axis=1, out=values, mode="clip")
-    values *= weight
-    # Every call fills the same window positions; the others stay zero.
-    windows.reshape(-1)[places[: values.size]] = values.reshape(-1)
+    padded, windows, conj, gram, bins = work or _gram_workspace(spec, batch)
+    padded, windows, conj = padded[:batch], windows[:batch], conj[:batch]
+    padded[:, :-1] = flat
+    np.take(padded, source, axis=1, out=windows.reshape(batch, -1), mode="clip")
+    parts = windows.view(np.float64)
+    parts *= scale.reshape(parts.shape[1:])
     np.conjugate(windows, out=conj)
-    offsets = 2 * spec.size * np.arange(batch)[:, None, None, None]
     out = np.zeros(2 * batch * spec.size)
     step = _gram_rows(used)
-    for start in range(0, used, step):
+    for start, block in zip(range(0, used, step), bins):
         lags = lag[start : start + step]
         part = gram[: batch * lags.size].reshape(batch, *lags.shape)
         # gram[b, i, j] = sum_k w_k[i] conj(w_k[j]) over the pieces k.
         np.matmul(windows[:, :, start : start + step].transpose(0, 2, 1), conj, out=part)
-        bins = offsets + 2 * lags[:, :, None] + np.arange(2)
-        out += np.bincount(bins.reshape(-1), part.view(np.float64).reshape(-1), out.size)
+        out += np.bincount(block[: 2 * part.size], part.view(np.float64).reshape(-1), out.size)
     return out.view(np.complex128).reshape(batch, spec.size)
 
 
@@ -496,7 +508,7 @@ def _square_function_from_coeffs(spec: GridSpec, coeffs: np.ndarray, work=None):
     folded = _folded_gram(spec, coeffs, work).reshape((-1,) + spec.shape)
     axes = tuple(range(1, spec.dim + 1))
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume / spec.size
-    total = scale**2 * np.fft.ifftn(folded, axes=axes, norm="forward").real
+    total = scale**2 * np.fft.ifftn(folded, axes=axes, norm="forward", out=folded).real
     return np.sqrt(np.maximum(total, 0.0)).reshape(coeffs.shape)
 
 
@@ -555,14 +567,23 @@ def partition_deviation(dim: int, n_points: int, seed: int) -> float:
     return float(np.max(np.abs(total - 1.0)))
 
 
-def reconstruction_deviation(spec: GridSpec, n_fields: int, seed: int) -> float:
-    """Max relative L2 error of summing all unit-scale pieces."""
+_FIELD_CHUNK = 4  # fields per stack that the invariant suite draws and reduces
+
+
+def _field_stacks(spec: GridSpec, n_fields: int, seed: int):
+    """seed's n_fields random fields in stacks of at most _FIELD_CHUNK."""
     rng = np.random.default_rng(seed)
+    for start in range(0, n_fields, _FIELD_CHUNK):
+        yield propagators._random_fields(spec, rng, min(_FIELD_CHUNK, n_fields - start))
+
+
+def reconstruction_deviation(spec: GridSpec, n_fields: int, seed: int) -> float:
+    """Max relative L2 error of summing all unit-scale pieces, reconstructed
+    and normed a stack of fields at a time with the bits of one at a time."""
     worst = 0.0
-    for _ in range(n_fields):
-        f = propagators._random_field(spec, rng)
-        err = l2_norm(Field(spec, reconstruct(f).values - f.values))
-        worst = max(worst, err / l2_norm(f))
+    for fields in _field_stacks(spec, n_fields, seed):
+        err = _l2_norms(spec, _reconstructed(spec, fields) - fields)
+        worst = max(worst, float(np.max(err / _l2_norms(spec, fields))))
     return worst
 
 
@@ -571,13 +592,12 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     max_x square function / ||f||_L2, all flows in one pass over the
     fields.
 
-    Each field is drawn and transformed once and each (flow, t != 0)
-    symbol built once.  Each spectrum of a field goes through the square
+    The fields are drawn, transformed and normed once, in stacks, and each
+    (flow, t != 0) symbol built once.  Each spectrum goes through the square
     function once, :func:`_gram_group` spectra at a time in one workspace
     of Gram buffers, not fresh ~1 MB ones per call, and its peak enters
     every flow that produces it: every flow at t = 0, whose symbol is
     exactly 1, shares the untouched spectrum's."""
-    rng = np.random.default_rng(seed)
     # Each spectrum by its symbol (None: untouched), with the flows whose
     # excess its peak enters.
     at_zero = any(t == 0 for t in times)
@@ -591,15 +611,12 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     ]
     rows = [row for row in rows if row[1]]
 
-    def spectra():
-        for _ in range(n_fields):
-            f = propagators._random_field(spec, rng)
-            F = forward_transform(f).coeffs
-            norm = l2_norm(f)
-            for sym, owners in rows:
-                yield (F if sym is None else sym * F), norm, owners
-
-    pending = spectra()
+    pending = (
+        ((F if sym is None else sym * F), norm, owners)
+        for fields in _field_stacks(spec, n_fields, seed)
+        for F, norm in zip(_transform(spec, fields), _l2_norms(spec, fields))
+        for sym, owners in rows
+    )
     worst = [0.0] * len(flows)
     size = _gram_group(spec)
     work = _gram_workspace(spec, size)
@@ -618,24 +635,24 @@ def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
     Each piece's spectrum is transformed from its width^dim window, padded
     with zeros at the mesh origin: moving the window to its true place, like
     the omitted index shifts, multiplies the piece by a unimodular phase
-    that neither the sup nor the norm sees."""
-    rng = np.random.default_rng(seed)
+    that neither the sup nor the norm sees.  Fields are drawn and transformed
+    in stacks, pieces one field at a time: they take N^dim each already."""
     slot, position, row, weight, width = _piece_entries(spec)
     window_shape = (len(projection_blocks(spec)),) + (width,) * spec.dim
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     worst = 0.0
     axes = tuple(range(1, spec.dim + 1))
-    for _ in range(n_fields):
-        F = forward_transform(propagators._random_field(spec, rng)).coeffs.reshape(-1)
-        windows = np.zeros(window_shape, dtype=np.complex128)
-        windows.reshape(len(windows), -1)[slot, position] = weight * F[row]
-        mags = np.abs(scale * np.fft.ifftn(windows, s=spec.shape, axes=axes))
-        mags = mags.reshape(len(windows), -1)
-        sup = mags.max(axis=1)
-        nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
-        ok = nrm > 0
-        if np.any(ok):
-            worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
+    for fields in _field_stacks(spec, n_fields, seed):
+        for F in _transform(spec, fields).reshape(len(fields), -1):
+            windows = np.zeros(window_shape, dtype=np.complex128)
+            windows.reshape(len(windows), -1)[slot, position] = weight * F[row]
+            mags = np.abs(scale * np.fft.ifftn(windows, s=spec.shape, axes=axes))
+            mags = mags.reshape(len(windows), -1)
+            sup = mags.max(axis=1)
+            nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
+            ok = nrm > 0
+            if np.any(ok):
+                worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
     return worst
 
 
@@ -658,13 +675,9 @@ def invariant_report(
     results: list[CheckResult] = []
     for dim, spec in sorted(specs_by_dim.items()):
         dev = partition_deviation(dim, 10_000, seed + dim)
-        results.append(
-            CheckResult(f"partition of unity (dim {dim})", dev < 1e-12, dev, 1e-12)
-        )
+        results.append(CheckResult.below(f"partition of unity (dim {dim})", dev, 1e-12))
         rec = reconstruction_deviation(spec, 100, seed + 10 + dim)
-        results.append(
-            CheckResult(f"reconstruction (dim {dim})", rec < 1e-10, rec, 1e-10)
-        )
+        results.append(CheckResult.below(f"reconstruction (dim {dim})", rec, 1e-10))
 
     # One pass per grid over the identity and the grid's free flows; the
     # table lists the identities first.
@@ -678,21 +691,13 @@ def invariant_report(
     for label, dim, excess in identities + evolved:
         limit = 1.0 + 1e-9
         results.append(
-            CheckResult(
-                f"square-function bound vs 1 ({label})", excess < limit, excess, limit
-            )
+            CheckResult.below(f"square-function bound vs 1 ({label})", excess, limit)
         )
         if dim > 1:
             ball = {2: np.pi, 3: 4.0 * np.pi / 3.0}[dim]
             slack = float(np.sqrt(ball)) * (1.0 + 1e-9)
-            results.append(
-                CheckResult(
-                    f"square-function bound vs ball-volume slack ({label})",
-                    excess < slack,
-                    excess,
-                    slack,
-                )
-            )
+            name = f"square-function bound vs ball-volume slack ({label})"
+            results.append(CheckResult.below(name, excess, slack))
 
     if 1 in specs_by_dim:
         base = specs_by_dim[1]
@@ -702,18 +707,11 @@ def invariant_report(
         ]
         worst = max(ratios)
         results.append(
-            CheckResult(
-                "unit-scale sup/L2 ratio, grid sizes 64/128/256",
-                worst < 0.6,
-                worst,
-                0.6,
-            )
+            CheckResult.below("unit-scale sup/L2 ratio, grid sizes 64/128/256", worst, 0.6)
         )
         spread = max(ratios) / min(ratios)
         results.append(
-            CheckResult(
-                "unit-scale sup/L2 ratio grid independence", spread < 1.2, spread, 1.2
-            )
+            CheckResult.below("unit-scale sup/L2 ratio grid independence", spread, 1.2)
         )
 
         x = base.axis_coordinates()

@@ -119,6 +119,26 @@ class TestParsing:
         )
         assert done.stdout.strip() == "False"
 
+    def test_check_wiener_leaves_tailprob_out(self, tmp_path):
+        # The runners that use tailprob import it (about 10 ms); importing
+        # the CLI and a default check-wiener run load none of it, and a
+        # tails run in the same process still finds it.
+        src = os.path.dirname(os.path.dirname(dispersim.__file__))
+        args = ["tails", "--config", write_config(tmp_path, "t.json", BASE_TAILS),
+                "--out", str(tmp_path / "o")]
+        code = (
+            "import sys, dispersim.cli; seen = ['dispersim.tailprob' in sys.modules];"
+            " assert dispersim.cli.main(['check-wiener']) == 0;"
+            " seen.append('dispersim.tailprob' in sys.modules);"
+            f" assert dispersim.cli.main({args!r}) == 0;"
+            " print(seen, 'dispersim.tailprob' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[False, False] True"
+
     def test_seed_outside_key_space_rejected(self):
         # Philox keys are 64 bit: 2^64 + 7 would silently reuse seed 7's stream.
         assert parse_seed(2**64 - 1) == 2**64 - 1

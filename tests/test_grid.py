@@ -6,6 +6,8 @@ from dispersim.grid import (
     Field,
     GridSpec,
     Spectrum,
+    _l2_norms,
+    _transform,
     forward_transform,
     inverse_transform,
     l2_norm,
@@ -185,6 +187,25 @@ def test_batched_fft_equals_single_calls_bitwise(spec):
     for fft in (np.fft.fftn, np.fft.ifftn):
         singles = np.stack([fft(one) for one in stack])
         assert fft(stack, axes=axes).tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0), GridSpec(3, 16, 8.0)],
+    ids=lambda s: f"{s.dim}d-{s.samples_per_axis}",
+)
+def test_transform_core_of_a_stack_equals_single_transforms(spec):
+    # Two leading axes: every member of the stack gets the bits of the
+    # Field and Spectrum wrappers, and of l2_norm.
+    rng = np.random.default_rng(40 + spec.dim)
+    shape = (2, 3) + spec.shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    forward, inverse = _transform(spec, stack), _transform(spec, stack, inverse=True)
+    norms = _l2_norms(spec, stack).reshape(2, 3)
+    for i, j in np.ndindex(2, 3):
+        one = stack[i, j]
+        assert forward[i, j].tobytes() == forward_transform(Field(spec, one)).coeffs.tobytes()
+        assert inverse[i, j].tobytes() == inverse_transform(Spectrum(spec, one)).values.tobytes()
+        assert norms[i, j] == np.sqrt(spec.cell_volume * np.sum(np.abs(one) ** 2))
 
 
 class TestNorms:

@@ -17,10 +17,11 @@ from dispersim.grid import (
     monomial_weight,
 )
 from dispersim import wiener
-from dispersim.propagators import FlowKind, _random_field, symbol
+from dispersim.propagators import FlowKind, symbol
 from dispersim.randomize import RandomDraw, randomize_field
 from dispersim.wiener import (
     _piece_entries,
+    reconstruction_deviation,
     _square_function_from_coeffs,
     bump_derivative,
     bump_value,
@@ -279,7 +280,7 @@ def old_bernstein_ratio(spec, n_fields, seed):
     axes = tuple(range(1, spec.dim + 1))
     worst = 0.0
     for _ in range(n_fields):
-        flat = forward_transform(_random_field(spec, rng)).coeffs.reshape(-1)
+        flat = forward_transform(random_field(spec, rng)).coeffs.reshape(-1)
         for start in range(0, pieces, 256):
             count = min(256, pieces - start)
             part = slice(*np.searchsorted(slot, (start, start + count)))
@@ -295,6 +296,26 @@ def old_bernstein_ratio(spec, n_fields, seed):
     return worst
 
 
+def loop_bernstein_ratio(spec, n_fields, seed):
+    """The sup/L2 check field by field: each field drawn and transformed
+    alone, its pieces from windows padded at the mesh origin."""
+    slot, position, row, weight, width = _piece_entries(spec)
+    window_shape = (len(projection_blocks(spec)),) + (width,) * spec.dim
+    rng = np.random.default_rng(seed)
+    scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
+    axes = tuple(range(1, spec.dim + 1))
+    worst = 0.0
+    for _ in range(n_fields):
+        flat = forward_transform(random_field(spec, rng)).coeffs.reshape(-1)
+        windows = np.zeros(window_shape, dtype=np.complex128)
+        windows.reshape(len(windows), -1)[slot, position] = weight * flat[row]
+        mags = np.abs(scale * np.fft.ifftn(windows, s=spec.shape, axes=axes))
+        mags = mags.reshape(len(windows), -1)
+        nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
+        worst = max(worst, float(np.max(mags.max(axis=1)[nrm > 0] / nrm[nrm > 0])))
+    return worst
+
+
 class TestBernstein:
     @pytest.mark.parametrize(
         "spec",
@@ -303,7 +324,10 @@ class TestBernstein:
     )
     def test_windows_equal_full_mesh_stacks(self, spec):
         got = bernstein_ratio(spec, 5, seed=3)
+        # Windows padded at the origin round unlike full-mesh stacks (one
+        # ulp apart on 128/16), so only the window loop can match exactly.
         assert abs(got - old_bernstein_ratio(spec, 5, seed=3)) <= 1e-12 * got
+        assert got == loop_bernstein_ratio(spec, 5, seed=3)
 
     def test_sup_to_l2_ratio_grid_independent(self):
         # Unit-scale pieces satisfy sup|piece| <= C ||piece||_L2 with a
@@ -660,7 +684,7 @@ def loop_square_bound_excess(spec, flow, times, n_fields, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):
-        f = _random_field(spec, rng)
+        f = random_field(spec, rng)
         norm = l2_norm(f)
         if flow is None:
             sq = square_function(f)
@@ -707,7 +731,7 @@ def per_flow_square_bound_excess(spec, flow, times, n_fields, seed):
 
     def spectra():
         for _ in range(n_fields):
-            f = _random_field(spec, rng)
+            f = random_field(spec, rng)
             F = forward_transform(f).coeffs
             norm = l2_norm(f)
             for sym in symbols:
@@ -768,21 +792,72 @@ def test_invariant_report_equals_per_flow_passes():
     assert checked == len(observed) == 8
 
 
+STACK_SPECS = [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0), GridSpec(3, 16, 8.0)]
+
+
+def loop_reconstruction_deviation(spec, n_fields, seed):
+    """The reconstruction error field by field: one draw, one transform
+    each way and the corners' terms summed around them, and the norms
+    reduced over one field's array."""
+    rng = np.random.default_rng(seed)
+
+    def norm(values):
+        return np.sqrt(spec.cell_volume * np.sum(np.abs(values) ** 2))
+
+    worst = 0.0
+    for _ in range(n_fields):
+        f = random_field(spec, rng)
+        F = forward_transform(f).coeffs.reshape(-1)
+        acc = np.zeros(spec.size, dtype=np.complex128)
+        for weight in projection_blocks(spec).weight.T:
+            acc += weight * F
+        rec = inverse_transform(Spectrum(spec, acc.reshape(spec.shape)))
+        worst = max(worst, float(norm(rec.values - f.values) / norm(f.values)))
+    return worst
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "default"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=_spec_id)
+def test_stacked_reconstruction_equals_field_loop(spec, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(wiener, "_FIELD_CHUNK", chunk)
+    n_fields = 4 if spec.dim == 3 else 11  # a short last stack at every chunk
+    expected = loop_reconstruction_deviation(spec, n_fields, 5)
+    assert reconstruction_deviation(spec, n_fields, 5) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "default"])
+@pytest.mark.parametrize("spec, names", ONE_PASS_CASES[:2], ids=["1d-64", "2d-32"])
+def test_square_pass_equals_per_flow_passes_at_any_chunk(spec, names, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(wiener, "_FIELD_CHUNK", chunk)
+    flows = [None] + [FlowKind.parse(name) for name in names]
+    times = (0.0, 0.1, 1.0)
+    expected = [per_flow_square_bound_excess(spec, f, times, 11, 12) for f in flows]
+    assert square_bound_excess(spec, flows, times, 11, 12) == expected
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 64, 16.0), GridSpec(2, 16, 8.0)], ids=_spec_id)
+def test_bernstein_stacks_equal_field_loop(spec, monkeypatch):
+    monkeypatch.setattr(wiener, "_FIELD_CHUNK", 2)  # stacks of 2, 2 and 1 fields
+    assert bernstein_ratio(spec, 5, 3) == loop_bernstein_ratio(spec, 5, 3)
+
+
 def test_invariant_suite_draws_each_grid_once(monkeypatch):
     # Per grid, one square_bound_excess call that transforms each of its
-    # 100 fields once and sends 3 (1D: identity and kdv at 0.1 and 1) or
-    # 5 (2D: identity and two flows at 0.1 and 1) spectra per field
-    # through the Gram route.
+    # 100 fields once (in stacks) and sends 3 (1D: identity and kdv at 0.1
+    # and 1) or 5 (2D: identity and two flows at 0.1 and 1) spectra per
+    # field through the Gram route.
     specs = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 32, 16.0)}
-    counts = {"transforms": 0, "spectra": 0}
+    counts = {"fields": 0, "spectra": 0}
     passes = []
-    transform = wiener.forward_transform
+    transform = wiener._transform
     square = wiener._square_function_from_coeffs
     bound = wiener.square_bound_excess
 
-    def counted_transform(f):
-        counts["transforms"] += 1
-        return transform(f)
+    def counted_transform(spec, values, inverse=False):
+        counts["fields"] += 0 if inverse else values.size // spec.size
+        return transform(spec, values, inverse)
 
     def counted_square(spec, coeffs, *work):
         counts["spectra"] += coeffs.size // spec.size
@@ -794,7 +869,7 @@ def test_invariant_suite_draws_each_grid_once(monkeypatch):
         passes.append((spec.dim, *(counts[k] - before[k] for k in counts)))
         return out
 
-    monkeypatch.setattr(wiener, "forward_transform", counted_transform)
+    monkeypatch.setattr(wiener, "_transform", counted_transform)
     monkeypatch.setattr(wiener, "_square_function_from_coeffs", counted_square)
     monkeypatch.setattr(wiener, "square_bound_excess", counted_bound)
     wiener.invariant_report(specs)
@@ -853,7 +928,8 @@ def test_pass_workspaces_equal_fresh_buffers_across_grids(monkeypatch):
 
     def tracked_workspace(spec, batch):
         buffers = workspace(spec, batch)
-        made.extend(weakref.ref(b) for b in buffers)
+        *arrays, bins = buffers  # the row blocks' bins come as a list
+        made.extend(weakref.ref(b) for b in arrays + bins)
         return buffers
 
     def fresh_fold(spec, coeffs, work=None):

@@ -21,13 +21,13 @@ from dispersim.propagators import FlowKind, symbol
 from dispersim.randomize import RandomDraw, randomize_field
 from dispersim.wiener import (
     _piece_entries,
-    reconstruction_deviation,
     _square_function_from_coeffs,
     bump_derivative,
     bump_value,
     partition_deviation,
     projection_blocks,
     reconstruct,
+    reconstruction_deviation,
     scatter,
     smooth_step,
     square_bound_excess,

@@ -17,6 +17,11 @@ class CheckResult:
         """The check that ``observed`` lies strictly below ``limit``."""
         return cls(name, observed < limit, observed, limit)
 
+    @classmethod
+    def attains(cls, name: str, observed: float, target: float, rtol: float) -> "CheckResult":
+        """The check that ``observed`` equals ``target`` to ``rtol`` relative."""
+        return cls(name, abs(observed - target) <= rtol * target, observed, target)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (

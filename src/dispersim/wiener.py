@@ -45,21 +45,18 @@ import numpy as np
 
 from . import propagators
 from .checks import CheckResult
-from .errors import ConfigurationError
 from .grid import (
     Field,
     GridSpec,
     _l2_norms,
     _transform,
     forward_transform,
-    monomial_weight,
 )
 
 _TWO_PI = 2.0 * np.pi
 
-# Beyond this |xi|^2 the mollifier (below 1e-289) and its first derivative
-# are set to exactly zero, before any power of 1/(1-|xi|^2) can overflow.
-# Every partition weight depends on this value.
+# Beyond this |xi|^2 the mollifier, below 1e-289 there, is set to exactly
+# zero.  Every partition weight depends on this value.
 _SUPPORT_CAP = 0.9985
 
 
@@ -81,39 +78,8 @@ def mollifier_value(xi) -> np.ndarray:
     return _bump_of_radius_squared(_radius_squared(np.asarray(xi, dtype=float)))
 
 
-def _mollifier_jet(xi: np.ndarray):
-    """Value and gradient of the base bump, vectorized.
-
-    Returns (phi, grad) with shapes (...,) and (..., d).
-    """
-    u = _radius_squared(xi)
-    phi = _bump_of_radius_squared(u)
-    inside = u < _SUPPORT_CAP
-    w = 1.0 / (1.0 - u[inside])
-    # d_j phi = -2 xi_j w^2 phi, and exactly zero outside the support.
-    factor = np.zeros(u.shape)
-    factor[inside] = w**2 * phi[inside]
-    return phi, np.where(inside[..., None], -2.0 * xi * factor[..., None], 0.0)
-
-
 def _neighbor_offsets(dim: int):
     return list(itertools.product((0, 1), repeat=dim))
-
-
-def _lattice_jet(xi: np.ndarray):
-    """Value and gradient of S(xi) = sum_k phi(xi - k).
-
-    Only the 2^dim lattice points nearest to xi can contribute, because the
-    mollifier support has radius one.
-    """
-    lo = np.floor(xi)
-    s = np.zeros(xi.shape[:-1])
-    sg = np.zeros(xi.shape)
-    for off in _neighbor_offsets(xi.shape[-1]):
-        p, g = _mollifier_jet(xi - (lo + np.asarray(off, dtype=float)))
-        s += p
-        sg += g
-    return s, sg
 
 
 def bump_value(xi) -> np.ndarray:
@@ -128,29 +94,6 @@ def bump_value(xi) -> np.ndarray:
     for off in _neighbor_offsets(xi.shape[-1]):
         s += mollifier_value(xi - (lo + np.asarray(off, dtype=float)))
     return mollifier_value(xi) / s
-
-
-def bump_derivative(xi, beta) -> np.ndarray:
-    """Partial derivative of psi of multi-index ``beta``, |beta| <= 1.
-
-    Computed analytically through the quotient rule on the normalized bump,
-    which keeps the values accurate up to the support boundary.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = xi.shape[-1]
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != d:
-        raise ValueError(f"multi-index length {len(beta)} does not match dim {d}")
-    if any(b < 0 for b in beta):
-        raise ValueError("multi-index entries must be nonnegative")
-    if sum(beta) > 1:
-        raise ValueError("analytic bump derivatives are limited to order 1")
-    if sum(beta) == 0:
-        return bump_value(xi)
-    phi, grad = _mollifier_jet(xi)
-    s, sg = _lattice_jet(xi)
-    j = beta.index(1)
-    return grad[..., j] / s - phi * sg[..., j] / s**2
 
 
 def smooth_step(s) -> np.ndarray:
@@ -525,28 +468,6 @@ def square_function_evolved(f: Field, flow, t: float) -> Field:
     return Field(f.spec, np.fft.fftshift(sq))
 
 
-def weighted_tail_sum(g: Field, alpha_idx, beta_idx, k_min: int) -> float:
-    """Sum over |k| >= k_min of the grid quadrature of
-    |xi^alpha * Fg(xi) * (d^beta psi)(xi - k)|^2.
-
-    Finite for smooth decaying data and decreasing in k_min.
-    """
-    spec = g.spec
-    alpha_idx = tuple(int(a) for a in alpha_idx)
-    beta_idx = tuple(int(b) for b in beta_idx)
-    if len(alpha_idx) != spec.dim or len(beta_idx) != spec.dim:
-        raise ConfigurationError("multi-index length must match grid dim")
-    grids = spec.frequency_grids()
-    weighted = (monomial_weight(grids, alpha_idx) * forward_transform(g).coeffs).reshape(-1)
-    slot, _, row, _, _ = _piece_entries(spec)
-    points = unit_lattice(spec).points[projection_blocks(spec).pieces]
-    far = (np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min)[slot]
-    rows = row[far]
-    xi = np.stack(grids, axis=-1).reshape(-1, spec.dim)[rows]
-    der = bump_derivative(xi - points[slot[far]], beta_idx)
-    return float(np.sum(np.abs(weighted[rows] * der) ** 2)) * spec.frequency_cell_volume
-
-
 # ---------------------------------------------------------------------------
 # Invariant suite (shared by tests and the check-wiener subcommand)
 # ---------------------------------------------------------------------------
@@ -629,49 +550,129 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     return worst
 
 
-def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
-    """Max over fields and lattice points of sup|piece| / ||piece||_L2.
+def _piece_gram(spec: GridSpec) -> np.ndarray:
+    """The dense B = P^T P, P[xi, k] = psi(xi - k) on the mesh and the whole
+    lattice: one bincount of each mesh row's corner-weight products, binned
+    by the corners' lattice pair (a zero weight, at index 0, adds 0)."""
+    table = projection_blocks(spec)
+    n = len(unit_lattice(spec))
+    pairs = table.index[:, :, None] * n + table.index[:, None, :]
+    products = table.weight[:, :, None] * table.weight[:, None, :]
+    return np.bincount(pairs.reshape(-1), products.reshape(-1), n * n).reshape(n, n)
 
-    Each piece's spectrum is transformed from its width^dim window, padded
-    with zeros at the mesh origin: moving the window to its true place, like
-    the omitted index shifts, multiplies the piece by a unimodular phase
-    that neither the sup nor the norm sees.  Fields are drawn and transformed
-    in stacks, pieces one field at a time: they take N^dim each already."""
-    slot, position, row, weight, width = _piece_entries(spec)
-    window_shape = (len(projection_blocks(spec)),) + (width,) * spec.dim
+
+@lru_cache(maxsize=8)
+def _top_eigenpair(spec: GridSpec):
+    """B's top eigenvalue and unit eigenvector v, cached without B.  B^(2^j)
+    scaled to trace 1 tends to v v^T, whose row sums give v (B >= 0: v is
+    not orthogonal to the ones); B is squared until |B v - (v.B v) v| <=
+    1e-12 v.B v, so v is within 1e-12/gap of the eigenvector and its field
+    within 1e-24/gap of the sharp constant, gap = 1 - lambda_2/lambda_1.
+    np.linalg.eigh would load about 1.4 MB of LAPACK code and workspace,
+    4 % of the peak RSS of a default check-wiener run."""
+    gram = _piece_gram(spec)
+    power = gram / np.trace(gram)
+    while True:
+        vector = power.sum(axis=1)
+        vector /= np.linalg.norm(vector)
+        image = gram @ vector
+        value = vector @ image
+        if np.linalg.norm(image - value * vector) <= 1e-12 * value:
+            vector.flags.writeable = False
+            return value, vector
+        power = power @ power
+        power /= np.trace(power)
+
+
+def extremal_square_ratios(spec: GridSpec, flows, times):
+    """The sharp constant of max_x Sq f / ||f||_L2, and per flow (None: the
+    identity, once) the ratio its extremal field reaches at each time t != 0.
+
+    Sq f(x)^2 = (2 pi)^-d dxi^2d |P^T (e^{ix.xi} F)|^2, so the constant is
+    (2 pi)^(-d/2) sqrt(dxi^d lambda_max(B)), attained at x = 0 by spectrum
+    P v.  For a flow the field's spectrum is conj(symbol) P v, evolved to
+    |symbol|^2 P v: a unimodular flow attains the constant too."""
+    value, vector = _top_eigenpair(spec)
+    sharp = _TWO_PI ** (-spec.dim / 2.0) * float(np.sqrt(spec.frequency_cell_volume * value))
+    out, scratch = np.empty((2, 1, spec.size), dtype=np.complex128)
+    extremal = _gather(spec, vector.astype(np.complex128)[None], out, scratch).reshape(spec.shape)
+    ratios = []
+    for flow in flows:
+        symbols = [propagators.symbol(flow, spec, t) for t in times if t != 0] if flow else [1.0]
+        ratios.append([])
+        for sym in symbols:
+            data = np.conjugate(sym) * extremal
+            norm = np.sqrt(spec.frequency_cell_volume * np.sum(np.abs(data) ** 2))
+            peak = np.max(_square_function_from_coeffs(spec, sym * data))
+            ratios[-1].append(float(peak / norm))
+    return sharp, ratios
+
+
+def _sup_to_l2(spec: GridSpec, windows: np.ndarray) -> float:
+    """Max of sup|piece| / ||piece||_L2 over the nonzero pieces given as rows
+    of width^dim windows (:func:`_piece_entries`), transformed padded with
+    zeros at the mesh origin: the move to the true place, like the omitted
+    index shifts, is a unimodular phase that neither sup nor norm sees.
+    Blocks of pieces whose padded spectra take at most _GRAM_BYTES."""
+    width = _piece_entries(spec)[-1]
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
-    worst = 0.0
     axes = tuple(range(1, spec.dim + 1))
+    step = max(1, _GRAM_BYTES // (16 * spec.size))
+    worst = 0.0
+    for start in range(0, len(windows), step):
+        block = windows[start : start + step].reshape((-1,) + (width,) * spec.dim)
+        mags = np.abs(scale * np.fft.ifftn(block, s=spec.shape, axes=axes))
+        mags = mags.reshape(len(block), -1)
+        sup = mags.max(axis=1)
+        nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
+        ok = nrm > 0
+        if np.any(ok):
+            worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
+    return worst
+
+
+def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
+    """Max over fields and lattice points of sup|piece| / ||piece||_L2
+    (:func:`_sup_to_l2`).  Fields are drawn and transformed in stacks,
+    pieces one field at a time."""
+    slot, position, row, weight, width = _piece_entries(spec)
+    windows = np.zeros((len(projection_blocks(spec)), width**spec.dim), dtype=np.complex128)
+    worst = 0.0
     for fields in _field_stacks(spec, n_fields, seed):
         for F in _transform(spec, fields).reshape(len(fields), -1):
-            windows = np.zeros(window_shape, dtype=np.complex128)
-            windows.reshape(len(windows), -1)[slot, position] = weight * F[row]
-            mags = np.abs(scale * np.fft.ifftn(windows, s=spec.shape, axes=axes))
-            mags = mags.reshape(len(windows), -1)
-            sup = mags.max(axis=1)
-            nrm = np.sqrt((mags**2).sum(axis=1) * spec.cell_volume)
-            ok = nrm > 0
-            if np.any(ok):
-                worst = max(worst, float(np.max(sup[ok] / nrm[ok])))
+            windows[slot, position] = weight * F[row]
+            worst = max(worst, _sup_to_l2(spec, windows))
     return worst
+
+
+def one_piece_bound(spec: GridSpec) -> tuple[float, float]:
+    """The sharp sup/L2 constant of one piece, (2 pi)^(-d/2) sqrt(dxi^d
+    max_k |S_k|) with S_k the mesh points where psi_k > 0, and the ratio
+    that the piece equal to 1 on the largest S_k, which attains it at
+    x = 0, reaches through :func:`_sup_to_l2`."""
+    slot, position, _, _, width = _piece_entries(spec)
+    counts = np.bincount(slot)
+    largest = np.argmax(counts)
+    window = np.zeros((1, width**spec.dim), dtype=np.complex128)
+    window[0, position[slot == largest]] = 1.0
+    constant = _TWO_PI ** (-spec.dim / 2.0) * np.sqrt(spec.frequency_cell_volume * counts[largest])
+    return float(constant), _sup_to_l2(spec, window)
 
 
 # The free flows of the square-function checks, by grid dimension.
 _SUITE_FLOWS = {1: ("kdv",), 2: ("wave-half", "schrodinger:+-"), 3: ("schrodinger:++-",)}
+# A bound holds to this relative tolerance, and a sharp constant is attained to it.
+_SHARP_RTOL = 1e-12
 
 
 def invariant_report(
     specs_by_dim: dict[int, GridSpec], seed: int = 20240901
 ) -> list[CheckResult]:
-    """Run the decomposition invariant suite used by ``check-wiener``.
-
-    Covers the partition of unity, exact reconstruction, the square-function
-    bound with the identity and each free flow, the unit-scale sup/L2
-    comparison across grid sizes, and finiteness/monotonicity of the
-    derivative-weighted tail sums.  In dimensions 2 and 3 the
-    square-function bound is recorded both against constant 1 and against
-    the unit-ball-volume slack.
-    """
+    """Run the decomposition invariant suite used by ``check-wiener``: per
+    grid the partition of unity, reconstruction, and the square function's
+    sharp constant, bounding white noise under each flow and attained under
+    each unimodular one; on three 1D sizes the one-piece sup/L2 constant,
+    bounding white noise and attained, and grid independence."""
     results: list[CheckResult] = []
     for dim, spec in sorted(specs_by_dim.items()):
         dev = partition_deviation(dim, 10_000, seed + dim)
@@ -681,48 +682,38 @@ def invariant_report(
 
     # One pass per grid over the identity and the grid's free flows; the
     # table lists the identities first.
+    times = (0.0, 0.1, 1.0)
     identities, evolved = [], []
     for dim, spec in sorted(specs_by_dim.items()):
         names = _SUITE_FLOWS[dim]
         flows = [None] + [propagators.FlowKind.parse(name) for name in names]
-        plain, *rest = square_bound_excess(spec, flows, (0.0, 0.1, 1.0), 100, seed + 100)
-        identities.append((f"identity (dim {dim})", dim, plain))
-        evolved += [(name.replace(":", " "), dim, value) for name, value in zip(names, rest)]
-    for label, dim, excess in identities + evolved:
-        limit = 1.0 + 1e-9
-        results.append(
-            CheckResult.below(f"square-function bound vs 1 ({label})", excess, limit)
-        )
-        if dim > 1:
-            ball = {2: np.pi, 3: 4.0 * np.pi / 3.0}[dim]
-            slack = float(np.sqrt(ball)) * (1.0 + 1e-9)
-            name = f"square-function bound vs ball-volume slack ({label})"
-            results.append(CheckResult.below(name, excess, slack))
+        peaks = square_bound_excess(spec, flows, times, 100, seed + 100)
+        sharp, ratios = extremal_square_ratios(spec, flows, times)
+        # wave-half, cos(t|xi|), is a contraction: its field falls short.
+        rows = [(sharp, peak, None if flow and flow.family == "wave-half" else ratio)
+                for flow, peak, ratio in zip(flows, peaks, ratios)]
+        identities.append((f"identity (dim {dim})",) + rows[0])
+        evolved += [(name.replace(":", " "),) + row for name, row in zip(names, rows[1:])]
+    for label, sharp, peak, ratio in identities + evolved:
+        name = f"square-function bound vs sharp constant ({label})"
+        results.append(CheckResult.below(name, peak, sharp * (1.0 + _SHARP_RTOL)))
+        if ratio is not None:
+            worst = max(ratio, key=lambda r: abs(r - sharp))
+            name = f"square-function bound attained by the extremal field ({label})"
+            results.append(CheckResult.attains(name, worst, sharp, _SHARP_RTOL))
 
     if 1 in specs_by_dim:
-        base = specs_by_dim[1]
-        ratios = [
-            bernstein_ratio(GridSpec(1, n, base.extent), 10, seed + 7)
-            for n in (64, 128, 256)
-        ]
-        worst = max(ratios)
-        results.append(
-            CheckResult.below("unit-scale sup/L2 ratio, grid sizes 64/128/256", worst, 0.6)
-        )
+        grids = [GridSpec(1, n, specs_by_dim[1].extent) for n in (64, 128, 256)]
+        ratios = [bernstein_ratio(grid, 10, seed + 7) for grid in grids]
+        bounds = [one_piece_bound(grid) for grid in grids]
+        sizes = "grid sizes 64/128/256"
+        # Each line shows the grid nearest to failing it.
+        ratio, (constant, _) = max(zip(ratios, bounds), key=lambda p: p[0] / p[1][0])
+        name = f"unit-scale sup/L2 ratio vs one-piece constant, {sizes}"
+        results.append(CheckResult.below(name, ratio, constant * (1.0 + _SHARP_RTOL)))
+        constant, attained = max(bounds, key=lambda b: abs(b[1] / b[0] - 1.0))
+        name = f"unit-scale sup/L2 constant attained by one piece, {sizes}"
+        results.append(CheckResult.attains(name, attained, constant, _SHARP_RTOL))
         spread = max(ratios) / min(ratios)
-        results.append(
-            CheckResult.below("unit-scale sup/L2 ratio grid independence", spread, 1.2)
-        )
-
-        x = base.axis_coordinates()
-        gauss = Field(base, np.exp(-(x**2) / 2.0))
-        tails = [weighted_tail_sum(gauss, (1,), (1,), kmin) for kmin in (3, 6, 12)]
-        results.append(
-            CheckResult(
-                "derivative-weighted tail sum decreasing in k_min",
-                bool(tails[0] >= tails[1] >= tails[2]) and np.isfinite(tails[0]),
-                tails[0],
-                np.inf,
-            )
-        )
+        results.append(CheckResult.below("unit-scale sup/L2 ratio grid independence", spread, 1.2))
     return results

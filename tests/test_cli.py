@@ -658,7 +658,7 @@ class TestExitCodes:
 
     def test_check_wiener_default_grids_pass(self, capsys):
         assert main(["check-wiener"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "15/15 checks passed"
+        assert capsys.readouterr().out.splitlines()[-1] == "16/16 checks passed"
 
     def test_check_wiener_duplicate_dimension_exits_one(self, tmp_path, capsys):
         grid = {"dim": 1, "samples_per_axis": 64, "extent": 16.0}

@@ -14,7 +14,6 @@ from dispersim.grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
-    monomial_weight,
 )
 from dispersim import wiener
 from dispersim.propagators import FlowKind, symbol
@@ -22,7 +21,6 @@ from dispersim.randomize import RandomDraw, randomize_field
 from dispersim.wiener import (
     _piece_entries,
     _square_function_from_coeffs,
-    bump_derivative,
     bump_value,
     partition_deviation,
     projection_blocks,
@@ -34,7 +32,6 @@ from dispersim.wiener import (
     square_function,
     square_function_evolved,
     unit_lattice,
-    weighted_tail_sum,
     bernstein_ratio,
 )
 
@@ -58,38 +55,16 @@ def old_mollifier_value(xi):
     return wiener._bump_of_radius_squared(np.sum(xi**2, axis=-1))
 
 
-def old_mollifier_jet(xi):
-    """The base bump's value and gradient with their own copy of
-    exp(-1/(1-|xi|^2))."""
-    u = np.sum(xi**2, axis=-1)
-    phi = np.zeros(u.shape)
-    grad = np.zeros(xi.shape)
-    inside = u < wiener._SUPPORT_CAP
-    w = 1.0 / (1.0 - u[inside])
-    p = np.exp(-w)
-    phi[inside] = p
-    grad[inside] = -2.0 * xi[inside] * (w**2 * p)[..., None]
-    return phi, grad
-
-
-def old_lattice_jet(xi, order):
-    """sum_k phi(xi - k) through the value-only branch (order 0) or the
-    value-and-gradient branch (order 1)."""
+def old_lattice_sum(xi):
+    """sum_k phi(xi - k) over the 2^dim translates nearest to xi."""
     lo = np.floor(xi)
     s = np.zeros(xi.shape[:-1])
-    sg = np.zeros(xi.shape) if order == 1 else None
     for off in itertools.product((0, 1), repeat=xi.shape[-1]):
-        shifted = xi - (lo + np.asarray(off, dtype=float))
-        if order == 0:
-            s += old_mollifier_value(shifted)
-        else:
-            p, g = old_mollifier_jet(shifted)
-            s += p
-            sg += g
-    return s, sg
+        s += old_mollifier_value(xi - (lo + np.asarray(off, dtype=float)))
+    return s
 
 
-def jet_points(dim, rng):
+def edge_points(dim, rng):
     """Random points around the support, half of them with |xi|^2 just
     below the support cap, and some with a coordinate of +0.0 or -0.0."""
     inner = rng.uniform(-1.2, 1.2, size=(5000, dim))
@@ -130,33 +105,11 @@ class TestBump:
     def test_partition_of_unity_random_points(self, dim):
         assert partition_deviation(dim, 10_000, seed=dim) < 1e-12
 
-
-class TestBumpDerivative:
-    def test_matches_centered_differences_first_order(self):
-        h = 1e-4
-        pts = np.linspace(-0.97, 0.97, 121).reshape(-1, 1)
-        analytic = bump_derivative(pts, (1,))
-        fd = (bump_value(pts + h) - bump_value(pts - h)) / (2 * h)
-        assert np.max(np.abs(analytic - fd)) < 1e-5
-
-    def test_vanishes_outside_support(self):
-        pts = np.array([[1.2], [-3.0]])
-        assert np.all(bump_derivative(pts, (1,)) == 0.0)
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_equals_two_branch_jet_bitwise(self, dim):
-        xi = jet_points(dim, np.random.default_rng(30 + dim))
-        s0, _ = old_lattice_jet(xi, 0)
-        assert bump_value(xi).tobytes() == (old_mollifier_value(xi) / s0).tobytes()
-        phi, grad = old_mollifier_jet(xi)
-        s, sg = old_lattice_jet(xi, 1)
-        for j, beta in enumerate(np.eye(dim, dtype=int)):
-            expected = grad[..., j] / s - phi * sg[..., j] / s**2
-            assert bump_derivative(xi, beta).tobytes() == expected.tobytes()
-
-    def test_rejects_order_two(self):
-        with pytest.raises(ValueError):
-            bump_derivative(np.array([0.3]), (2,))
+    def test_equals_value_branch_bitwise(self, dim):
+        xi = edge_points(dim, np.random.default_rng(30 + dim))
+        expected = old_mollifier_value(xi) / old_lattice_sum(xi)
+        assert bump_value(xi).tobytes() == expected.tobytes()
 
 
 class TestSmoothStep:
@@ -335,64 +288,6 @@ class TestBernstein:
         ratios = [bernstein_ratio(GridSpec(1, n, 16.0), 5, seed=2) for n in (64, 128, 256)]
         assert max(ratios) < 0.6
         assert max(ratios) / min(ratios) < 1.2
-
-
-def old_weighted_tail_sum(g, alpha_idx, beta_idx, k_min):
-    """The tail sum from a scan of the whole neighbour table."""
-    spec = g.spec
-    grids = spec.frequency_grids()
-    weighted = (monomial_weight(grids, alpha_idx) * forward_transform(g).coeffs).reshape(-1)
-    table = projection_blocks(spec)
-    points = unit_lattice(spec).points
-    far = np.sqrt(np.sum(points.astype(float) ** 2, axis=1)) >= k_min
-    rows, cols = np.nonzero((table.weight != 0) & far[table.index])
-    xi = np.stack(grids, axis=-1).reshape(-1, spec.dim)[rows]
-    der = bump_derivative(xi - points[table.index[rows, cols]], beta_idx)
-    return float(np.sum(np.abs(weighted[rows] * der) ** 2)) * spec.frequency_cell_volume
-
-
-class TestWeightedTailSum:
-    @pytest.mark.parametrize("k_min", [0, 3, 6, 12])
-    @pytest.mark.parametrize("spec", [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0)],
-                             ids=["1d-64", "2d-32"])
-    def test_entries_equal_table_scan(self, spec, k_min):
-        g = random_field(spec, np.random.default_rng(80 + k_min))
-        ones = (1,) * spec.dim
-        for beta in [(0,) * spec.dim] + [tuple(b) for b in np.eye(spec.dim, dtype=int)]:
-            expected = old_weighted_tail_sum(g, ones, beta, k_min)
-            got = weighted_tail_sum(g, ones, beta, k_min)
-            assert abs(got - expected) <= 1e-14 * expected
-
-    def test_zero_field(self):
-        spec = GridSpec(1, 64, 16.0)
-        assert weighted_tail_sum(Field(spec, np.zeros(64)), (0,), (0,), 3) == 0.0
-
-    def test_fewer_terms_never_increase(self):
-        spec = GridSpec(1, 256, 40.0)
-        x = spec.axis_coordinates()
-        g = Field(spec, np.exp(-(x**2) / 2))
-        v2 = weighted_tail_sum(g, (0,), (0,), 2)
-        v3 = weighted_tail_sum(g, (0,), (0,), 3)
-        assert np.isfinite(v2) and 0 <= v3 <= v2
-
-    def test_decay_consistent_with_inverse_square_tail(self):
-        # Oracle: each shell contributes at most C/k^2, so the tail from
-        # k_min is bounded by C * sum_{|k| >= k_min} 1/k^2; calibrating C
-        # at k_min = 3 must dominate the measured tails at 6 and 12.
-        spec = GridSpec(1, 256, 40.0)
-        x = spec.axis_coordinates()
-        g = Field(spec, np.exp(-(x**2) / 2))
-        measured = {k: weighted_tail_sum(g, (1,), (1,), k) for k in (3, 6, 12)}
-        kmax = int(np.ceil(np.max(np.abs(spec.axis_frequencies())))) + 1
-
-        def inv_square_tail(kmin):
-            ks = np.arange(kmin, kmax + 1)
-            return float(np.sum(2.0 / ks**2))  # both signs of k
-
-        scale = measured[3] / inv_square_tail(3)
-        for kmin in (6, 12):
-            assert measured[kmin] <= scale * inv_square_tail(kmin) * (1 + 1e-9)
-        assert measured[3] >= measured[6] >= measured[12]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +675,7 @@ def test_invariant_report_equals_per_flow_passes():
     observed = {
         r.name: r.observed
         for r in wiener.invariant_report(specs, seed=seed)
-        if r.name.startswith("square-function bound")
+        if r.name.startswith("square-function bound vs sharp constant")
     }
     checked = 0
     for label, (flow, spec) in flows.items():
@@ -789,7 +684,119 @@ def test_invariant_report_equals_per_flow_passes():
             if name.endswith(f"({label})"):
                 assert value == expected, name
                 checked += 1
-    assert checked == len(observed) == 8
+    assert checked == len(observed) == 5
+
+
+# ---------------------------------------------------------------------------
+# Sharp square-function constants from the pieces' Gram matrix
+# ---------------------------------------------------------------------------
+
+SHARP_CASES = [
+    (GridSpec(1, 64, 16.0), 0.3985225859),
+    (GridSpec(2, 32, 16.0), 0.1582723026),
+    (GridSpec(3, 16, 16.0), 0.0616014288),
+]
+SHARP_SPECS = [spec for spec, _ in SHARP_CASES]
+SUITE_TIMES = (0.0, 0.1, 1.0)
+
+
+@lru_cache(maxsize=None)
+def dense_piece_gram(spec):
+    """P^T P for the dense mesh-by-lattice P[xi, k] = psi(xi - k), each
+    column from bump_value on its piece's block."""
+    pieces = np.zeros((spec.size, len(unit_lattice(spec))))
+    for idx, windows, block in reference_blocks(spec):
+        column = np.zeros(spec.shape)
+        column[windows] = block
+        pieces[:, idx] = column.reshape(-1)
+    return pieces.T @ pieces
+
+
+@pytest.mark.parametrize("spec", SHARP_SPECS, ids=_spec_id)
+def test_piece_gram_equals_dense_product(spec):
+    gram = wiener._piece_gram(spec)
+    expected = dense_piece_gram(spec)
+    assert np.array_equal(gram, gram.T)
+    assert np.max(np.abs(gram - expected)) <= 1e-14 * np.max(expected)
+    value, vector = wiener._top_eigenpair(spec)
+    assert abs(value - np.linalg.eigvalsh(expected)[-1]) <= 1e-12 * value
+    top = np.linalg.eigh(expected)[1][:, -1]
+    assert abs(abs(vector @ top) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, expected", SHARP_CASES, ids=[_spec_id(s) for s in SHARP_SPECS])
+def test_sharp_square_constant(spec, expected):
+    sharp, _ = wiener.extremal_square_ratios(spec, [None], SUITE_TIMES)
+    assert abs(sharp - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("spec", SHARP_SPECS, ids=_spec_id)
+def test_extremal_field_attains_sharp_constant(spec):
+    flows = [None] + [FlowKind.parse(ORACLE_FLOWS[spec.dim])]
+    sharp, ratios = wiener.extremal_square_ratios(spec, flows, SUITE_TIMES)
+    assert [len(r) for r in ratios] == [1, 2]
+    for ratio in ratios[0] + ratios[1]:
+        assert abs(ratio - sharp) <= 1e-12 * sharp
+
+
+def test_wave_half_falls_short_and_has_no_attained_line():
+    # cos(t|xi|) is a contraction, not unimodular: its extremal field
+    # reaches only part of the sharp constant.
+    spec = GridSpec(2, 32, 16.0)
+    wave_half = FlowKind.parse("wave-half")
+    sharp, (ratios,) = wiener.extremal_square_ratios(spec, [wave_half], SUITE_TIMES)
+    assert 0.94 < ratios[0] / sharp < 0.96 and 0.78 < ratios[1] / sharp < 0.82
+    names = [r.name for r in wiener.invariant_report({2: spec}, seed=5)]
+    assert "square-function bound vs sharp constant (wave-half)" in names
+    assert [n for n in names if "wave-half" in n and "attained" in n] == []
+    assert "square-function bound attained by the extremal field (schrodinger +-)" in names
+
+
+DEFAULT_GRIDS = {1: GridSpec(1, 64, 16.0), 2: GridSpec(2, 32, 16.0)}
+
+
+def failing_lines(seed=5):
+    return [r for r in wiener.invariant_report(DEFAULT_GRIDS, seed=seed) if not r.passed]
+
+
+ATTAINED = "square-function bound attained by the extremal field"
+
+
+def test_scaled_square_function_fails_its_attained_lines(monkeypatch):
+    square = wiener._square_function_from_coeffs
+    monkeypatch.setattr(
+        wiener, "_square_function_from_coeffs", lambda *args: (1.0 + 1e-6) * square(*args)
+    )
+    failed = failing_lines()
+    assert [r.name for r in failed] == [
+        f"{ATTAINED} ({label})"
+        for label in ("identity (dim 1)", "identity (dim 2)", "kdv", "schrodinger +-")
+    ]
+    for r in failed:
+        assert abs(r.observed / r.limit - 1.0 - 1e-6) < 1e-9
+
+
+def test_second_eigenvector_falls_short(monkeypatch):
+    def second_pair(spec):
+        values, vectors = np.linalg.eigh(wiener._piece_gram(spec))
+        return values[-1], vectors[:, -2]
+
+    monkeypatch.setattr(wiener, "_top_eigenpair", second_pair)
+    failed = failing_lines()
+    assert len(failed) == 4 and all(r.name.startswith(ATTAINED) for r in failed)
+    for r in failed:
+        assert 3e-3 <= 1.0 - r.observed / r.limit <= 3e-2, r
+
+
+def test_symbol_off_the_unit_circle_overshoots(monkeypatch):
+    symbol_of = wiener.propagators.symbol
+    monkeypatch.setattr(
+        wiener.propagators, "symbol", lambda *args: 1.001 * symbol_of(*args)
+    )
+    failed = failing_lines()
+    assert [r.name for r in failed] == [f"{ATTAINED} (kdv)", f"{ATTAINED} (schrodinger +-)"]
+    for r in failed:
+        assert abs(r.observed / r.limit - 1.001) < 1e-9
 
 
 STACK_SPECS = [GridSpec(1, 64, 16.0), GridSpec(2, 32, 16.0), GridSpec(3, 16, 8.0)]
@@ -841,6 +848,42 @@ def test_square_pass_equals_per_flow_passes_at_any_chunk(spec, names, chunk, mon
 def test_bernstein_stacks_equal_field_loop(spec, monkeypatch):
     monkeypatch.setattr(wiener, "_FIELD_CHUNK", 2)  # stacks of 2, 2 and 1 fields
     assert bernstein_ratio(spec, 5, 3) == loop_bernstein_ratio(spec, 5, 3)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 64, 16.0), GridSpec(2, 16, 8.0)], ids=_spec_id)
+def test_bernstein_blocks_equal_field_loop(spec, monkeypatch):
+    monkeypatch.setattr(wiener, "_GRAM_BYTES", 4 * 16 * spec.size)  # 4 pieces per block
+    assert len(projection_blocks(spec)) % 4 != 0  # and a short last block
+    assert bernstein_ratio(spec, 2, 3) == loop_bernstein_ratio(spec, 2, 3)
+
+
+def test_bernstein_memory_stays_within_blocks():
+    # All 2 701 pieces of a 3D 16^3/8 field padded to the mesh at once take
+    # 2 701 * 16^3 * 16 B, about 177 MB; blocks of 1 MB keep the traced peak
+    # a few MB.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    spec = GridSpec(3, 16, 8.0)
+    assert len(projection_blocks(spec)) == 2701
+    _piece_entries(spec)
+    tracemalloc.start()
+    try:
+        bernstein_ratio(spec, 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_one_piece_window_attains_its_constant(n):
+    # On extent 16 the largest piece support holds 6 mesh points, so the
+    # constant (2 pi)^(-1/2) sqrt(6 dxi) is 0.6124 on every size: above the
+    # continuum's (2 pi)^(-1/2) sqrt(2), and above white noise.
+    spec = GridSpec(1, n, 16.0)
+    constant, attained = wiener.one_piece_bound(spec)
+    assert constant == (2.0 * np.pi) ** -0.5 * np.sqrt(6 * spec.dxi)
+    assert abs(attained - constant) <= 1e-12 * constant
+    assert bernstein_ratio(spec, 5, 2) < constant
 
 
 def test_invariant_suite_draws_each_grid_once(monkeypatch):

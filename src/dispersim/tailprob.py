@@ -16,8 +16,9 @@ two halves of its one ensemble, cut at a 256-sample block boundary, at
 once, the second in a helper thread (:func:`_ensemble_statistics`); its
 thresholds come from proven Gaussian tails, and the draws and both tails
 read one setup of the split (:func:`_split_setup`).  The partition of
-unity is read through :mod:`dispersim.wiener`'s scatter (the series a_k,
-the remainder law) and gather (each draw's weight).
+unity is read only through :mod:`dispersim.wiener`: its scatter (the series
+a_k), its gather (each draw's weight) and the trace and largest row sum of
+the pieces' Gram matrix weighted by |h^|^2 (the remainder law's T and R).
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .grid import Field, GridSpec, _apply_multiplier, forward_transform, monomia
 from .propagators import FlowKind, symbol
 from .randomize import _BLOCK, RandomDraw, _RowStream, gaussian_matrix, randomize_field
 from .wiener import (
-    _expected_norm_squared,
     _gather,
     _gather_table,
+    _gram_trace_and_row_sum,
     _square_function_from_coeffs,
-    projection_blocks,
     scatter,
     unit_lattice,
 )
@@ -575,16 +575,12 @@ def _block_halves(n_samples: int) -> list[range]:
 
 
 def _remainder_law(setup) -> tuple[float, float]:
-    """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi sum_xi psi(xi - k)
-    psi(xi - k') |h^(xi)|^2, from the h^ of ``setup``: T = tr G, and R =
-    G's largest row sum, which bounds ||G|| as G >= 0 entrywise: the scatter
-    of |h^(xi)|^2 S(xi), S(xi) numpy's row sum of xi's corner weights (in
-    3D a corner-by-corner sum, and R with it, has other bits)."""
+    """(T, R) of ||h^omega||^2 = g^H G g, G_kk' = dxi^d sum_xi psi(xi - k)
+    psi(xi - k') |h^(xi)|^2, from the h^ of ``setup``: T = tr G and R, G's
+    largest row sum, which bounds ||G||, both from
+    :func:`wiener._gram_trace_and_row_sum` with the mesh weight |h^|^2."""
     split, _, Fh, _, _ = setup
-    spec = split.h.spec
-    rows = scatter(spec, np.abs(Fh) ** 2 * projection_blocks(spec).weight.sum(axis=1))
-    top = spec.frequency_cell_volume * float(rows.max())
-    return _expected_norm_squared(spec, Fh), top
+    return _gram_trace_and_row_sum(split.h.spec, np.abs(Fh) ** 2)
 
 
 def _lambda_threshold(trace: float, top: float, eps: float) -> tuple[float, float]:

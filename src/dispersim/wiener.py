@@ -251,19 +251,6 @@ def reconstruct(f: Field) -> Field:
     return Field(f.spec, _reconstructed(f.spec, f.values))
 
 
-def _expected_norm_squared(spec: GridSpec, coeffs: np.ndarray) -> float:
-    """sum_k ||psi(D-k) f||_L2^2 from f's flat spectrum ``coeffs``."""
-    acc = np.zeros(spec.size)
-    for weight in projection_blocks(spec).weight.T:
-        acc += weight**2
-    return float(spec.frequency_cell_volume * np.sum(acc * np.abs(coeffs) ** 2))
-
-
-def expected_randomized_norm_squared(f: Field) -> float:
-    """Closed-form E ||f^omega||_L2^2 = sum_k ||psi(D-k) f||_L2^2."""
-    return _expected_norm_squared(f.spec, forward_transform(f).coeffs.reshape(-1))
-
-
 def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """sum_xi psi(xi - k) values(xi) at each lattice point k, for a real or
     complex mesh array or each of a stack of them (leading axes): per
@@ -281,6 +268,21 @@ def scatter(spec: GridSpec, values: np.ndarray) -> np.ndarray:
         for part, source in parts:
             part += np.bincount(bins, (weight * source).reshape(-1), out.size)
     return out.reshape(values.shape[: values.ndim - spec.dim] + (n,))
+
+
+def _gram_trace_and_row_sum(spec: GridSpec, weight: np.ndarray) -> tuple[float, float]:
+    """(T, R) of G_w = dxi^d P^T diag(w) P, P[xi, k] = psi(xi - k), for a flat
+    mesh weight w >= 0: T = tr G_w = dxi^d sum_xi w(xi) sum_k psi(xi - k)^2
+    (E ||f^omega||^2 for w = |F|^2), and R = G_w's largest row sum, a bound on
+    ||G_w|| as G_w >= 0: the scatter of w S, S(xi) numpy's row sum of xi's
+    corner weights (a corner-by-corner sum has other bits in 3D)."""
+    table = projection_blocks(spec)
+    rows = scatter(spec, weight * table.weight.sum(axis=1))
+    acc = np.zeros(spec.size)
+    for column in table.weight.T:
+        acc += column**2
+    volume = spec.frequency_cell_volume
+    return float(volume * np.sum(acc * weight)), volume * float(rows.max())
 
 
 @lru_cache(maxsize=8)
@@ -550,38 +552,46 @@ def square_bound_excess(spec: GridSpec, flows, times, n_fields: int, seed: int) 
     return worst
 
 
-def _piece_gram(spec: GridSpec) -> np.ndarray:
-    """The dense B = P^T P, P[xi, k] = psi(xi - k) on the mesh and the whole
-    lattice: one bincount of each mesh row's corner-weight products, binned
-    by the corners' lattice pair (a zero weight, at index 0, adds 0)."""
-    table = projection_blocks(spec)
-    n = len(unit_lattice(spec))
-    pairs = table.index[:, :, None] * n + table.index[:, None, :]
-    products = table.weight[:, :, None] * table.weight[:, None, :]
-    return np.bincount(pairs.reshape(-1), products.reshape(-1), n * n).reshape(n, n)
-
-
 @lru_cache(maxsize=8)
 def _top_eigenpair(spec: GridSpec):
-    """B's top eigenvalue and unit eigenvector v, cached without B.  B^(2^j)
-    scaled to trace 1 tends to v v^T, whose row sums give v (B >= 0: v is
-    not orthogonal to the ones); B is squared until |B v - (v.B v) v| <=
-    1e-12 v.B v, so v is within 1e-12/gap of the eigenvector and its field
-    within 1e-24/gap of the sharp constant, gap = 1 - lambda_2/lambda_1.
-    np.linalg.eigh would load about 1.4 MB of LAPACK code and workspace,
-    4 % of the peak RSS of a default check-wiener run."""
-    gram = _piece_gram(spec)
-    power = gram / np.trace(gram)
-    while True:
-        vector = power.sum(axis=1)
-        vector /= np.linalg.norm(vector)
-        image = gram @ vector
-        value = vector @ image
-        if np.linalg.norm(image - value * vector) <= 1e-12 * value:
-            vector.flags.writeable = False
-            return value, vector
-        power = power @ power
-        power /= np.trace(power)
+    """B's top eigenvalue and unit eigenvector v, B = P^T P on the whole
+    lattice (:func:`_gram_trace_and_row_sum`), cached; B is never formed.
+    Lanczos (J. Res. NBS 1950) from the ones vector, fully reorthogonalized
+    (Paige 1972), with B u the scatter of u's gather, builds T = Q^T B Q.
+    After 8, 16, 32, ... steps (or all n), T's top pair (theta, y) comes
+    from squaring T >= 0 entrywise (T^(2^j) at trace 1 tends to y y^T, whose
+    row sums give y) until |T y - theta y| <= theta _SHARP_RTOL / 2, and
+    (theta, Q y) is taken once beta |y_last| <= theta _SHARP_RTOL / 2, so
+    |B v - theta v| <= theta _SHARP_RTOL.  No LAPACK eigensolver is loaded
+    (eigh: about 1.4 MB of code pages, 4 % of check-wiener's peak RSS)."""
+    n = len(unit_lattice(spec))
+    out, scratch = np.empty((2, 1, spec.size), dtype=np.complex128)
+    basis, alpha, beta = np.full((8, n), n**-0.5), np.zeros(n), np.zeros(n)
+    for m in range(1, n + 1):
+        q = basis[:m]
+        image = scatter(spec, _gather(spec, q[-1:].astype(np.complex128), out, scratch)[0].real)
+        alpha[m - 1] = q[-1] @ image
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            image -= q.T @ (q @ image)
+        beta[m - 1] = np.linalg.norm(image)
+        # beta ~ 0: the Krylov space is invariant, and holds the top pair.
+        if beta[m - 1] <= alpha[0] * _SHARP_RTOL / 2 or m == n or (m >= 8 and m & (m - 1) == 0):
+            tri = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+            power = tri / np.trace(tri)
+            while True:
+                y = power.sum(axis=1) / np.linalg.norm(power.sum(axis=1))
+                value = y @ tri @ y
+                if np.linalg.norm(tri @ y - value * y) <= value * _SHARP_RTOL / 2:
+                    break
+                power = power @ power
+                power /= np.trace(power)
+            if m == n or beta[m - 1] * abs(y[-1]) <= value * _SHARP_RTOL / 2:
+                vector = y @ q
+                vector /= np.linalg.norm(vector)
+                vector.flags.writeable = False
+                return value, vector
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m] = image / beta[m - 1]
 
 
 def extremal_square_ratios(spec: GridSpec, flows, times):

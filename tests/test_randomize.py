@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dispersim.errors import ConfigurationError
-from dispersim.grid import Field, GridSpec, l2_norm
+from dispersim.grid import Field, GridSpec, forward_transform, l2_norm
 from dispersim.randomize import (
     RandomDraw,
     _RowStream,
@@ -12,7 +12,7 @@ from dispersim.randomize import (
     randomize_field,
     randomized_weights,
 )
-from dispersim.wiener import expected_randomized_norm_squared, unit_lattice
+from dispersim.wiener import _gram_trace_and_row_sum, unit_lattice
 from test_wiener import TABLE_SPECS, reference_randomized_weights
 
 
@@ -131,7 +131,8 @@ class TestRandomizeField:
         # E ||f^omega||^2 = sum_k ||psi(D-k) f||^2.
         rng = np.random.default_rng(13)
         f = random_field(SPEC, rng)
-        target = expected_randomized_norm_squared(f)
+        weight = np.abs(forward_transform(f).coeffs.reshape(-1)) ** 2
+        target = _gram_trace_and_row_sum(SPEC, weight)[0]
         total = 0.0
         n = 2000
         for g in gaussian_matrix(314, n, len(LATTICE)):

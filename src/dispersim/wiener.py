@@ -313,57 +313,51 @@ def _gather(spec: GridSpec, coefficients: np.ndarray, out: np.ndarray, scratch: 
 
 
 @lru_cache(maxsize=8)
-def _piece_entries(spec: GridSpec):
-    """The neighbour table's nonzero entries, each labelled with its piece.
-
-    Returns (slot, position, row, weight, width): the entry's piece slot
-    (its place in ``pieces``), its flat place in that piece's width^dim
-    window, its mesh row and its weight psi(xi - k).  A piece's window
-    starts at the first mesh frequency of its support along each axis;
-    width is the widest per-axis window on the grid.
-    """
+def _windows(spec: GridSpec):
+    """The pieces' windows, read by the Gram matrix and the sup/L2 check:
+    (source, scale, lag, used, width) over a (pieces, used) array, whose
+    columns are the flat width^dim window positions ``used`` that some piece
+    uses (ascending); a window starts at its piece's first mesh frequency
+    along each axis, and width is the grid's widest.  Per window slot, its
+    mesh row, or N^dim (one past the mesh) where no table entry sits, and its
+    weight psi(xi - k) (0 there) twice, for the real and imaginary parts; per
+    pair (i, j) of positions, the flat mesh index lag[i, j] of
+    (pos_i - pos_j) mod N."""
     table = projection_blocks(spec)
     ax = spec.axis_frequencies()
     pts = unit_lattice(spec).points[table.pieces].astype(float)
     first = np.searchsorted(ax, pts - 1.0, side="right")
     width = int(np.max(np.searchsorted(ax, pts + 1.0, side="left") - first))
-    slot_of = np.full(len(unit_lattice(spec)), -1)
-    slot_of[table.pieces] = np.arange(len(table))
     rows, cols = np.nonzero(table.weight)
-    slot = slot_of[table.index[rows, cols]]
+    # Every corner of nonzero weight is a piece, and the pieces ascend.
+    slot = np.searchsorted(table.pieces, table.index[rows, cols])
     local = np.stack(np.unravel_index(rows, spec.shape), axis=-1) - first[slot]
     position = np.ravel_multi_index(tuple(local.T), (width,) * spec.dim)
-    entries = (slot, position, rows, table.weight[rows, cols])
-    for arr in entries:
-        arr.flags.writeable = False
-    return entries + (width,)
-
-
-@lru_cache(maxsize=8)
-def _window_lags(spec: GridSpec):
-    """The Gram matrix's layout, a sibling of :func:`_piece_entries`.
-
-    Returns (source, lag, scale) over a (pieces, used) array of windows,
-    whose columns are the window positions that some piece uses
-    (ascending): each window slot's mesh row, or N^dim (one past the mesh)
-    where no entry sits, for every pair (i, j) of the positions the flat
-    mesh index lag[i, j] of (pos_i - pos_j) mod N, and each slot's weight
-    (0 where no entry sits) twice, for its real and imaginary parts.
-    """
-    slot, position, row, weight, width = _piece_entries(spec)
     in_use = np.bincount(position, minlength=width**spec.dim) > 0
     used = np.flatnonzero(in_use)
     place = slot * used.size + (np.cumsum(in_use) - 1)[position]
-    source = np.full(len(projection_blocks(spec)) * used.size, spec.size)
-    source[place] = row
-    scale = np.repeat(np.bincount(place, weight, source.size), 2)
+    source = np.full(len(table) * used.size, spec.size)
+    source[place] = rows
+    scale = np.repeat(np.bincount(place, table.weight[rows, cols], source.size), 2)
     n = spec.samples_per_axis
     lag = np.zeros((used.size, used.size), dtype=np.intp)
     for axis in np.unravel_index(used, (width,) * spec.dim):
         lag = lag * n + (axis[:, None] - axis[None, :]) % n
-    for arr in (source, lag, scale):
+    for arr in (source, scale, lag, used):
         arr.flags.writeable = False
-    return source, lag, scale
+    return source, scale, lag, used, width
+
+
+def _take_windows(spec: GridSpec, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` (batch, pieces, used): the windows (:func:`_windows`) of the
+    spectra in the rows of ``padded``, each with a zero appended, in one take,
+    weighted part by part, so a slot that no entry fills holds exactly 0 and
+    the others the bits of the complex-by-real product up to signs of 0."""
+    source, scale = _windows(spec)[:2]
+    np.take(padded, source, axis=1, out=out.reshape(len(out), -1), mode="clip")
+    parts = out.view(np.float64)
+    parts *= scale.reshape(parts.shape[1:])
+    return out
 
 
 # The Gram matrix is reduced in blocks of rows of at most this many bytes
@@ -381,7 +375,7 @@ def _gram_group(spec: GridSpec) -> int:
     mesh point of the spectrum's copy, the fold and a block's bincount, each
     window value and its conjugate, each entry of a row block of the Gram
     matrix and each entry of the matrix for its two int64 bins."""
-    used = len(_window_lags(spec)[1])
+    used = len(_windows(spec)[3])
     rows = min(used, _gram_rows(used))
     pieces = len(projection_blocks(spec))
     per_spectrum = 16 * ((2 * pieces + rows + used) * used + 3 * spec.size + 1)
@@ -393,7 +387,7 @@ def _gram_workspace(spec: GridSpec, batch: int):
     with a zero appended, windows, their conjugate, a flat Gram row block, and
     each row block's bins 2 (b N^dim + lag) + part, b-major, so that those of
     fewer spectra are a prefix: 16 B per spectrum and Gram entry."""
-    lag = _window_lags(spec)[1]
+    lag = _windows(spec)[2]
     used = len(lag)
     rows = min(used, _gram_rows(used))
     padded = np.zeros((batch, spec.size + 1), dtype=np.complex128)
@@ -409,24 +403,20 @@ def _folded_gram(spec: GridSpec, coeffs: np.ndarray, work=None) -> np.ndarray:
     onto the mesh: shape (batch, N^dim) for coefficients of shape
     batch + spec.shape.
 
-    The windows are gathered in one take from the spectra padded with a
-    zero, into ``work`` (:func:`_gram_workspace`) or fresh buffers, and
-    weighted part by part, so a slot that no entry fills holds exactly 0 and
-    the others the bits of the complex-by-real product up to signs of 0,
-    which only zero sums carry and the fold's bincounts, summing from +0,
-    drop.  Each block of the Gram matrix's rows is folded by one bincount
-    over the interleaved float64 view of the whole batch's block, binned by
-    the workspace's bins; each bin adds the same terms in the same order as
-    a bincount per spectrum and part would."""
-    source, lag, scale = _window_lags(spec)
+    The windows (:func:`_take_windows`) go into ``work``
+    (:func:`_gram_workspace`) or fresh buffers; their signs of 0 only zero
+    sums carry, and the fold's bincounts, summing from +0, drop them.  Each
+    block of the Gram matrix's rows is folded by one bincount over the
+    interleaved float64 view of the whole batch's block, binned by the
+    workspace's bins; each bin adds the same terms in the same order as a
+    bincount per spectrum and part would."""
+    lag = _windows(spec)[2]
     flat = coeffs.reshape(-1, spec.size)
     batch, used = flat.shape[0], len(lag)
     padded, windows, conj, gram, bins = work or _gram_workspace(spec, batch)
     padded, windows, conj = padded[:batch], windows[:batch], conj[:batch]
     padded[:, :-1] = flat
-    np.take(padded, source, axis=1, out=windows.reshape(batch, -1), mode="clip")
-    parts = windows.view(np.float64)
-    parts *= scale.reshape(parts.shape[1:])
+    _take_windows(spec, padded, windows)
     np.conjugate(windows, out=conj)
     out = np.zeros(2 * batch * spec.size)
     step = _gram_rows(used)
@@ -557,13 +547,13 @@ def _top_eigenpair(spec: GridSpec):
     """B's top eigenvalue and unit eigenvector v, B = P^T P on the whole
     lattice (:func:`_gram_trace_and_row_sum`), cached; B is never formed.
     Lanczos (J. Res. NBS 1950) from the ones vector, fully reorthogonalized
-    (Paige 1972), with B u the scatter of u's gather, builds T = Q^T B Q.
-    After 8, 16, 32, ... steps (or all n), T's top pair (theta, y) comes
-    from squaring T >= 0 entrywise (T^(2^j) at trace 1 tends to y y^T, whose
-    row sums give y) until |T y - theta y| <= theta _SHARP_RTOL / 2, and
-    (theta, Q y) is taken once beta |y_last| <= theta _SHARP_RTOL / 2, so
-    |B v - theta v| <= theta _SHARP_RTOL.  No LAPACK eigensolver is loaded
-    (eigh: about 1.4 MB of code pages, 4 % of check-wiener's peak RSS)."""
+    (Paige 1972), with B u the scatter of u's gather, builds T = Q^T B Q, Q 8
+    rows at a time.  Every 8 steps (or at n or beta ~ 0), T's top pair
+    (theta, y) comes from squaring T >= 0 entrywise (T^(2^j) at trace 1 tends
+    to y y^T, whose row sums give y) until |T y - theta y| <= theta rtol / 2,
+    rtol = _SHARP_RTOL, and (theta, Q y) is taken once beta |y_last| <= theta
+    rtol / 2, so |B v - theta v| <= theta rtol.  No LAPACK eigensolver is
+    loaded (eigh: about 1.4 MB of code pages, 4 % of check-wiener's peak RSS)."""
     n = len(unit_lattice(spec))
     out, scratch = np.empty((2, 1, spec.size), dtype=np.complex128)
     basis, alpha, beta = np.full((8, n), n**-0.5), np.zeros(n), np.zeros(n)
@@ -575,7 +565,7 @@ def _top_eigenpair(spec: GridSpec):
             image -= q.T @ (q @ image)
         beta[m - 1] = np.linalg.norm(image)
         # beta ~ 0: the Krylov space is invariant, and holds the top pair.
-        if beta[m - 1] <= alpha[0] * _SHARP_RTOL / 2 or m == n or (m >= 8 and m & (m - 1) == 0):
+        if beta[m - 1] <= alpha[0] * _SHARP_RTOL / 2 or m == n or m % 8 == 0:
             tri = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
             power = tri / np.trace(tri)
             while True:
@@ -590,7 +580,7 @@ def _top_eigenpair(spec: GridSpec):
                 vector /= np.linalg.norm(vector)
                 vector.flags.writeable = False
                 return value, vector
-            basis = np.concatenate([basis, np.empty_like(basis)])
+            basis = np.concatenate([basis, np.empty((8, n))])
         basis[m] = image / beta[m - 1]
 
 
@@ -620,17 +610,20 @@ def extremal_square_ratios(spec: GridSpec, flows, times):
 
 def _sup_to_l2(spec: GridSpec, windows: np.ndarray) -> float:
     """Max of sup|piece| / ||piece||_L2 over the nonzero pieces given as rows
-    of width^dim windows (:func:`_piece_entries`), transformed padded with
-    zeros at the mesh origin: the move to the true place, like the omitted
-    index shifts, is a unimodular phase that neither sup nor norm sees.
-    Blocks of pieces whose padded spectra take at most _GRAM_BYTES."""
-    width = _piece_entries(spec)[-1]
+    of (pieces, used) windows (:func:`_windows`), each transformed as its
+    width^dim window padded with zeros at the mesh origin: the move to the
+    true place, like the omitted index shifts, is a unimodular phase that
+    neither sup nor norm sees.  Blocks of pieces whose padded spectra take
+    at most _GRAM_BYTES."""
+    used, width = _windows(spec)[3:]
     scale = _TWO_PI ** (spec.dim / 2.0) / spec.cell_volume
     axes = tuple(range(1, spec.dim + 1))
     step = max(1, _GRAM_BYTES // (16 * spec.size))
     worst = 0.0
     for start in range(0, len(windows), step):
-        block = windows[start : start + step].reshape((-1,) + (width,) * spec.dim)
+        rows = windows[start : start + step]
+        block = np.zeros((len(rows),) + (width,) * spec.dim, dtype=np.complex128)
+        block.reshape(len(rows), -1)[:, used] = rows
         mags = np.abs(scale * np.fft.ifftn(block, s=spec.shape, axes=axes))
         mags = mags.reshape(len(block), -1)
         sup = mags.max(axis=1)
@@ -644,14 +637,15 @@ def _sup_to_l2(spec: GridSpec, windows: np.ndarray) -> float:
 def bernstein_ratio(spec: GridSpec, n_fields: int, seed: int) -> float:
     """Max over fields and lattice points of sup|piece| / ||piece||_L2
     (:func:`_sup_to_l2`).  Fields are drawn and transformed in stacks,
-    pieces one field at a time."""
-    slot, position, row, weight, width = _piece_entries(spec)
-    windows = np.zeros((len(projection_blocks(spec)), width**spec.dim), dtype=np.complex128)
+    pieces one field at a time, their windows taken as the Gram matrix's."""
+    padded = np.zeros((1, spec.size + 1), dtype=np.complex128)
+    shape = (1, len(projection_blocks(spec)), len(_windows(spec)[3]))
+    windows = np.empty(shape, dtype=np.complex128)
     worst = 0.0
     for fields in _field_stacks(spec, n_fields, seed):
         for F in _transform(spec, fields).reshape(len(fields), -1):
-            windows[slot, position] = weight * F[row]
-            worst = max(worst, _sup_to_l2(spec, windows))
+            padded[0, :-1] = F
+            worst = max(worst, _sup_to_l2(spec, _take_windows(spec, padded, windows)[0]))
     return worst
 
 
@@ -660,13 +654,11 @@ def one_piece_bound(spec: GridSpec) -> tuple[float, float]:
     max_k |S_k|) with S_k the mesh points where psi_k > 0, and the ratio
     that the piece equal to 1 on the largest S_k, which attains it at
     x = 0, reaches through :func:`_sup_to_l2`."""
-    slot, position, _, _, width = _piece_entries(spec)
-    counts = np.bincount(slot)
+    filled = _windows(spec)[0].reshape(len(projection_blocks(spec)), -1) < spec.size
+    counts = np.count_nonzero(filled, axis=1)
     largest = np.argmax(counts)
-    window = np.zeros((1, width**spec.dim), dtype=np.complex128)
-    window[0, position[slot == largest]] = 1.0
     constant = _TWO_PI ** (-spec.dim / 2.0) * np.sqrt(spec.frequency_cell_volume * counts[largest])
-    return float(constant), _sup_to_l2(spec, window)
+    return float(constant), _sup_to_l2(spec, filled[largest : largest + 1].astype(np.complex128))
 
 
 # The free flows of the square-function checks, by grid dimension.

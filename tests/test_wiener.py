@@ -19,7 +19,6 @@ from dispersim import wiener
 from dispersim.propagators import FlowKind, symbol
 from dispersim.randomize import RandomDraw, randomize_field
 from dispersim.wiener import (
-    _piece_entries,
     _square_function_from_coeffs,
     bernstein_ratio,
     bump_value,
@@ -222,10 +221,21 @@ class TestSquareFunction:
             assert np.max(sq.values.real) <= (1 + 1e-9) * l2_norm(f)
 
 
+def piece_entries(spec):
+    """The neighbour table's nonzero entries: (piece slot, flat place in the
+    piece's width^dim window, mesh row, weight psi(xi - k))."""
+    table, width = projection_blocks(spec), wiener._windows(spec)[-1]
+    rows, cols = np.nonzero(table.weight)
+    slot = np.searchsorted(table.pieces, table.index[rows, cols])
+    first = np.searchsorted(spec.axis_frequencies(), unit_lattice(spec).points - 1.0, side="right")
+    local = np.unravel_index(rows, spec.shape) - first[table.pieces[slot]].T
+    return slot, np.ravel_multi_index(local, (width,) * spec.dim), rows, table.weight[rows, cols]
+
+
 def old_bernstein_ratio(spec, n_fields, seed):
     """The sup/L2 check on full-mesh piece spectra, 256 pieces at a time,
     from the entries sorted by piece."""
-    slot, _, row, weight, _ = _piece_entries(spec)
+    slot, _, row, weight = piece_entries(spec)
     order = np.argsort(slot, kind="stable")
     slot, row, weight = slot[order], row[order], weight[order]
     pieces = len(projection_blocks(spec))
@@ -253,7 +263,8 @@ def old_bernstein_ratio(spec, n_fields, seed):
 def loop_bernstein_ratio(spec, n_fields, seed):
     """The sup/L2 check field by field: each field drawn and transformed
     alone, its pieces from windows padded at the mesh origin."""
-    slot, position, row, weight, width = _piece_entries(spec)
+    slot, position, row, weight = piece_entries(spec)
+    width = wiener._windows(spec)[-1]
     window_shape = (len(projection_blocks(spec)),) + (width,) * spec.dim
     rng = np.random.default_rng(seed)
     scale = (2.0 * np.pi) ** (spec.dim / 2.0) / spec.cell_volume
@@ -556,15 +567,36 @@ class TestSquareFunctionOracle:
 
 def test_fold_grid_folds():
     spec = ORACLE_SPECS[-1]
-    width = _piece_entries(spec)[-1]
+    width = wiener._windows(spec)[-1]
     assert 2 * width - 1 > spec.samples_per_axis
 
 
 def test_wide_windows_reduce_the_gram_matrix_in_blocks():
     for spec in WIDE_SPECS:
-        assert _piece_entries(spec)[-1] == 11
-    used = len(wiener._window_lags(WIDE_SPECS[1])[1])
+        assert wiener._windows(spec)[-1] == 11
+    used = len(wiener._windows(WIDE_SPECS[1])[3])
     assert used == 989 and wiener._gram_rows(used) < used
+
+
+VIEW_SPECS = [GridSpec(1, n, 16.0) for n in (64, 128, 256)] + [GridSpec(2, 32, 16.0)] + WIDE_SPECS
+
+
+@pytest.mark.parametrize("spec", VIEW_SPECS, ids=_spec_id)
+def test_window_view_equals_entry_scatter(spec):
+    # The one take and part-by-part scale of the Gram matrix give the sup/L2
+    # check's windows bit for bit, and each piece's |S_k| in filled slots.
+    slot, position, row, weight = piece_entries(spec)
+    source, _, _, used, width = wiener._windows(spec)
+    pieces = len(projection_blocks(spec))
+    F = forward_transform(random_field(spec, np.random.default_rng(80))).coeffs.reshape(-1)
+    expected = np.zeros((pieces, width**spec.dim), dtype=np.complex128)
+    expected[slot, position] = weight * F[row]
+    taken = np.empty((1, pieces, used.size), dtype=np.complex128)
+    got = np.zeros_like(expected)
+    got[:, used] = wiener._take_windows(spec, np.append(F, 0.0)[None], taken)[0]
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    filled = np.count_nonzero(source.reshape(pieces, -1) < spec.size, axis=1)
+    assert np.array_equal(filled, np.bincount(slot, minlength=pieces))
 
 
 @pytest.mark.parametrize("spec", SQUARE_SPECS)
@@ -773,6 +805,21 @@ def test_fine_3d_eigenpair_memory_is_not_dense():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "spec, products",
+    [(GridSpec(2, 32, 16.0), 48), (GridSpec(3, 16, 16.0), 40), (FINE_3D, 88)],
+    ids=["2d-32", "3d-16-16", "3d-16-8"],
+)
+def test_eigenpair_checks_its_ritz_pair_every_8_steps(spec, products, monkeypatch):
+    # Checks at 8, 16, 32, ... steps took 64, 64 and 128 products.
+    calls = []
+    scatter_of = wiener.scatter
+    monkeypatch.setattr(wiener, "scatter", lambda *args: calls.append(args) or scatter_of(*args))
+    value, vector = wiener._top_eigenpair.__wrapped__(spec)
+    assert len(calls) == products
+    assert np.linalg.norm(gram_product(spec, vector) - value * vector) <= 1e-12 * value
+
+
 @pytest.mark.parametrize("spec", SHARP_SPECS, ids=_spec_id)
 def test_extremal_field_attains_sharp_constant(spec):
     flows = [None] + [FlowKind.parse(ORACLE_FLOWS[spec.dim])]
@@ -941,7 +988,7 @@ def test_bernstein_memory_stays_within_blocks():
     tracemalloc = pytest.importorskip("tracemalloc")
     spec = GridSpec(3, 16, 8.0)
     assert len(projection_blocks(spec)) == 2701
-    _piece_entries(spec)
+    wiener._windows(spec)
     tracemalloc.start()
     try:
         bernstein_ratio(spec, 1, 7)
@@ -999,10 +1046,10 @@ def test_invariant_suite_draws_each_grid_once(monkeypatch):
 def old_folded_gram(spec, coeffs):
     """The fold with one real and one imaginary bincount per spectrum and
     row block, and the windows scattered by (slot, column) pairs."""
-    slot, position, row, weight, width = _piece_entries(spec)
+    slot, position, row, weight = piece_entries(spec)
+    lag, _, width = wiener._windows(spec)[2:]
     in_use = np.bincount(position, minlength=width**spec.dim) > 0
     column = (np.cumsum(in_use) - 1)[position]
-    lag = wiener._window_lags(spec)[1]
     values = coeffs.reshape(-1, spec.size)[:, row]
     values *= weight
     batch, used = values.shape[0], len(lag)
@@ -1031,7 +1078,7 @@ def test_folded_gram_equals_old_fold(spec, budget, batch, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(wiener, "_GRAM_BYTES", budget)
         # Four rows per block: 248 blocks of the 989-row Gram matrix.
-        assert wiener._gram_rows(len(wiener._window_lags(spec)[1])) == 4
+        assert wiener._gram_rows(len(wiener._windows(spec)[3])) == 4
     rng = np.random.default_rng(70 + batch)
     coeffs = np.stack(
         [forward_transform(random_field(spec, rng)).coeffs for _ in range(batch)]
